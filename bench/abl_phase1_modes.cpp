@@ -9,9 +9,10 @@ using namespace hmca;
 
 namespace {
 
-coll::AllgatherFn hier(core::Phase1Mode mode) {
+coll::AllgatherFn hier(core::Phase1Mode mode, double offload = -1.0) {
   core::HierOptions opts;
   opts.phase1 = mode;
+  opts.offload = offload;
   return [opts](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                 std::size_t m, bool ip) {
     return core::allgather_hierarchical(c, r, s, rv, m, ip, opts);
@@ -29,8 +30,8 @@ int main() {
   for (std::size_t sz : osu::size_sweep(16 * 1024, 4u << 20)) {
     const double shm =
         osu::measure_allgather(spec, hier(core::Phase1Mode::kShmGather), sz);
-    const double cma =
-        osu::measure_allgather(spec, hier(core::Phase1Mode::kCmaDirect), sz);
+    const double cma = osu::measure_allgather(
+        spec, hier(core::Phase1Mode::kMhaIntra, /*offload=*/0.0), sz);
     const double mha =
         osu::measure_allgather(spec, hier(core::Phase1Mode::kMhaIntra), sz);
     t.add_row({osu::format_size(sz), osu::format_us(shm), osu::format_us(cma),

@@ -11,9 +11,7 @@
 #include "coll/graph.hpp"
 #include "core/hier_detail.hpp"
 #include "core/mha_intra.hpp"
-#include "model/cost.hpp"
 #include "shm/shm.hpp"
-#include "sim/sync.hpp"
 
 namespace hmca::core {
 
@@ -77,71 +75,8 @@ sim::Task<void> shm_gather_phase1(mpi::Comm& comm, int my, hw::BufView send,
   }
 }
 
-// NUMA-aware two-stage phase 1 (Sec. 7 future work): MHA-intra within each
-// socket (no UPI traffic), then socket leaders exchange socket blocks via
-// shared memory — each remote-socket byte crosses UPI once (the leader's
-// copy-in) instead of once per reading process.
-sim::Task<void> numa_phase1(mpi::Comm& comm, int my, hw::BufView send,
-                            hw::BufView node_slice, std::size_t msg,
-                            bool in_place, int node, int local, int l,
-                            std::uint64_t seq, double offload) {
-  auto& cl = comm.cluster();
-  const int sockets = cl.sockets();
-  const int socket = cl.socket_of_local(local);
-  const int s0 = cl.socket_first_local(socket);
-  const int ssz = cl.socket_size(socket);
-  const std::size_t socket_block = static_cast<std::size_t>(ssz) * msg;
-
-  // Stage A: intra-socket MHA-intra into my socket's block of the slice.
-  auto& scomm = comm.world().socket_comm(node, socket);
-  co_await allgather_mha_intra(
-      scomm, local - s0, send,
-      node_slice.sub(static_cast<std::size_t>(s0) * msg, socket_block), msg,
-      in_place, offload);
-  if (sockets == 1) co_return;
-
-  // Stage B: every remote-socket byte must cross the UPI link exactly
-  // once. Socket leaders publish the address of their completed slice,
-  // then each leader *pulls* the other sockets' blocks into a segment
-  // homed on its own socket; its members copy out locally.
-  auto region = comm.share().acquire<shm::ShmRegion>(
-      node, op_key(comm.ctx(), seq, 5 + socket), ssz, [&] {
-        return std::make_shared<shm::ShmRegion>(
-            cl, node, static_cast<std::size_t>(l) * msg, comm.sink(),
-            cl.global_rank(node, s0));
-      });
-  if (local == s0) {  // socket leader
-    // Only leaders participate in the address exchange (parties =
-    // sockets); acquiring it from every rank would recycle the entry.
-    auto board = comm.share().acquire<AddressBoard>(
-        node, op_key(comm.ctx(), seq, 4), sockets, [&] {
-          return std::make_shared<AddressBoard>(comm.engine(), sockets);
-        });
-    co_await board->put_and_wait(socket, node_slice);
-    for (int o = 1; o < sockets; ++o) {
-      const int other = (socket + o) % sockets;
-      const int of = cl.socket_first_local(other);
-      const std::size_t off = static_cast<std::size_t>(of) * msg;
-      const std::size_t len =
-          static_cast<std::size_t>(cl.socket_size(other)) * msg;
-      co_await region->copy_in_publish(comm.to_global(my),
-                                       board->view(other).sub(off, len), off,
-                                       cl.global_rank(node, of));
-      // The leader's own recv slice gets the block from the local segment.
-      hw::copy_payload(node_slice.sub(off, len), region->view(off, len));
-    }
-  }
-  for (int k = 0; k + 1 < sockets; ++k) {
-    co_await region->wait_published(static_cast<std::size_t>(k) + 1);
-    if (local == s0) continue;  // leader filled its slice while pulling
-    const auto c = region->chunk(static_cast<std::size_t>(k));
-    co_await region->copy_out(comm.to_global(my), static_cast<std::size_t>(k),
-                              node_slice.sub(c.offset, c.len));
-  }
-}
-
-// Generic n-level phase 1: the numa_phase1 pattern applied stage by stage
-// to an arbitrary nested partition of the node's local ranks (NodePlan).
+// Staged n-level phase 1 over a nested partition of the node's local
+// ranks (NodePlan; the Sec. 7 socket design is the two-stage case).
 // Stage 0 runs MHA-intra inside each innermost group; every later stage
 // has the previous stage's group leaders pull their sibling groups' blocks
 // through a shared-memory segment homed on their own group, so each
@@ -245,14 +180,14 @@ sim::Task<void> plan_phase1(mpi::Comm& comm, int my, hw::BufView send,
   }
 }
 
-// Leader-side phase 2+3: Ring variant (legacy phase-sequential path).
+// Leader-side phase 2+3 of the phase-sequential path, Ring variant: the
+// whole exchange completes before the first chunk is published.
 sim::Task<void> leader_ring(mpi::Comm& lcomm, int node, hw::BufView recv,
                             std::size_t chunk, shm::ShmRegion* region,
-                            bool overlap, int grank, sim::Engine& eng) {
+                            int grank) {
   const int n = lcomm.size();
   const int right = (node + 1) % n;
   const int left = (node - 1 + n) % n;
-  sim::WaitGroup publishes(eng);
   int cur = node;
   for (int step = 0; step < n - 1; ++step) {
     const int incoming = (cur - 1 + n) % n;
@@ -260,37 +195,27 @@ sim::Task<void> leader_ring(mpi::Comm& lcomm, int node, hw::BufView recv,
         node, right, step, recv.sub(static_cast<std::size_t>(cur) * chunk, chunk),
         left, step,
         recv.sub(static_cast<std::size_t>(incoming) * chunk, chunk));
-    if (region != nullptr && overlap) {
-      // Publish concurrently: the next ring step's wire transfer overlaps
-      // this chunk's shm copy (Fig. 6).
-      publishes.spawn(region->copy_in_publish(
-          grank, recv.sub(static_cast<std::size_t>(incoming) * chunk, chunk),
-          static_cast<std::size_t>(incoming) * chunk));
-    }
     cur = incoming;
   }
-  if (region != nullptr && !overlap) {
-    // Strict phase separation: distribute only after the exchange is done.
-    cur = node;
-    for (int step = 0; step < n - 1; ++step) {
-      const int incoming = (cur - 1 + n) % n;
-      co_await region->copy_in_publish(
-          grank, recv.sub(static_cast<std::size_t>(incoming) * chunk, chunk),
-          static_cast<std::size_t>(incoming) * chunk);
-      cur = incoming;
-    }
+  if (region == nullptr) co_return;
+  cur = node;
+  for (int step = 0; step < n - 1; ++step) {
+    const int incoming = (cur - 1 + n) % n;
+    co_await region->copy_in_publish(
+        grank, recv.sub(static_cast<std::size_t>(incoming) * chunk, chunk),
+        static_cast<std::size_t>(incoming) * chunk);
+    cur = incoming;
   }
-  co_await publishes.wait();
 }
 
-// Leader-side phase 2+3: Recursive Doubling variant (power-of-two nodes,
-// legacy phase-sequential path).
+// Leader-side phase 2+3 of the phase-sequential path, Recursive Doubling
+// variant (power-of-two nodes): publish each step's range after the
+// exchange.
 sim::Task<void> leader_rd(mpi::Comm& lcomm, int node, hw::BufView recv,
                           std::size_t chunk, shm::ShmRegion* region,
-                          bool overlap, int grank, sim::Engine& eng) {
+                          int grank) {
   const int n = lcomm.size();
-  sim::WaitGroup publishes(eng);
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;  // for !overlap
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
   for (int k = 0; (1 << k) < n; ++k) {
     const int dist = 1 << k;
     const int partner = node ^ dist;
@@ -301,23 +226,18 @@ sim::Task<void> leader_rd(mpi::Comm& lcomm, int node, hw::BufView recv,
     const std::size_t len = static_cast<std::size_t>(dist) * chunk;
     co_await lcomm.sendrecv(node, partner, k, recv.sub(own_base, len), partner,
                             k, recv.sub(partner_base, len));
-    if (region != nullptr && overlap) {
-      publishes.spawn(region->copy_in_publish(grank, recv.sub(partner_base, len),
-                                              partner_base));
-    } else if (region != nullptr) {
-      ranges.emplace_back(partner_base, len);
-    }
+    ranges.emplace_back(partner_base, len);
   }
+  if (region == nullptr) co_return;
   for (const auto& [off, len] : ranges) {
     co_await region->copy_in_publish(grank, recv.sub(off, len), off);
   }
-  co_await publishes.wait();
 }
 
-// The original phase-sequential execution: phase 1 completes behind a hard
-// boundary before any inter-node traffic, with the hand-built phase-2/3
-// overlap inside leader_ring/leader_rd. Kept as the pipeline-pair baseline
-// and the overlap-ablation vehicle.
+// The strictly phase-sequential execution (overlap = false): phase 1
+// completes behind a hard boundary before any inter-node traffic, and the
+// leader publishes only after its exchange. Kept as the pipeline-pair
+// baseline and the overlap-ablation vehicle.
 sim::Task<void> hier_barrier(mpi::Comm& comm, int my, hw::BufView send,
                              hw::BufView recv, std::size_t msg, bool in_place,
                              HierOptions opts, Phase2Algo algo) {
@@ -350,17 +270,9 @@ sim::Task<void> hier_barrier(mpi::Comm& comm, int my, hw::BufView send,
         co_await allgather_mha_intra(ncomm, local, send, node_slice, msg,
                                      in_place, opts.offload);
         break;
-      case Phase1Mode::kCmaDirect:
-        co_await allgather_mha_intra(ncomm, local, send, node_slice, msg,
-                                     in_place, /*offload=*/0);
-        break;
       case Phase1Mode::kShmGather:
         co_await shm_gather_phase1(comm, my, send, node_slice, msg, in_place,
                                    node, local, l, seq);
-        break;
-      case Phase1Mode::kNumaTwoLevel:
-        co_await numa_phase1(comm, my, send, node_slice, msg, in_place, node,
-                             local, l, seq, opts.offload);
         break;
     }
   } else {
@@ -385,10 +297,10 @@ sim::Task<void> hier_barrier(mpi::Comm& comm, int my, hw::BufView send,
     auto& lcomm = comm.world().leader_comm();
     if (algo == Phase2Algo::kRing) {
       co_await leader_ring(lcomm, node, recv, chunk, region.get(),
-                           opts.overlap, comm.to_global(my), eng);
+                           comm.to_global(my));
     } else {
-      co_await leader_rd(lcomm, node, recv, chunk, region.get(), opts.overlap,
-                         comm.to_global(my), eng);
+      co_await leader_rd(lcomm, node, recv, chunk, region.get(),
+                         comm.to_global(my));
     }
     p2.close(eng.now());
   } else {
@@ -436,8 +348,8 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
 
   // ---- Phase 1 tasks ----
   if (l > 1 && opts.plan != nullptr) {
-    // Like kNumaTwoLevel: the staged intra-node exchange is data-driven,
-    // so it stays one macro task; phase 2 streams against other leaders.
+    // The staged intra-node exchange is data-driven, so it stays one macro
+    // task; phase 2 streams against other leaders' finer-grained work.
     const NodePlan* plan = opts.plan;
     const double off = opts.offload;
     const int t = g.add(
@@ -456,10 +368,6 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
         build_mha_intra_tasks(g, prod, nbase, ncomm, local, send, node_slice,
                               msg, in_place, opts.offload, "phase1");
         break;
-      case Phase1Mode::kCmaDirect:
-        build_mha_intra_tasks(g, prod, nbase, ncomm, local, send, node_slice,
-                              msg, in_place, /*offload=*/0.0, "phase1");
-        break;
       case Phase1Mode::kShmGather: {
         // Publication order of the gather is data-driven, so it stays one
         // macro task (faithful to the double-copy baseline it models);
@@ -472,19 +380,6 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
                                        in_place, node, local, l, seq);
             },
             coll::TaskOpts{"shm-gather", "phase1", -1, chunk, -1, -1});
-        prod.add(nbase, chunk, t);
-        break;
-      }
-      case Phase1Mode::kNumaTwoLevel: {
-        const double off = opts.offload;
-        const int t = g.add(
-            coll::TaskKind::kWrapped, coll::Lane::kNone,
-            [&comm, my, send, node_slice, msg, in_place, node, local, l, seq,
-             off] {
-              return numa_phase1(comm, my, send, node_slice, msg, in_place,
-                                 node, local, l, seq, off);
-            },
-            coll::TaskOpts{"numa2", "phase1", -1, chunk, -1, -1});
         prod.add(nbase, chunk, t);
         break;
       }
@@ -693,7 +588,7 @@ sim::Task<void> allgather_hierarchical(mpi::Comm& comm, int my,
   }
   const Phase2Algo algo =
       resolve_phase2(cl.spec(), cl.nodes(), cl.ppn(), msg, opts.phase2);
-  if (opts.streaming && opts.overlap) {
+  if (opts.overlap) {
     co_await hier_graph(comm, my, send, recv, msg, in_place, opts, algo);
   } else {
     // The barriered baseline still flows through a GraphExecutor (as one
@@ -705,50 +600,5 @@ sim::Task<void> allgather_hierarchical(mpi::Comm& comm, int my,
         });
   }
 }
-
-#ifndef HMCA_STRICT_API
-// Deprecated shim definitions. Defining a [[deprecated]] entity is legal,
-// but some toolchains still flag it under -Werror; silence locally.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-sim::Task<void> allgather_mha_inter(mpi::Comm& comm, int my, hw::BufView send,
-                                    hw::BufView recv, std::size_t msg,
-                                    bool in_place) {
-  co_await allgather_hierarchical(comm, my, send, recv, msg, in_place,
-                                  HierOptions{});
-}
-
-sim::Task<void> allgather_mha_inter_barrier(mpi::Comm& comm, int my,
-                                            hw::BufView send, hw::BufView recv,
-                                            std::size_t msg, bool in_place) {
-  HierOptions opts;
-  opts.overlap = false;
-  opts.streaming = false;
-  co_await allgather_hierarchical(comm, my, send, recv, msg, in_place, opts);
-}
-
-sim::Task<void> allgather_single_leader(mpi::Comm& comm, int my,
-                                        hw::BufView send, hw::BufView recv,
-                                        std::size_t msg, bool in_place) {
-  HierOptions opts;
-  opts.phase1 = Phase1Mode::kShmGather;
-  opts.phase2 = coll::is_power_of_two(comm.cluster().nodes())
-                    ? Phase2Algo::kRD
-                    : Phase2Algo::kRing;
-  co_await allgather_hierarchical(comm, my, send, recv, msg, in_place, opts);
-}
-
-sim::Task<void> allgather_numa3(mpi::Comm& comm, int my, hw::BufView send,
-                                hw::BufView recv, std::size_t msg,
-                                bool in_place) {
-  HierOptions opts;
-  opts.phase1 = comm.cluster().sockets() > 1 ? Phase1Mode::kNumaTwoLevel
-                                             : Phase1Mode::kMhaIntra;
-  co_await allgather_hierarchical(comm, my, send, recv, msg, in_place, opts);
-}
-
-#pragma GCC diagnostic pop
-#endif  // HMCA_STRICT_API
 
 }  // namespace hmca::core

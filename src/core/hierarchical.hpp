@@ -2,8 +2,8 @@
 //
 // Three phases, with phases 2 and 3 overlapped through a shared-memory
 // region and per-chunk ready counters (Fig. 6):
-//   1. node-level aggregation (MHA-intra, CMA Direct Spread, or a plain
-//      shared-memory gather),
+//   1. node-level aggregation: MHA-intra (plain CMA Direct Spread with
+//      offload 0), a shared-memory gather, or a staged NodePlan,
 //   2. inter-leader exchange of M*L node blocks over all rails, using
 //      Recursive Doubling or Ring (Fig. 7),
 //   3. node-level distribution: the leader copies each arriving chunk into
@@ -11,8 +11,9 @@
 //      while the next inter-node transfer is already in flight.
 //
 // The same engine, configured differently, reproduces the single-leader
-// prior design of Mamidala et al. [19] (shm gather + RD, overlap) and the
-// overlap ablation (overlap = false: strictly sequential phases).
+// prior design of Mamidala et al. [19] (shm gather + RD, overlap), the
+// Sec. 7 NUMA-aware design (a socket NodePlan) and the overlap ablation
+// (overlap = false: strictly sequential phases).
 #pragma once
 
 #include <cstddef>
@@ -25,14 +26,10 @@
 namespace hmca::core {
 
 enum class Phase1Mode {
-  kMhaIntra,      ///< Sec. 3.1 design: CMA + HCA-offloaded direct spread
-  kCmaDirect,     ///< plain CMA direct spread (MHA-intra with d = 0)
-  kShmGather,     ///< double-copy shared-memory gather (Mamidala-style)
-  /// NUMA-aware two-stage aggregation (Sec. 7 future work): MHA-intra
-  /// within each socket (no UPI traffic), then socket leaders exchange
-  /// socket blocks through shared memory — each remote-socket byte crosses
-  /// the UPI link once instead of once per reader.
-  kNumaTwoLevel,
+  /// Sec. 3.1 design: CMA + HCA-offloaded direct spread. HierOptions::offload
+  /// = 0 turns the offload off, leaving plain CMA direct spread.
+  kMhaIntra,
+  kShmGather,  ///< double-copy shared-memory gather (Mamidala-style)
 };
 
 enum class Phase2Algo {
@@ -42,17 +39,16 @@ enum class Phase2Algo {
 };
 
 /// Intra-node aggregation plan of an n-level hierarchy, built by
-/// core/hierarchy.hpp from a resolved HierarchySpec. Each stage partitions
+/// core/hierarchy.hpp from a resolved HierarchySpec of depth >= 3 (the
+/// Sec. 7 socket < node < cluster design included). Each stage partitions
 /// the node's local ranks into contiguous groups: stage k's `firsts` lists
 /// the first local rank of every group, ascending and starting at 0 (the
 /// final boundary, ppn, is implicit). Stages run innermost to outermost —
 /// MHA-intra inside each innermost group, then, per stage, the previous
 /// stage's group leaders pull their sibling groups' blocks through a
-/// shared-memory segment homed on their own group (one inter-group
-/// crossing per byte, the numa_phase1 pattern generalized to uneven
-/// spans). Depth-2 specs and the even-socket depth-3 spec never carry a
-/// plan — they map onto kMhaIntra / kNumaTwoLevel and stay byte-identical
-/// to the historical paths.
+/// shared-memory segment homed on their own group, so each inter-group
+/// byte crosses the group boundary (UPI on socket stages) once. Spans may
+/// be uneven; a one-rank group only seeds its own block.
 struct NodePlan {
   std::vector<std::vector<int>> stages;  ///< innermost -> outermost
 };
@@ -60,24 +56,19 @@ struct NodePlan {
 struct HierOptions {
   Phase1Mode phase1 = Phase1Mode::kMhaIntra;
   Phase2Algo phase2 = Phase2Algo::kAuto;
-  /// Generic n-level phase 1; overrides `phase1` when non-null. Not owned:
+  /// Staged n-level phase 1; overrides `phase1` when non-null. Not owned:
   /// the caller keeps it alive across the collective (core/hierarchy.hpp
   /// owns it in the coroutine frame of allgather_hierarchy).
   const NodePlan* plan = nullptr;
-  /// Overlap phase 3 with phase 2 (the paper's design). false gives the
-  /// strict phase separation of Kandalla et al. — the ablation baseline.
+  /// true (the paper's design): run as a chunk-granular task graph
+  /// (coll::GraphExecutor) — phase-2 sends start as soon as the phase-1
+  /// tasks producing their bytes land, and members drain phase-3 chunks
+  /// while later inter-node steps are in flight. false: strictly
+  /// sequential phases (Kandalla et al.), the overlap ablation and the
+  /// "barrier" baseline of the perf campaign's pipeline pair.
   bool overlap = true;
   /// MHA-intra offload count for phase 1; -1 = Eq. 1 analytic.
   double offload = -1.0;
-  /// Execute as a chunk-granular task graph (coll::GraphExecutor): phase-2
-  /// sends start as soon as the phase-1 tasks producing their bytes land,
-  /// and members drain phase-3 chunks while later inter-node steps are in
-  /// flight. false falls back to the phase-sequential coroutine path
-  /// (with `overlap` controlling the hand-built phase-2/3 overlap) — the
-  /// "barrier" baseline of the perf campaign's pipeline pair. Ignored
-  /// (treated as false) when overlap is off: a strict-phase graph is just
-  /// the legacy path with extra bookkeeping.
-  bool streaming = true;
 };
 
 /// Node-chunk size (msg * PPN) at which the kAuto selector switches from
@@ -98,51 +89,5 @@ sim::Task<void> allgather_hierarchical(mpi::Comm& comm, int my,
                                        hw::BufView send, hw::BufView recv,
                                        std::size_t msg, bool in_place = false,
                                        HierOptions opts = {});
-
-#ifndef HMCA_STRICT_API
-// ---- Deprecated compatibility shims ----
-//
-// The free-function family below predates the declarative hierarchy API
-// (core/hierarchy.hpp). Each is a one-line forwarding shim kept so existing
-// out-of-tree callers and the historical registry names stay source-
-// compatible; new code should pass a HierarchySpec to allgather_hierarchy
-// (or configure HierOptions on allgather_hierarchical directly). Excluded
-// entirely under -DHMCA_STRICT_API=ON — the CI job that keeps in-tree code
-// off the old names. The registry entries ("mha_inter", "numa3", ...) do
-// not go through these shims and keep working in strict builds.
-
-/// The paper's MHA-inter: hierarchical with MHA-intra phase 1, model-tuned
-/// phase 2, overlap on.
-[[deprecated("use allgather_hierarchy with HierarchySpec::mha()")]]
-sim::Task<void> allgather_mha_inter(mpi::Comm& comm, int my, hw::BufView send,
-                                    hw::BufView recv, std::size_t msg,
-                                    bool in_place = false);
-
-/// MHA-inter with the dataflow pipeline disabled *and* strict phase
-/// barriers (overlap off): phases 1, 2 and 3 run back to back.
-[[deprecated(
-    "use allgather_hierarchical with overlap=false, streaming=false")]]
-sim::Task<void> allgather_mha_inter_barrier(mpi::Comm& comm, int my,
-                                            hw::BufView send, hw::BufView recv,
-                                            std::size_t msg,
-                                            bool in_place = false);
-
-/// Mamidala et al. [19] single-leader baseline: shm gather, RD inter-leader
-/// exchange, overlapped distribution.
-[[deprecated("use allgather_hierarchical with Phase1Mode::kShmGather")]]
-sim::Task<void> allgather_single_leader(mpi::Comm& comm, int my,
-                                        hw::BufView send, hw::BufView recv,
-                                        std::size_t msg,
-                                        bool in_place = false);
-
-/// The 3-level NUMA-aware design the paper proposes as future work
-/// (Sec. 7): intra-socket MHA-intra, inter-socket exchange via shared
-/// memory, inter-node leader exchange overlapped with distribution.
-[[deprecated(
-    "use allgather_hierarchy with HierarchySpec::derive(spec, 3)")]]
-sim::Task<void> allgather_numa3(mpi::Comm& comm, int my, hw::BufView send,
-                                hw::BufView recv, std::size_t msg,
-                                bool in_place = false);
-#endif  // HMCA_STRICT_API
 
 }  // namespace hmca::core

@@ -339,17 +339,12 @@ NodePlan Hierarchy::node_plan() const {
 
 sim::Task<void> allgather_hierarchy(mpi::Comm& comm, int my, hw::BufView send,
                                     hw::BufView recv, std::size_t msg,
-                                    bool in_place, HierarchySpec spec,
-                                    HierarchyOptions opts) {
+                                    bool in_place, HierarchySpec spec) {
   const Hierarchy h(std::move(spec), comm.cluster());
   const auto& levels = h.spec().levels;
-  const HierLevel& inner = levels.front();
-  const int depth = h.depth();
+  const LevelTransport inner = levels.front().transport;
 
   HierOptions o;
-  o.overlap = opts.overlap;
-  o.streaming = opts.streaming;
-  o.offload = opts.offload;
   switch (levels.back().transport) {  // cluster level pins phase 2
     case LevelTransport::kRd:
       o.phase2 = Phase2Algo::kRD;
@@ -358,34 +353,15 @@ sim::Task<void> allgather_hierarchy(mpi::Comm& comm, int my, hw::BufView send,
       o.phase2 = Phase2Algo::kRing;
       break;
     default:
-      o.phase2 = opts.phase2;
       break;
   }
-
-  // Map the intra-node side onto the engine. Depth-2 and the depth-3
-  // socket hierarchy take the historical Phase1Mode paths (the latter
-  // handles uneven socket spans natively); everything else runs the
-  // generic staged plan.
+  if (inner == LevelTransport::kCma) o.offload = 0;
   NodePlan plan;
-  if (depth == 2) {
-    switch (inner.transport) {
-      case LevelTransport::kCma:
-        o.phase1 = Phase1Mode::kCmaDirect;
-        break;
-      case LevelTransport::kShm:
-        o.phase1 = Phase1Mode::kShmGather;
-        break;
-      default:
-        o.phase1 = Phase1Mode::kMhaIntra;
-        break;
-    }
-  } else if (depth == 3 && inner.kind == LevelKind::kSocket) {
-    o.phase1 = Phase1Mode::kNumaTwoLevel;
-    if (inner.transport == LevelTransport::kCma) o.offload = 0;
-  } else {
+  if (h.depth() > 2) {
     plan = h.node_plan();
     o.plan = &plan;
-    if (inner.transport == LevelTransport::kCma) o.offload = 0;
+  } else if (inner == LevelTransport::kShm) {
+    o.phase1 = Phase1Mode::kShmGather;
   }
   co_await allgather_hierarchical(comm, my, send, recv, msg, in_place, o);
 }

@@ -13,8 +13,9 @@
 //   depth 3  (socket < node < cluster)   = the Sec. 7 NUMA design
 //   depth >= 3 with adapter-group/custom = the generalized n-level builder
 //
-// Depth-2 and the even-socket depth-3 spec map byte-for-byte onto the
-// historical Phase1Mode paths, so adopting the API changes no metric.
+// Depth-2 specs map onto allgather_hierarchical's Phase1Mode paths, so
+// adopting the API changes no metric; every deeper spec, the socket one
+// included, runs the staged NodePlan.
 // Specs come from three places: HierarchySpec::derive (topology-driven),
 // JSON (schemas/hierarchy.schema.json), or the HMCA_HIERARCHY environment
 // variable (hierarchy_from_env).
@@ -148,25 +149,16 @@ class Hierarchy {
   int ppn_ = 1;
 };
 
-/// Execution knobs of allgather_hierarchy (a HierarchySpec says *what* the
-/// hierarchy is; these say how to run it — same semantics as HierOptions).
-struct HierarchyOptions {
-  Phase2Algo phase2 = Phase2Algo::kAuto;
-  bool overlap = true;
-  bool streaming = true;
-  double offload = -1.0;
-};
-
-/// Allgather over the world communicator following `spec`. Depth-2 specs
-/// and the depth-3 socket spec run the historical MHA-inter / NUMA
-/// engines unchanged (metric-identical); anything else builds a NodePlan
-/// and runs the generic n-level phase 1. The spec is taken by value: the
-/// coroutine owns its copy, so callers may pass temporaries (registry
+/// Allgather over the world communicator following `spec`, overlapped
+/// (allgather_hierarchical defaults). Depth-2 specs run MHA-inter with the
+/// phase-1 mode their node transport names; deeper specs build the
+/// resolved hierarchy's NodePlan and run it as phase 1. A `cma` innermost
+/// transport turns the MHA-intra offload off. The spec is taken by value:
+/// the coroutine owns its copy, so callers may pass temporaries (registry
 /// lambdas do).
 sim::Task<void> allgather_hierarchy(mpi::Comm& comm, int my, hw::BufView send,
                                     hw::BufView recv, std::size_t msg,
-                                    bool in_place, HierarchySpec spec,
-                                    HierarchyOptions opts = {});
+                                    bool in_place, HierarchySpec spec);
 
 /// Broadcast following `spec`: root -> node-leader handoff, inter-node
 /// leader broadcast, then a top-down shared-memory cascade through the

@@ -138,7 +138,6 @@ void register_core_impl(coll::Registry& reg) {
           bool ip) {
          HierOptions o;
          o.overlap = false;
-         o.streaming = false;
          return allgather_hierarchical(c, my, s, rv, m, ip, o);
        },
        world_multi_node,
@@ -158,16 +157,16 @@ void register_core_impl(coll::Registry& reg) {
        },
        [](const coll::CommShape& s, std::size_t) { return s.world; },
        {}, coll::GraphMode::kNative});
+  // numa3 is the historical name of the derived depth-3 hierarchy.
+  const auto depth3 = [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
+                         std::size_t m, bool ip) {
+    return allgather_hierarchy(c, my, s, rv, m, ip,
+                               HierarchySpec::derive(c.cluster().spec(), 3));
+  };
   reg.add_allgather(
       {"numa3",
        "Sec. 7: 3-level NUMA-aware hierarchical (socket, node, cluster)",
-       [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
-          bool ip) {
-         HierOptions o;
-         o.phase1 = c.cluster().sockets() > 1 ? Phase1Mode::kNumaTwoLevel
-                                              : Phase1Mode::kMhaIntra;
-         return allgather_hierarchical(c, my, s, rv, m, ip, o);
-       },
+       depth3,
        [](const coll::CommShape& s, std::size_t) { return s.world; },
        {}, coll::GraphMode::kNative});
   reg.add_allgather(
@@ -190,12 +189,7 @@ void register_core_impl(coll::Registry& reg) {
   reg.add_allgather(
       {"hier3",
        "declarative depth-3 hierarchy (socket<node<cluster); == numa3",
-       [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
-          bool ip) {
-         return allgather_hierarchy(c, my, s, rv, m, ip,
-                                    HierarchySpec::derive(c.cluster().spec(),
-                                                          3));
-       },
+       depth3,
        [](const coll::CommShape& s, std::size_t) { return s.world; },
        {}, coll::GraphMode::kNative});
 

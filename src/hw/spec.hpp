@@ -28,8 +28,8 @@ struct ClusterSpec {
   /// over sockets, and cross-socket copies traverse the UPI link.
   ///
   /// Block distribution (the contract every layer shares — Cluster's
-  /// socket_of_local/hca_socket, World::socket_comm, HierarchySpec
-  /// derivation): socket s owns node-local ranks
+  /// socket_of_local/hca_socket and the socket level of a resolved
+  /// HierarchySpec): socket s owns node-local ranks
   ///   [ceil(s*L/S), ceil((s+1)*L/S))
   /// i.e. `socket_of_local(l) = floor(l*S/L)`. When L % S != 0 the spans
   /// stay contiguous and balanced (sizes differ by at most one, earlier

@@ -273,28 +273,6 @@ Comm& World::group_leader_comm(int groups) {
   return *it->second;
 }
 
-Comm& World::socket_comm(int node, int socket) {
-  const auto key = std::make_pair(node, socket);
-  auto it = socket_comms_.find(key);
-  if (it == socket_comms_.end()) {
-    const int sockets = cluster_.spec().sockets_per_node;
-    if (socket < 0 || socket >= sockets) {
-      throw std::invalid_argument("socket_comm: bad socket");
-    }
-    // The balanced block spans of hw::Cluster (exact for ppn % sockets != 0
-    // too, where span sizes differ by one).
-    const int first = cluster_.socket_first_local(socket);
-    const int count = cluster_.socket_size(socket);
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(count));
-    for (int l = first; l < first + count; ++l) {
-      ranks.push_back(cluster_.global_rank(node, l));
-    }
-    it = socket_comms_.emplace(key, &create_comm(std::move(ranks))).first;
-  }
-  return *it->second;
-}
-
 Comm& World::span_comm(int node, int first_local, int count) {
   if (node < 0 || node >= cluster_.nodes() || first_local < 0 || count < 1 ||
       first_local + count > cluster_.ppn()) {

@@ -191,12 +191,6 @@ class World {
   /// node-major then group-major. Created on demand, cached per `groups`.
   Comm& group_leader_comm(int groups);
 
-  /// The ranks of one NUMA socket of one node (3-level designs). Spans
-  /// follow the balanced block distribution of hw::Cluster, so uneven
-  /// `ppn % sockets` shapes get contiguous spans whose sizes differ by at
-  /// most one. Created on demand, cached.
-  Comm& socket_comm(int node, int socket);
-
   /// A contiguous span of node-local ranks [first_local, first_local +
   /// count) of one node — the level-wise splitting primitive of the
   /// n-level hierarchy builder (core/hierarchy.hpp): every hierarchy group
@@ -219,7 +213,6 @@ class World {
   std::vector<Comm*> node_comms_;
   Comm* leader_comm_ = nullptr;
   std::map<int, Comm*> group_leader_comms_;
-  std::map<std::pair<int, int>, Comm*> socket_comms_;
   std::map<std::tuple<int, int, int>, Comm*> span_comms_;
   int next_ctx_ = 0;
 };

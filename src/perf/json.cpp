@@ -12,6 +12,7 @@ namespace {
 struct Parser {
   std::string_view s;
   std::size_t i = 0;
+  int depth = 0;
 
   [[noreturn]] void fail(const std::string& what) const {
     throw JsonError("json: " + what + " at offset " + std::to_string(i));
@@ -84,9 +85,23 @@ struct Parser {
     return v;
   }
 
+  // One array/object level; throws past kMaxJsonDepth, naming the offset
+  // of the opening bracket.
+  struct Nest {
+    Parser& p;
+    explicit Nest(Parser& parser) : p(parser) {
+      if (++p.depth > kMaxJsonDepth) {
+        p.fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+      }
+    }
+    ~Nest() { --p.depth; }
+  };
+
   Json parse_value() {
     switch (peek()) {
       case '{': {
+        const Nest nest(*this);
         ++i;
         Json::Object obj;
         if (peek() == '}') {
@@ -106,6 +121,7 @@ struct Parser {
         }
       }
       case '[': {
+        const Nest nest(*this);
         ++i;
         Json::Array arr;
         if (peek() == ']') {

@@ -9,7 +9,8 @@
 //
 // Deliberately not a general-purpose library: no serialization (writers
 // emit by hand, like obs/ does), no \uXXXX escapes beyond pass-through of
-// plain text, inputs are trusted repo artifacts.
+// plain text. Inputs may be user files (HMCA_HIERARCHY=@file, hmca-diff,
+// hmca-report --stats), so nesting is bounded by kMaxJsonDepth.
 #pragma once
 
 #include <cstddef>
@@ -26,13 +27,19 @@ class JsonError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Deepest array/object nesting Json::parse accepts. The parser recurses
+/// once per level, so the bound keeps hostile documents off the end of the
+/// stack; committed documents nest fewer than ten levels.
+inline constexpr int kMaxJsonDepth = 512;
+
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
   using Array = std::vector<Json>;
   using Object = std::vector<std::pair<std::string, Json>>;
 
-  /// Parse one complete JSON document; trailing non-whitespace is an error.
+  /// Parse one complete JSON document; trailing non-whitespace and nesting
+  /// deeper than kMaxJsonDepth are errors.
   static Json parse(std::string_view text);
 
   Type type() const noexcept { return type_; }

@@ -21,9 +21,15 @@ coll::AllgatherFn fn_hier(HierOptions opts) {
   };
 }
 
-HierOptions make_opts(Phase1Mode p1, Phase2Algo p2, bool overlap) {
+// Phase-1 variants: MHA-intra, plain CMA direct spread (MHA-intra with
+// the offload off) and the double-copy shm gather.
+enum class Phase1 { kMha, kCma, kShm };
+using enum Phase1;
+
+HierOptions make_opts(Phase1 p1, Phase2Algo p2, bool overlap) {
   HierOptions o;
-  o.phase1 = p1;
+  o.phase1 = p1 == kShm ? Phase1Mode::kShmGather : Phase1Mode::kMhaIntra;
+  o.offload = p1 == kCma ? 0.0 : -1.0;
   o.phase2 = p2;
   o.overlap = overlap;
   return o;
@@ -31,7 +37,7 @@ HierOptions make_opts(Phase1Mode p1, Phase2Algo p2, bool overlap) {
 
 // ---- Correctness sweep: phase-1 x phase-2 x overlap x topology ----
 
-using Case = std::tuple<Phase1Mode, Phase2Algo, bool, int, int, std::size_t>;
+using Case = std::tuple<Phase1, Phase2Algo, bool, int, int, std::size_t>;
 
 class HierSweep : public ::testing::TestWithParam<Case> {};
 
@@ -43,8 +49,7 @@ TEST_P(HierSweep, GathersCorrectly) {
 INSTANTIATE_TEST_SUITE_P(
     Ring, HierSweep,
     ::testing::Combine(
-        ::testing::Values(Phase1Mode::kMhaIntra, Phase1Mode::kCmaDirect,
-                          Phase1Mode::kShmGather),
+        ::testing::Values(kMha, kCma, kShm),
         ::testing::Values(Phase2Algo::kRing),
         ::testing::Values(true, false),
         ::testing::Values(2, 3),    // incl. non-power-of-two nodes
@@ -54,7 +59,7 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     Rd, HierSweep,
     ::testing::Combine(
-        ::testing::Values(Phase1Mode::kMhaIntra, Phase1Mode::kShmGather),
+        ::testing::Values(kMha, kShm),
         ::testing::Values(Phase2Algo::kRD),
         ::testing::Values(true, false),
         ::testing::Values(2, 4),
@@ -63,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     Auto, HierSweep,
-    ::testing::Combine(::testing::Values(Phase1Mode::kMhaIntra),
+    ::testing::Combine(::testing::Values(kMha),
                        ::testing::Values(Phase2Algo::kAuto),
                        ::testing::Values(true),
                        ::testing::Values(2, 4, 5),
@@ -72,9 +77,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{262144})));
 
 TEST(Hier, InPlace) {
-  check_allgather(fn_hier(make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRing,
-                                    true)),
-                  2, 2, 4096, true);
+  check_allgather(fn_hier(make_opts(kMha, Phase2Algo::kRing, true)), 2, 2,
+                  4096, true);
 }
 
 TEST(Hier, SingleNodeDegeneratesToPhase1) {
@@ -86,39 +90,11 @@ TEST(Hier, NamedEntryPoints) {
   // all-defaults options, single-leader is shm gather + RD (Ring on
   // non-power-of-two node counts).
   check_allgather(fn_hier({}), 2, 2, 8192);
-  check_allgather(fn_hier(make_opts(Phase1Mode::kShmGather, Phase2Algo::kRD,
-                                    true)),
-                  2, 2, 8192);
-  check_allgather(fn_hier(make_opts(Phase1Mode::kShmGather, Phase2Algo::kRing,
-                                    true)),
-                  3, 2, 8192);  // non-p2 nodes -> Ring
+  check_allgather(fn_hier(make_opts(kShm, Phase2Algo::kRD, true)), 2, 2,
+                  8192);
+  check_allgather(fn_hier(make_opts(kShm, Phase2Algo::kRing, true)), 3, 2,
+                  8192);  // non-p2 nodes -> Ring
 }
-
-#ifndef HMCA_STRICT_API
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Hier, DeprecatedShimsStillGatherCorrectly) {
-  // The pre-HierarchySpec entry points stay callable (and correct) until
-  // the deprecation window closes; -DHMCA_STRICT_API=ON compiles them out.
-  check_allgather(
-      [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-         bool ip) { return allgather_mha_inter(c, r, s, rv, m, ip); },
-      2, 2, 8192);
-  check_allgather(
-      [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-         bool ip) { return allgather_mha_inter_barrier(c, r, s, rv, m, ip); },
-      2, 2, 4096);
-  check_allgather(
-      [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-         bool ip) { return allgather_single_leader(c, r, s, rv, m, ip); },
-      3, 2, 8192);
-  check_allgather(
-      [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-         bool ip) { return allgather_numa3(c, r, s, rv, m, ip); },
-      2, 4, 4096);
-}
-#pragma GCC diagnostic pop
-#endif  // HMCA_STRICT_API
 
 TEST(Hier, ResolvePhase2) {
   auto spec = hw::ClusterSpec::thor(8, 32);
@@ -151,8 +127,8 @@ double hier_latency(int nodes, int ppn, std::size_t msg, HierOptions opts) {
 TEST(HierPerf, OverlapBeatsStrictPhases) {
   // The paper's core Sec. 3.2 claim: overlapping phase 3 with phase 2 wins
   // for bandwidth-bound configurations.
-  const auto on = make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRing, true);
-  const auto off = make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRing, false);
+  const auto on = make_opts(kMha, Phase2Algo::kRing, true);
+  const auto off = make_opts(kMha, Phase2Algo::kRing, false);
   const double t_on = hier_latency(8, 8, 65536, on);
   const double t_off = hier_latency(8, 8, 65536, off);
   EXPECT_LT(t_on, 0.9 * t_off);
@@ -160,8 +136,8 @@ TEST(HierPerf, OverlapBeatsStrictPhases) {
 
 TEST(HierPerf, RingOverlapsBetterThanRdForLargeChunks) {
   // Fig. 8: Ring wins for large per-process messages, RD for small.
-  const auto ring = make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRing, true);
-  const auto rd = make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRD, true);
+  const auto ring = make_opts(kMha, Phase2Algo::kRing, true);
+  const auto rd = make_opts(kMha, Phase2Algo::kRD, true);
   const double t_ring_large = hier_latency(16, 8, 262144, ring);
   const double t_rd_large = hier_latency(16, 8, 262144, rd);
   EXPECT_LT(t_ring_large, t_rd_large);
@@ -172,8 +148,8 @@ TEST(HierPerf, RingOverlapsBetterThanRdForLargeChunks) {
 }
 
 TEST(HierPerf, MhaIntraPhase1BeatsShmGather) {
-  const auto mha = make_opts(Phase1Mode::kMhaIntra, Phase2Algo::kRing, true);
-  const auto shm = make_opts(Phase1Mode::kShmGather, Phase2Algo::kRing, true);
+  const auto mha = make_opts(kMha, Phase2Algo::kRing, true);
+  const auto shm = make_opts(kShm, Phase2Algo::kRing, true);
   const double t_mha = hier_latency(2, 4, 1u << 20, mha);
   const double t_shm = hier_latency(2, 4, 1u << 20, shm);
   EXPECT_LT(t_mha, t_shm);

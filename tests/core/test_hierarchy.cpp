@@ -1,7 +1,8 @@
 // The declarative HierarchySpec API (core/hierarchy.hpp): spec validation
 // and derivation, JSON round-trips, resolution invariants (partition,
-// nesting, leaders), byte-identity of depth-2/depth-3 with the historical
-// engines, n-level correctness on custom/adapter-group levels, the
+// nesting, leaders), byte-identity of depth 2 with allgather_hierarchical
+// and of depth 3 with the retired socket engine's pinned latencies, n-level
+// correctness on custom/adapter-group levels, the
 // selector's depth routing, HMCA_HIERARCHY, and the multi-socket win the
 // deeper hierarchy exists for.
 #include <gtest/gtest.h>
@@ -46,10 +47,10 @@ HierLevel level(LevelKind k, LevelTransport t = LevelTransport::kAuto,
   return l;
 }
 
-coll::AllgatherFn fn_spec(HierarchySpec hs, HierarchyOptions opts = {}) {
-  return [hs, opts](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
-                    std::size_t m, bool ip) {
-    return allgather_hierarchy(c, r, s, rv, m, ip, hs, opts);
+coll::AllgatherFn fn_spec(HierarchySpec hs) {
+  return [hs](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+              std::size_t m, bool ip) {
+    return allgather_hierarchy(c, r, s, rv, m, ip, hs);
   };
 }
 
@@ -228,6 +229,17 @@ TEST(HierarchySpecTest, JsonRoundTrip) {
                HierarchyError);
 }
 
+TEST(HierarchySpecTest, DeeplyNestedJsonIsANamedError) {
+  try {
+    HierarchySpec::from_json(std::string(200000, '['));
+    FAIL() << "expected HierarchyError";
+  } catch (const HierarchyError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- Resolution invariants ----
 
 /// Every level must partition the world into ascending contiguous spans,
@@ -347,7 +359,7 @@ TEST(HierarchyResolve, RejectsSpecTopologyMismatch) {
   EXPECT_THROW(Hierarchy(n, cl), HierarchyError);
 }
 
-// ---- Byte-identity with the historical engines ----
+// ---- Byte-identity with allgather_hierarchical and the pinned engine ----
 
 TEST(HierarchyApi, Depth2IsMetricIdenticalToMhaInter) {
   const auto spec = hw::ClusterSpec::thor(4, 4);
@@ -365,21 +377,18 @@ TEST(HierarchyApi, Depth2IsMetricIdenticalToMhaInter) {
   }
 }
 
-TEST(HierarchyApi, Depth3IsMetricIdenticalToNumaEngine) {
+TEST(HierarchyApi, Depth3MatchesNumaEnginePins) {
+  // Latencies of the dedicated two-stage socket engine that the staged
+  // NodePlan replaced, measured before its removal: the plan must
+  // reproduce them exactly, even and uneven sockets alike.
   const auto spec = hw::ClusterSpec::thor_numa(2, 8);
-  const std::size_t msg = 65536;
-  const double t_spec = osu::measure_allgather(
-      spec, fn_spec(HierarchySpec::derive(spec, 3)), msg);
-  const double t_hist = osu::measure_allgather(
-      spec,
-      [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-         bool ip) {
-        HierOptions o;
-        o.phase1 = Phase1Mode::kNumaTwoLevel;
-        return allgather_hierarchical(c, r, s, rv, m, ip, o);
-      },
-      msg);
-  EXPECT_EQ(t_spec, t_hist);
+  EXPECT_EQ(osu::measure_allgather(
+                spec, fn_spec(HierarchySpec::derive(spec, 3)), 65536),
+            0x1.214255f045582p-12);
+  const auto uneven = hw::ClusterSpecBuilder(spec).ppn(7).build();
+  EXPECT_EQ(osu::measure_allgather(
+                uneven, fn_spec(HierarchySpec::derive(uneven, 3)), 4096),
+            0x1.6594cf1370cc8p-16);
 }
 
 // ---- n-level correctness ----
@@ -404,11 +413,16 @@ TEST(HierarchyApi, AdapterGroupDepth3GathersCorrectly) {
 }
 
 TEST(HierarchyApi, UnevenSocketsGatherCorrectly) {
-  auto spec = hw::ClusterSpecBuilder(hw::ClusterSpec::thor_numa(2, 8))
-                  .ppn(7)
-                  .build();
-  check_hier(spec, HierarchySpec::derive(spec, 0), 4096);
-  check_hier(spec, HierarchySpec::derive(spec, 0), 513, /*in_place=*/true);
+  // ppn 7 splits the sockets {4, 3}; ppn 3 gives {2, 1}, where socket 1's
+  // only rank is its own group leader.
+  for (const int ppn : {7, 3}) {
+    SCOPED_TRACE("ppn " + std::to_string(ppn));
+    auto spec = hw::ClusterSpecBuilder(hw::ClusterSpec::thor_numa(2, 8))
+                    .ppn(ppn)
+                    .build();
+    check_hier(spec, HierarchySpec::derive(spec, 0), 4096);
+    check_hier(spec, HierarchySpec::derive(spec, 0), 513, /*in_place=*/true);
+  }
 }
 
 TEST(HierarchyApi, UnevenCustomGroupsGatherCorrectly) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "core/hierarchical.hpp"
 #include "core/hierarchy.hpp"
@@ -209,6 +210,8 @@ TEST(Numa3Perf, BeatsSocketObliviousDesignWhenUpiBinds) {
   // With HCA offload active, the adapters already bypass the UPI link for
   // part of the traffic, so the 3-level gain on top is moderate.
   EXPECT_LT(t_numa, 0.95 * t_flat);
+  // Pinned: the retired dedicated socket engine's latency on this shape.
+  EXPECT_EQ(t_numa, 0x1.4078f01927d8p-5);
 
   // With the offload disabled (pure CPU copies) the UPI saving is pure:
   // socket-oblivious direct spread crosses UPI for ~half of all block
@@ -216,19 +219,19 @@ TEST(Numa3Perf, BeatsSocketObliviousDesignWhenUpiBinds) {
   auto flat_cma = [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                      std::size_t m, bool ip) {
     HierOptions o;
-    o.phase1 = Phase1Mode::kCmaDirect;
+    o.offload = 0.0;
     return allgather_hierarchical(c, r, s, rv, m, ip, o);
   };
   auto numa_cma = [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                      std::size_t m, bool ip) {
-    HierOptions o;
-    o.phase1 = Phase1Mode::kNumaTwoLevel;
-    o.offload = 0.0;
-    return allgather_hierarchical(c, r, s, rv, m, ip, o);
+    HierarchySpec hs = HierarchySpec::derive(c.cluster().spec(), 3);
+    hs.levels.front().transport = LevelTransport::kCma;
+    return allgather_hierarchy(c, r, s, rv, m, ip, std::move(hs));
   };
   const double t_flat_cma = osu::measure_allgather(spec, flat_cma, msg);
   const double t_numa_cma = osu::measure_allgather(spec, numa_cma, msg);
   EXPECT_LT(t_numa_cma, 0.8 * t_flat_cma);
+  EXPECT_EQ(t_numa_cma, 0x1.3e83d2775c3ecp-5);
 }
 
 }  // namespace

@@ -36,7 +36,6 @@ coll::AllgatherFn fn_barrier() {
             bool ip) {
     HierOptions o;
     o.overlap = false;
-    o.streaming = false;
     return allgather_hierarchical(c, r, s, rv, m, ip, o);
   };
 }

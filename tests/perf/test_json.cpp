@@ -74,6 +74,24 @@ TEST(PerfJson, RejectsMalformedDocuments) {
   EXPECT_THROW(Json::parse("1 2"), JsonError);  // trailing non-whitespace
 }
 
+TEST(PerfJson, RejectsNestingBeyondTheDepthLimit) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(Json::parse(nested(kMaxJsonDepth)).is_array());
+  try {
+    Json::parse(nested(kMaxJsonDepth + 1));
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "json: nesting deeper than 512 levels at offset 512");
+  }
+  // Far past the limit: a named error, not a stack overflow.
+  EXPECT_THROW(Json::parse(std::string(200000, '[')), JsonError);
+  EXPECT_THROW(Json::parse(std::string(200000, '{')), JsonError);
+}
+
 TEST(PerfJson, AcceptsTrailingWhitespace) {
   EXPECT_DOUBLE_EQ(Json::parse(" 7 \n").number(), 7.0);
 }
