@@ -1,15 +1,21 @@
 // google-benchmark microbenchmarks of the simulation substrate itself:
-// event-queue throughput, water-filling cost, and end-to-end simulated
-// collectives per second. These gate the wall-clock cost of the paper-
-// figure benches.
+// event-queue throughput, water-filling cost, end-to-end simulated
+// collectives per second, and the critical-path analyzer's scaling in
+// stream length. These gate the wall-clock cost of the paper-figure
+// benches.
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "coll/allgather.hpp"
 #include "hw/buffer.hpp"
 #include "mpi/comm.hpp"
+#include "obs/critical_path.hpp"
 #include "osu/harness.hpp"
 #include "sim/engine.hpp"
 #include "sim/fluid.hpp"
+#include "trace/trace.hpp"
 
 using namespace hmca;
 
@@ -64,6 +70,55 @@ void BM_SimulatedAllgatherRing(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * nodes * 8);
 }
 BENCHMARK(BM_SimulatedAllgatherRing)->Arg(2)->Arg(8);
+
+// A synthetic pipelined stream of `n` spans on 64 ranks: each rank runs a
+// copy, a NIC transfer to its right neighbour and a dataflow task per
+// microsecond step, inside per-rank phase1/phase2/phase3 spans.
+std::vector<trace::Span> pipelined_spans(std::size_t n) {
+  constexpr int kRanks = 64;
+  const std::size_t steps = n / kRanks;
+  const double third = static_cast<double>(steps) * 1e-6 / 3;
+  std::vector<trace::Span> spans;
+  spans.reserve(n);
+  for (int r = 0; r < kRanks; ++r) {
+    for (int p = 0; p < 3; ++p) {
+      spans.push_back({r, trace::Kind::kPhase, p * third, (p + 1) * third, -1,
+                       0, "phase" + std::to_string(p + 1)});
+    }
+  }
+  for (std::size_t i = 0; spans.size() < n; ++i) {
+    const int r = static_cast<int>(i % kRanks);
+    const double t0 = static_cast<double>(i / kRanks) * 1e-6 + r * 1e-9;
+    switch (i / kRanks % 3) {
+      case 0:
+        spans.push_back({r, trace::Kind::kCopyIn, t0, t0 + 9e-7, -1, 4096, ""});
+        break;
+      case 1:
+        spans.push_back({r, trace::Kind::kNicXfer, t0, t0 + 1e-6,
+                         (r + 1) % kRanks, 4096, ""});
+        break;
+      default:
+        spans.push_back({r, trace::Kind::kTask, t0, t0 + 8e-7, -1, 4096,
+                         "task:send:p2#c" + std::to_string(i % 16)});
+        break;
+    }
+  }
+  return spans;
+}
+
+void BM_CriticalPath(benchmark::State& state) {
+  const auto spans = pipelined_spans(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(obs::analyze_critical_path(spans));
+  }
+  state.SetComplexityN(state.range(0));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CriticalPath)
+    ->Arg(1 << 10)
+    ->Arg(1 << 14)
+    ->Arg(1 << 17)
+    ->Complexity();
 
 }  // namespace
 

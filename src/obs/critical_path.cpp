@@ -1,9 +1,11 @@
 #include "obs/critical_path.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <ostream>
+#include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.hpp"  // json_escape
 #include "obs/names.hpp"
@@ -28,26 +30,66 @@ bool is_link(const trace::Span& s) {
   return s.t1 > s.t0;
 }
 
+// Link spans sharing one lookup key (a rank, a peer, or the whole stream),
+// ordered by (t1 ascending, stream index descending). The last entry that
+// ends by a bound is then the latest-ending one and, among equal ends, the
+// earliest in the stream: the span a forward scan that keeps only strict
+// `>` improvements would pick.
+class LinkList {
+ public:
+  void push(std::uint32_t span) {
+    entries_.push_back({span, static_cast<std::int32_t>(entries_.size()) - 1});
+  }
+
+  /// Latest-ending unvisited span with t1 <= bound, or nullptr.
+  const trace::Span* latest(const std::vector<trace::Span>& spans,
+                            sim::Time bound, const std::vector<char>& visited) {
+    const auto end = std::upper_bound(
+        entries_.begin(), entries_.end(), bound,
+        [&](sim::Time b, const Entry& e) { return b < spans[e.span].t1; });
+    std::int32_t pos = static_cast<std::int32_t>(end - entries_.begin()) - 1;
+    std::int32_t hit = pos;
+    while (hit >= 0 && visited[entries_[hit].span]) hit = entries_[hit].skip;
+    while (pos > hit) {  // compress the path just walked
+      const std::int32_t next = entries_[pos].skip;
+      entries_[pos].skip = hit;
+      pos = next;
+    }
+    return hit < 0 ? nullptr : &spans[entries_[hit].span];
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t span;
+    // Every entry strictly between `skip` and this one is visited, so a
+    // lookup crosses a run of visited entries in one hop.
+    std::int32_t skip;
+  };
+  std::vector<Entry> entries_;
+};
+
+using PhaseIndex = std::unordered_map<int, std::vector<const trace::Span*>>;
+
 // Innermost enclosing kPhase label on the step's rank ("" if none). The
 // generic "exchange" phase of flat algorithms yields to any enclosing
 // paper phase: a ring used as the phase-1 building block of a
-// hierarchical collective still attributes its steps to phase1.
-std::string phase_of(const std::vector<trace::Span>& spans,
-                     const trace::Span& step) {
+// hierarchical collective still attributes its steps to phase1. `phases`
+// holds each rank's non-annotation kPhase spans in stream order.
+std::string phase_of(const PhaseIndex& phases, const trace::Span& step) {
+  const auto it = phases.find(step.rank);
+  if (it == phases.end()) return {};
   const trace::Span* best = nullptr;
   const trace::Span* best_exchange = nullptr;
-  for (const auto& p : spans) {
-    if (p.kind != trace::Kind::kPhase || p.rank != step.rank) continue;
-    if (names::is_annotation(p.label)) continue;
-    if (p.t0 > step.t0 + kEps || p.t1 + kEps < step.t1) continue;
-    if (p.label == names::kPhaseExchange) {
+  for (const trace::Span* p : it->second) {
+    if (p->t0 > step.t0 + kEps || p->t1 + kEps < step.t1) continue;
+    if (p->label == names::kPhaseExchange) {
       if (best_exchange == nullptr ||
-          p.t1 - p.t0 < best_exchange->t1 - best_exchange->t0) {
-        best_exchange = &p;
+          p->t1 - p->t0 < best_exchange->t1 - best_exchange->t0) {
+        best_exchange = p;
       }
       continue;
     }
-    if (best == nullptr || p.t1 - p.t0 < best->t1 - best->t0) best = &p;
+    if (best == nullptr || p->t1 - p->t0 < best->t1 - best->t0) best = p;
   }
   if (best == nullptr) best = best_exchange;
   return best != nullptr ? best->label : std::string{};
@@ -87,40 +129,73 @@ CriticalPathReport analyze_critical_path(
     const std::vector<trace::Span>& spans) {
   CriticalPathReport rep;
 
-  // Start at the latest-ending real activity.
-  const trace::Span* cur = nullptr;
-  for (const auto& s : spans) {
-    if (!is_link(s)) continue;
-    if (cur == nullptr || s.t1 > cur->t1) cur = &s;
-  }
-  if (cur == nullptr) return rep;
-
-  std::vector<const trace::Span*> chain;
-  while (cur != nullptr && chain.size() < spans.size()) {
-    chain.push_back(cur);
-    // Predecessor: the latest-ending span that finished by the time `cur`
-    // started. A span on the same rank or across cur's message edge
-    // (peer -> rank) is the releasing dependency; fall back to any rank
-    // so chains survive spans the instrumentation didn't connect.
-    const trace::Span* best_related = nullptr;
-    const trace::Span* best_any = nullptr;
-    for (const auto& s : spans) {
-      if (!is_link(s) || &s == cur) continue;
-      if (s.t1 > cur->t0 + kEps) continue;
-      const bool related = s.rank == cur->rank || s.rank == cur->peer ||
-                           s.peer == cur->rank;
-      if (related && (best_related == nullptr || s.t1 > best_related->t1)) {
-        best_related = &s;
-      }
-      if (best_any == nullptr || s.t1 > best_any->t1) best_any = &s;
+  // One classification pass: link spans keyed by end time, and each
+  // rank's phase spans for attribution.
+  struct End {
+    sim::Time t1;
+    std::uint32_t span;
+    int rank;
+    int peer;
+  };
+  std::vector<End> ends;
+  PhaseIndex phases;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const trace::Span& s = spans[i];
+    if (s.kind == trace::Kind::kPhase) {
+      if (!names::is_annotation(s.label)) phases[s.rank].push_back(&s);
+    } else if (is_link(s)) {
+      ends.push_back({s.t1, static_cast<std::uint32_t>(i), s.rank, s.peer});
     }
-    cur = best_related != nullptr ? best_related : best_any;
+  }
+  if (ends.empty()) return rep;
+  std::sort(ends.begin(), ends.end(), [](const End& a, const End& b) {
+    return a.t1 < b.t1 || (a.t1 == b.t1 && a.span > b.span);
+  });
+  LinkList all;
+  std::unordered_map<int, LinkList> by_rank;
+  std::unordered_map<int, LinkList> by_peer;
+  for (const End& e : ends) {
+    all.push(e.span);
+    by_rank[e.rank].push(e.span);
+    by_peer[e.peer].push(e.span);
+  }
+  const auto list = [](std::unordered_map<int, LinkList>& m, int key) {
+    const auto it = m.find(key);
+    return it == m.end() ? nullptr : &it->second;
+  };
+
+  // Start at the latest-ending real activity and walk back. Predecessor:
+  // the latest-ending unvisited span that finished by the time `cur`
+  // started. A span on the same rank or across cur's message edge
+  // (peer -> rank) is the releasing dependency; fall back to any rank so
+  // chains survive spans the instrumentation didn't connect. Visited spans
+  // are never picked again, so spans shorter than kEps cannot cycle.
+  const trace::Span* cur = &spans[ends.back().span];
+  ends = {};  // the lists carry the order from here on
+  std::vector<char> visited(spans.size(), 0);
+  std::vector<const trace::Span*> chain;
+  while (cur != nullptr) {
+    chain.push_back(cur);
+    visited[static_cast<std::size_t>(cur - spans.data())] = 1;
+    const sim::Time bound = cur->t0 + kEps;
+    const trace::Span* best = nullptr;
+    for (LinkList* l : {list(by_rank, cur->rank), list(by_rank, cur->peer),
+                        list(by_peer, cur->rank)}) {
+      if (l == nullptr) continue;
+      const trace::Span* s = l->latest(spans, bound, visited);
+      if (s != nullptr &&
+          (best == nullptr || s->t1 > best->t1 ||
+           (s->t1 == best->t1 && s < best))) {
+        best = s;
+      }
+    }
+    cur = best != nullptr ? best : all.latest(spans, bound, visited);
   }
   std::reverse(chain.begin(), chain.end());
 
   for (const trace::Span* s : chain) {
     const sim::Duration d = s->t1 - s->t0;
-    std::string phase = phase_of(spans, *s);
+    std::string phase = phase_of(phases, *s);
     rep.steps.push_back(CriticalPathReport::Step{
         s->rank, s->kind, s->t0, s->t1, s->peer, s->bytes, s->label, phase});
     rep.total += d;
@@ -232,12 +307,19 @@ double phase_overlap_fraction(const std::vector<trace::Span>& spans) {
   const sim::Duration len3 = total_len(u3);
   if (!(len3 > 0)) return 0.0;
 
+  // Both unions are sorted and disjoint: one sweep meets every overlapping
+  // pair, in (phase2 interval, phase3 interval) order.
   sim::Duration inter = 0;
-  for (const auto& [a2, b2] : u2) {
-    for (const auto& [a3, b3] : u3) {
-      const sim::Time lo = std::max(a2, a3);
-      const sim::Time hi = std::min(b2, b3);
-      if (hi > lo) inter += hi - lo;
+  for (std::size_t i = 0, j = 0; i < u2.size() && j < u3.size();) {
+    const auto& [a2, b2] = u2[i];
+    const auto& [a3, b3] = u3[j];
+    const sim::Time lo = std::max(a2, a3);
+    const sim::Time hi = std::min(b2, b3);
+    if (hi > lo) inter += hi - lo;
+    if (b2 < b3) {
+      ++i;
+    } else {
+      ++j;
     }
   }
   return inter / len3;

@@ -59,12 +59,15 @@ struct CriticalPathReport {
 
 /// Walk `spans` backward from the latest-ending non-phase span and return
 /// the longest dependency chain. Phase (kPhase) spans are not chain links;
-/// they only provide the per-step `phase` attribution.
+/// they only provide the per-step `phase` attribution. Each span is on the
+/// chain at most once. O(n log n + steps * (log n + phases per rank)): the
+/// link spans are indexed once by end time per rank, per peer and overall.
 CriticalPathReport analyze_critical_path(const std::vector<trace::Span>& spans);
 
 /// Fraction of phase-3 time that overlaps phase-2 time, computed on the
 /// merged interval unions of kPhase spans labelled "phase2" / "phase3"
 /// across all ranks. Returns 0 when no phase-3 spans exist (flat runs).
+/// O(n log n): one sort per union, then a single sweep over both.
 double phase_overlap_fraction(const std::vector<trace::Span>& spans);
 
 }  // namespace hmca::obs

@@ -82,6 +82,26 @@ TEST(CriticalPath, PureWaitPathFallsBackToWaitKind) {
   EXPECT_EQ(rep.dominant_kind, "wait");
 }
 
+TEST(CriticalPath, NeverRevisitsASpanShorterThanTheTolerance) {
+  // Three identical spans shorter than the walk's 1e-12 s tolerance: each
+  // "ended by the time" the others started. The chain takes each once; a
+  // walk that may revisit alternates a, b, a, b and counts them twice.
+  std::vector<Span> spans = {
+      {0, Kind::kPhase, 0.0, 1e-6, -1, 0, "phase1"},
+      {0, Kind::kCopyIn, 0.0, 1e-13, -1, 0, "a"},
+      {0, Kind::kCopyIn, 0.0, 1e-13, -1, 0, "b"},
+      {0, Kind::kCopyIn, 0.0, 1e-13, -1, 0, "c"},
+  };
+  const auto rep = analyze_critical_path(spans);
+  ASSERT_EQ(rep.steps.size(), 3u);
+  // Walked back from "a" (first of the latest ends), lowest index first.
+  EXPECT_EQ(rep.steps[0].label, "c");
+  EXPECT_EQ(rep.steps[1].label, "b");
+  EXPECT_EQ(rep.steps[2].label, "a");
+  EXPECT_DOUBLE_EQ(rep.total, 3e-13);
+  EXPECT_DOUBLE_EQ(rep.by_phase.at("phase1"), 3e-13);
+}
+
 TEST(CriticalPath, OverlapFractionOfPipelinedPhases) {
   // phase2 union [2,6] us, phase3 union [4,9] us: 2 of phase3's 5 us are
   // overlapped -> 0.4.
@@ -94,6 +114,22 @@ TEST(CriticalPath, OverlapFractionZeroWithoutPhase3) {
       {0, Kind::kCopyIn, 0.0, 2e-6, -1, 64, ""},
   };
   EXPECT_DOUBLE_EQ(phase_overlap_fraction(spans), 0.0);
+}
+
+TEST(CriticalPath, OverlapFractionOfInterleavedIntervals) {
+  // phase2 union [0,2] [4,7] [8,10] us (the first two spans merge), phase3
+  // union [1,5] [6,9] [11,12] us, out of order and across ranks. Overlaps:
+  // [1,2] + [4,5] + [6,7] + [8,9] = 4 us of phase3's 4 + 3 + 1 = 8 us.
+  std::vector<Span> spans = {
+      {1, Kind::kPhase, 6e-6, 9e-6, -1, 0, "phase3"},
+      {0, Kind::kPhase, 8e-6, 10e-6, -1, 0, "phase2"},
+      {0, Kind::kPhase, 0.0, 1e-6, -1, 0, "phase2"},
+      {1, Kind::kPhase, 11e-6, 12e-6, -1, 0, "phase3"},
+      {2, Kind::kPhase, 1e-6, 2e-6, -1, 0, "phase2"},
+      {1, Kind::kPhase, 1e-6, 5e-6, -1, 0, "phase3"},
+      {0, Kind::kPhase, 4e-6, 7e-6, -1, 0, "phase2"},
+  };
+  EXPECT_NEAR(phase_overlap_fraction(spans), 0.5, 1e-12);
 }
 
 }  // namespace

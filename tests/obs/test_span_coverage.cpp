@@ -11,35 +11,14 @@
 #include <string>
 #include <vector>
 
-#include "coll/registry.hpp"
 #include "core/selector.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/names.hpp"
-#include "obs/sink.hpp"
-#include "testing/conformance.hpp"
+#include "obs/registry_captures.hpp"
 #include "trace/trace.hpp"
 
 namespace hmca {
 namespace {
-
-using testing::conf::Trial;
-
-/// One fixed healthy shape: 2 nodes x 2 ranks, dual rail. Large enough to
-/// exercise inter-node phases, small enough that the whole registry sweep
-/// stays fast.
-Trial coverage_trial() {
-  Trial t;
-  t.nodes = 2;
-  t.ppn = 2;
-  t.hcas = 2;
-  t.sockets = 1;
-  t.msg = 4096;
-  t.in_place = false;
-  t.fault_plan = "";
-  t.seed = 0xc0ffee;
-  t.index = 0;
-  return t;
-}
 
 struct Coverage {
   std::size_t spans = 0;
@@ -69,14 +48,16 @@ Coverage analyze(const std::vector<trace::Span>& spans) {
 }
 
 /// The shared assertions: phases annotated, critical path non-empty and
-/// attributable. `graph_routed` additionally requires task spans (legacy
-/// allreduce/bcast bodies are not yet executed through the task graph).
-void expect_attributable(const std::string& family, const std::string& algo,
-                         const Coverage& c, bool graph_routed) {
-  SCOPED_TRACE(family + " '" + algo + "'");
+/// attributable. Graph-routed entries additionally require task spans
+/// (legacy allreduce/bcast bodies are not yet executed through the task
+/// graph).
+void expect_attributable(const std::string& family,
+                         const testing::captures::Capture& capture) {
+  SCOPED_TRACE(family + " '" + capture.algo + "'");
+  const Coverage c = analyze(capture.spans);
   EXPECT_GT(c.spans, 0u) << "emitted no spans at all";
   EXPECT_GT(c.phase_spans, 0u) << "emitted no phase annotations";
-  if (graph_routed) {
+  if (capture.graph_routed) {
     EXPECT_GT(c.task_spans, 0u) << "graph-routed but emitted no task spans";
   }
   EXPECT_GT(c.cp_total_us, 0.0) << "critical path is empty";
@@ -91,121 +72,44 @@ class SpanCoverage : public ::testing::Test {
 };
 
 TEST_F(SpanCoverage, Allgathers) {
-  const Trial t = coverage_trial();
-  const auto shape = testing::conf::shape_of(t);
-  for (const auto& algo : coll::Registry::instance().allgathers()) {
-    if (algo.applies && !algo.applies(shape, t.msg)) continue;
-    trace::Tracer tracer;
-    obs::CollectSink sink(&tracer);
-    testing::conf::run_allgather(algo.fn, t, sink);
-    expect_attributable("allgather", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+  for (const auto& c : testing::captures::allgathers()) {
+    expect_attributable("allgather", c);
   }
 }
 
 TEST_F(SpanCoverage, Allgathervs) {
-  const Trial t = coverage_trial();
-  const int p = t.nodes * t.ppn;
-  std::vector<std::size_t> counts;
-  for (int r = 0; r < p; ++r) {
-    counts.push_back(1000 + 37 * static_cast<std::size_t>(r));
-  }
-  std::size_t total = 0;
-  for (const std::size_t c : counts) total += c;
-  const auto shape = testing::conf::shape_of(t);
-  for (const auto& algo : coll::Registry::instance().allgathervs()) {
-    if (algo.applies && !algo.applies(shape, total)) continue;
-    trace::Tracer tracer;
-    obs::CollectSink sink(&tracer);
-    testing::conf::run_allgatherv(algo.fn, t, counts, &sink);
-    expect_attributable("allgatherv", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+  for (const auto& c : testing::captures::allgathervs()) {
+    expect_attributable("allgatherv", c);
   }
 }
 
 TEST_F(SpanCoverage, Alltoalls) {
-  const Trial t = coverage_trial();
-  const std::size_t msg = 2048;
-  const auto shape = testing::conf::shape_of(t);
-  for (const auto& algo : coll::Registry::instance().alltoalls()) {
-    if (algo.applies && !algo.applies(shape, msg)) continue;
-    trace::Tracer tracer;
-    obs::CollectSink sink(&tracer);
-    testing::conf::run_alltoall(algo.fn, t, msg, &sink);
-    expect_attributable("alltoall", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+  for (const auto& c : testing::captures::alltoalls()) {
+    expect_attributable("alltoall", c);
   }
 }
 
 TEST_F(SpanCoverage, Alltoallvs) {
-  const Trial t = coverage_trial();
-  const int p = t.nodes * t.ppn;
-  std::vector<std::size_t> counts(static_cast<std::size_t>(p * p));
-  std::size_t total = 0;
-  for (int i = 0; i < p; ++i) {
-    for (int j = 0; j < p; ++j) {
-      const std::size_t c = 64 * static_cast<std::size_t>(i + j + 1);
-      counts[static_cast<std::size_t>(i * p + j)] = c;
-      total += c;
-    }
-  }
-  const auto shape = testing::conf::shape_of(t);
-  for (const auto& algo : coll::Registry::instance().alltoallvs()) {
-    if (algo.applies && !algo.applies(shape, total)) continue;
-    trace::Tracer tracer;
-    obs::CollectSink sink(&tracer);
-    testing::conf::run_alltoallv(algo.fn, t, counts, &sink);
-    expect_attributable("alltoallv", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+  for (const auto& c : testing::captures::alltoallvs()) {
+    expect_attributable("alltoallv", c);
   }
 }
 
 TEST_F(SpanCoverage, ReduceScatters) {
-  const Trial t = coverage_trial();
-  const std::size_t count = 96;  // divisible by p = 4
-  const auto shape = testing::conf::shape_of(t);
-  for (const auto& algo : coll::Registry::instance().reduce_scatters()) {
-    if (algo.applies &&
-        !algo.applies(shape, count, mpi::dtype_size(mpi::Dtype::kInt32))) {
-      continue;
-    }
-    trace::Tracer tracer;
-    obs::CollectSink sink(&tracer);
-    testing::conf::run_reduce_scatter(algo.fn, t, count, mpi::Dtype::kInt32,
-                                      mpi::ReduceOp::kSum, &sink);
-    expect_attributable("reduce_scatter", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+  for (const auto& c : testing::captures::reduce_scatters()) {
+    expect_attributable("reduce_scatter", c);
   }
 }
 
 TEST_F(SpanCoverage, Allreduces) {
-  const Trial t = coverage_trial();
-  const std::size_t count = 96;
-  const auto shape = testing::conf::shape_of(t);
-  for (const auto& algo : coll::Registry::instance().allreduces()) {
-    if (algo.applies &&
-        !algo.applies(shape, count, mpi::dtype_size(mpi::Dtype::kInt32))) {
-      continue;
-    }
-    trace::Tracer tracer;
-    obs::CollectSink sink(&tracer);
-    testing::conf::run_allreduce(algo.fn, t, count, mpi::Dtype::kInt32,
-                                 mpi::ReduceOp::kSum, &sink);
-    expect_attributable("allreduce", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+  for (const auto& c : testing::captures::allreduces()) {
+    expect_attributable("allreduce", c);
   }
 }
 
 TEST_F(SpanCoverage, Bcasts) {
-  const Trial t = coverage_trial();
-  const auto shape = testing::conf::shape_of(t);
-  for (const auto& algo : coll::Registry::instance().bcasts()) {
-    if (algo.applies && !algo.applies(shape, t.msg)) continue;
-    trace::Tracer tracer;
-    obs::CollectSink sink(&tracer);
-    testing::conf::run_bcast(algo.fn, t, &sink);
-    expect_attributable("bcast", algo.name, analyze(tracer.spans()),
-                        algo.graph != coll::GraphMode::kNone);
+  for (const auto& c : testing::captures::bcasts()) {
+    expect_attributable("bcast", c);
   }
 }
 
