@@ -3,7 +3,9 @@
 // layouts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <ios>
 #include <vector>
 
 #include "coll/allgatherv.hpp"
@@ -27,15 +29,23 @@ sim::Task<void> agv_rank(mpi::Comm& comm, const AgvFn& fn, int r,
   co_await fn(comm, r, send, recv, layout, in_place);
 }
 
-void check_agv(const AgvFn& fn, int nodes, int ppn,
-               std::vector<std::size_t> counts, bool in_place = false) {
+struct Pinned {
+  double latency = 0;
+  std::uint64_t events = 0;
+};
+
+// Runs `fn` in data mode, checks every rank's result and returns the
+// virtual completion time with the engine's dispatched-event count.
+Pinned check_agv(const AgvFn& fn, int nodes, int ppn,
+                 std::vector<std::size_t> counts, bool in_place = false) {
   auto spec = hw::ClusterSpec::thor(nodes, ppn);
   spec.carry_data = true;
   sim::Engine eng;
   mpi::World world(eng, spec);
   auto& comm = world.comm_world();
   const int p = comm.size();
-  ASSERT_EQ(counts.size(), static_cast<std::size_t>(p));
+  EXPECT_EQ(counts.size(), static_cast<std::size_t>(p));
+  if (counts.size() != static_cast<std::size_t>(p)) return {};
   const auto layout = VarLayout::from_counts(counts);
 
   std::vector<hw::Buffer> sends, recvs;
@@ -58,16 +68,24 @@ void check_agv(const AgvFn& fn, int nodes, int ppn,
                        in_place));
   }
   eng.run();
+  const Pinned run{eng.now(), eng.events_dispatched()};
   for (int r = 0; r < p; ++r) {
     for (int src = 0; src < p; ++src) {
       for (std::size_t i = 0; i < layout.count(src); ++i) {
-        ASSERT_EQ(recvs[static_cast<std::size_t>(r)]
-                      .bytes()[layout.offset(src) + i],
-                  block_byte(src, i))
+        const auto got =
+            recvs[static_cast<std::size_t>(r)].bytes()[layout.offset(src) + i];
+        EXPECT_EQ(got, block_byte(src, i))
             << "rank " << r << " block " << src << " byte " << i;
+        if (got != block_byte(src, i)) return run;
       }
     }
   }
+  return run;
+}
+
+void expect_pin(const Pinned& got, double latency, std::uint64_t events) {
+  EXPECT_EQ(got.latency, latency) << std::hexfloat << got.latency;
+  EXPECT_EQ(got.events, events);
 }
 
 AgvFn fn_ring() {
@@ -137,6 +155,40 @@ TEST(AllgathervMha, InPlace) {
 
 TEST(AllgathervMha, PpnOne) {
   check_agv(fn_mha(), 4, 1, {100, 200, 300, 400});
+}
+
+// ---- Exact pins of the hierarchical Allgatherv's phase-2/3 graph ----
+//
+// Latency (hex float) and dispatched events of the variable-block Ring
+// exchange with leader publishes and member drains: skewed node blocks,
+// an all-empty node (its zero-length block must still wait for phase 1),
+// a node block that chunks, in-place operation and ppn 1.
+
+TEST(AllgathervMhaPin, SkewedThreeNodes) {
+  expect_pin(
+      check_agv(fn_mha(), 3, 2, {1u << 16, 3, 1u << 18, 0, 1234, 1u << 15}),
+      0x1.31a92b1bd515ep-14, 584);
+}
+
+TEST(AllgathervMhaPin, EmptyNodeBlock) {
+  expect_pin(check_agv(fn_mha(), 3, 2, {100, 200, 0, 0, 300, 50}),
+             0x1.24870cbded4fdp-18, 199);
+}
+
+TEST(AllgathervMhaPin, ChunkedNodeBlock) {
+  expect_pin(check_agv(fn_mha(), 2, 2, {1u << 20, 1u << 19, 4096, 8}),
+             0x1.621e0ee47f336p-12, 928);
+}
+
+TEST(AllgathervMhaPin, InPlace) {
+  expect_pin(check_agv(fn_mha(), 3, 2,
+                       {1u << 19, 7, 1u << 17, 1u << 18, 0, 64}, true),
+             0x1.12729108a3a32p-13, 1463);
+}
+
+TEST(AllgathervMhaPin, PpnOne) {
+  expect_pin(check_agv(fn_mha(), 4, 1, {100, 1u << 20, 0, 300}),
+             0x1.d4a25c686b235p-13, 1504);
 }
 
 TEST(Allgatherv, ArgValidation) {

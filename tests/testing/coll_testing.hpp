@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <vector>
@@ -34,9 +35,11 @@ inline sim::Task<void> ag_rank_program(mpi::Comm& comm, coll::AllgatherFn fn,
 }
 
 /// Run `fn` on a (nodes x ppn) cluster in data mode and EXPECT every rank's
-/// recv buffer to contain all blocks in rank order. Returns virtual time.
+/// recv buffer to contain all blocks in rank order. Returns virtual time;
+/// `events`, when given, receives the engine's dispatched-event count.
 inline double check_allgather(const coll::AllgatherFn& fn, int nodes, int ppn,
-                              std::size_t msg, bool in_place = false) {
+                              std::size_t msg, bool in_place = false,
+                              std::uint64_t* events = nullptr) {
   auto spec = hw::ClusterSpec::thor(nodes, ppn);
   spec.carry_data = true;
   sim::Engine eng;
@@ -67,6 +70,7 @@ inline double check_allgather(const coll::AllgatherFn& fn, int nodes, int ppn,
                               in_place));
   }
   eng.run();
+  if (events != nullptr) *events = eng.events_dispatched();
 
   for (int r = 0; r < p; ++r) {
     const auto& recv = recvs[static_cast<std::size_t>(r)];
