@@ -1,5 +1,8 @@
 #include "coll/allgather.hpp"
 
+#include <algorithm>
+#include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -34,13 +37,6 @@ void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
   }
 }
 
-// Node-shared-object key: collective ops are identified by (context,
-// sequence) plus a small salt for multiple objects per op.
-std::uint64_t op_key(int ctx, std::uint64_t seq, int salt = 0) {
-  return (seq << 20) | (static_cast<std::uint64_t>(ctx) << 4) |
-         static_cast<std::uint64_t>(salt);
-}
-
 // Member-side drain of publication slot `i`: the chunk's offset/len are
 // only known at publish time, so the body reads them when released.
 sim::Task<void> copy_out_published(std::shared_ptr<shm::ShmRegion> region,
@@ -50,6 +46,61 @@ sim::Task<void> copy_out_published(std::shared_ptr<shm::ShmRegion> region,
   if (c.len > 0) {
     co_await region->copy_out(grank, i, recv.sub(c.offset, c.len));
   }
+}
+
+// Leader-side publish of one landed chunk; an empty chunk publishes a
+// zero-length marker (no copy startup) to keep member slot indices aligned.
+sim::Task<void> publish_chunk(std::shared_ptr<shm::ShmRegion> region,
+                              int grank, hw::BufView src, std::size_t off) {
+  if (src.len == 0) {
+    region->publish(off, 0);
+    co_return;
+  }
+  co_await region->copy_in_publish(grank, src, off);
+}
+
+// Per-block chunk counts of a ring over `blocks` and its tag stride. The
+// counts derive from the layout alone, so the sender and receiver of every
+// hop and the members draining the publishes agree on them.
+struct RingChunks {
+  std::vector<int> chunks;
+  int stride = kChunkTagStride;
+};
+
+RingChunks ring_chunks(const VarLayout& blocks) {
+  const int n = static_cast<int>(blocks.counts.size());
+  RingChunks rc;
+  rc.chunks.reserve(blocks.counts.size());
+  int most = 1;
+  for (std::size_t b = 0; b < blocks.counts.size(); ++b) {
+    // Equal neighbours (the common case) reuse the previous count instead
+    // of re-reading the chunk-size configuration.
+    const bool same = b > 0 && blocks.counts[b] == blocks.counts[b - 1];
+    rc.chunks.push_back(same ? rc.chunks.back()
+                             : chunks_for(blocks.counts[b]));
+    most = std::max(most, rc.chunks.back());
+  }
+  if (static_cast<long long>(n - 2) * kChunkTagStride + most - 1 >
+      mpi::kMaxUserTag) {
+    rc.chunks.assign(blocks.counts.size(), 1);
+    rc.stride = 1;
+  }
+  return rc;
+}
+
+// The leader's publish of the chunk `t_recv` landed at recv[off, off+len),
+// when `opts` asks for one.
+void add_publish(TaskGraph& g, const ExchangeOpts& opts, int rank,
+                 hw::BufView recv, std::size_t off, std::size_t len,
+                 const std::string& step, int c, int t_recv) {
+  if (opts.region == nullptr) return;
+  const int t = g.add(
+      TaskKind::kShmIn, Lane::kShm,
+      [region = opts.region, rank, recv, off, len] {
+        return publish_chunk(region, rank, recv.sub(off, len), off);
+      },
+      TaskOpts{"p3 pub" + step, opts.phase, c, len, -1, -1});
+  g.depend(t, t_recv);
 }
 
 // Seed task shared by the graph-native flat algorithms. Returns -1 when no
@@ -122,7 +173,7 @@ sim::Task<void> multi_leader_body(mpi::Comm& comm, int my, hw::BufView send,
   // ---- Phase 1: members share blocks with the group leader via shm ----
   const std::size_t group_block = static_cast<std::size_t>(gs) * msg;
   auto region1 = comm.share().acquire<shm::ShmRegion>(
-      node, op_key(comm.ctx(), seq, group), gs, [&] {
+      node, shm::op_key(comm.ctx(), seq, group), gs, [&] {
         return std::make_shared<shm::ShmRegion>(cl, node, group_block, sink);
       });
   const std::size_t my_block_off = static_cast<std::size_t>(my) * msg;
@@ -157,7 +208,7 @@ sim::Task<void> multi_leader_body(mpi::Comm& comm, int my, hw::BufView send,
   // ---- Phase 3: node-level broadcast of the full result via shm ----
   const std::size_t total = recv.len;
   auto region3 = comm.share().acquire<shm::ShmRegion>(
-      node, op_key(comm.ctx(), seq, groups + 1), ppn, [&] {
+      node, shm::op_key(comm.ctx(), seq, groups + 1), ppn, [&] {
         return std::make_shared<shm::ShmRegion>(cl, node, total, sink);
       });
   if (is_leader) {
@@ -188,6 +239,153 @@ sim::Task<void> seed_own_block(mpi::Comm& comm, int my, hw::BufView send,
   hw::copy_payload(recv.sub(static_cast<std::size_t>(my) * msg, msg), send);
 }
 
+int add_recv_stub(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm, int my,
+                  int src, int tag, hw::BufView dst, TaskOpts opts) {
+  const int t = g.add(
+      TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
+      std::move(opts));
+  g.depend_external(t);
+  comm.irecv(my, src, tag, dst).on_done([&exec, t] { exec.satisfy(t); });
+  return t;
+}
+
+void build_ring_exchange(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm,
+                         int my, hw::BufView recv, const VarLayout& blocks,
+                         const RangeProducers& first, int first_fallback,
+                         const ExchangeOpts& opts) {
+  const int n = comm.size();
+  const int right = (my + 1) % n;
+  const int left = (my - 1 + n) % n;
+  const int right_g = comm.to_global(right);
+  const int left_g = comm.to_global(left);
+  const RingChunks rc = ring_chunks(blocks);
+
+  // Recv stubs of the block that landed last step — the one sent next.
+  std::vector<int> landed;
+  std::vector<int> landing;
+  for (int s = 0; s < n - 1; ++s) {
+    const int out_b = (my - s + n) % n;
+    const int in_b = (my - s - 1 + 2 * n) % n;
+    const int out_chunks = rc.chunks[static_cast<std::size_t>(out_b)];
+    const int in_chunks = rc.chunks[static_cast<std::size_t>(in_b)];
+    const std::string step = " s" + std::to_string(s);
+    landing.clear();
+    for (int c = 0; c < std::max(out_chunks, in_chunks); ++c) {
+      const int tag = s * rc.stride + c;
+      if (c < out_chunks) {
+        const auto [coff, clen] =
+            chunk_range(blocks.count(out_b), out_chunks, c);
+        const std::size_t off = blocks.offset(out_b) + coff;
+        const int t_send = g.add(
+            TaskKind::kSend, Lane::kNic,
+            [&comm, my, right, tag, recv, off, clen] {
+              return comm.send(my, right, tag, recv.sub(off, clen));
+            },
+            TaskOpts{opts.prefix + "send" + step, opts.phase, c, clen, -1,
+                     right_g});
+        if (s > 0) {
+          g.depend(t_send, landed[static_cast<std::size_t>(c)]);
+        } else {
+          const auto producers = first.covering(off, clen);
+          for (const int p : producers) g.depend(t_send, p);
+          if (producers.empty() && first_fallback >= 0) {
+            g.depend(t_send, first_fallback);
+          }
+        }
+      }
+      if (c < in_chunks) {
+        const auto [coff, clen] = chunk_range(blocks.count(in_b), in_chunks, c);
+        const std::size_t off = blocks.offset(in_b) + coff;
+        landing.push_back(add_recv_stub(
+            g, exec, comm, my, left, tag, recv.sub(off, clen),
+            TaskOpts{opts.prefix + "recv" + step, opts.phase, c, clen, -1,
+                     left_g}));
+        add_publish(g, opts, comm.to_global(my), recv, off, clen, step, c,
+                    landing.back());
+      }
+    }
+    landed.swap(landing);
+  }
+}
+
+void build_rd_exchange(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm,
+                       int my, hw::BufView recv, std::size_t block,
+                       RangeProducers& prod, const ExchangeOpts& opts) {
+  // log2(N) <= 31 steps keeps the strided tags in range.
+  const int n = comm.size();
+  for (int k = 0; (1 << k) < n; ++k) {
+    const int dist = 1 << k;
+    const int partner = my ^ dist;
+    const int partner_g = comm.to_global(partner);
+    const std::size_t own_base =
+        static_cast<std::size_t>(my & ~(dist - 1)) * block;
+    const std::size_t partner_base =
+        static_cast<std::size_t>(partner & ~(dist - 1)) * block;
+    const std::size_t len = static_cast<std::size_t>(dist) * block;
+    const int chunks = chunks_for(len);
+    const std::string step = " k" + std::to_string(k);
+    for (int c = 0; c < chunks; ++c) {
+      const auto [coff, clen] = chunk_range(len, chunks, c);
+      const int tag = k * kChunkTagStride + c;
+      const std::size_t out_off = own_base + coff;
+      const std::size_t in_off = partner_base + coff;
+
+      const int t_send = g.add(
+          TaskKind::kSend, Lane::kNic,
+          [&comm, my, partner, tag, recv, out_off, clen] {
+            return comm.send(my, partner, tag, recv.sub(out_off, clen));
+          },
+          TaskOpts{opts.prefix + "send" + step, opts.phase, c, clen, -1,
+                   partner_g});
+      for (const int p : prod.covering(out_off, clen)) g.depend(t_send, p);
+
+      const int t_recv = add_recv_stub(
+          g, exec, comm, my, partner, tag, recv.sub(in_off, clen),
+          TaskOpts{opts.prefix + "recv" + step, opts.phase, c, clen, -1,
+                   partner_g});
+      prod.add(in_off, clen, t_recv);
+      add_publish(g, opts, comm.to_global(my), recv, in_off, clen, step, c,
+                  t_recv);
+    }
+  }
+}
+
+int ring_exchange_publishes(const VarLayout& blocks, int own) {
+  const RingChunks rc = ring_chunks(blocks);
+  return std::accumulate(rc.chunks.begin(), rc.chunks.end(), 0) -
+         rc.chunks[static_cast<std::size_t>(own)];
+}
+
+int rd_exchange_publishes(int n, std::size_t block) {
+  int slots = 0;
+  for (int k = 0; (1 << k) < n; ++k) {
+    slots += chunks_for(static_cast<std::size_t>(1 << k) * block);
+  }
+  return slots;
+}
+
+void build_publish_drain(TaskGraph& g, GraphExecutor& exec,
+                         std::shared_ptr<shm::ShmRegion> region, int rank,
+                         hw::BufView recv, int slots, const std::string& label) {
+  std::vector<int> outs;
+  outs.reserve(static_cast<std::size_t>(slots));
+  for (int i = 0; i < slots; ++i) {
+    const int t = g.add(
+        TaskKind::kShmOut, Lane::kShm,
+        [region, rank, i, recv] {
+          return copy_out_published(region, rank,
+                                    static_cast<std::size_t>(i), recv);
+        },
+        TaskOpts{label, obs::names::kPhase3, i, 0, -1, -1});
+    g.depend_external(t);
+    outs.push_back(t);
+  }
+  region->add_publish_listener(
+      [&exec, outs = std::move(outs)](std::size_t idx) {
+        if (idx < outs.size()) exec.satisfy(outs[idx]);
+      });
+}
+
 sim::Task<void> allgather_ring(mpi::Comm& comm, int my, hw::BufView send,
                                hw::BufView recv, std::size_t msg,
                                bool in_place) {
@@ -198,56 +396,13 @@ sim::Task<void> allgather_ring(mpi::Comm& comm, int my, hw::BufView send,
     co_return;
   }
 
-  const int right = (my + 1) % n;
-  const int left = (my - 1 + n) % n;
-  const int right_g = comm.to_global(right);
-  const int left_g = comm.to_global(left);
-  // Chunked (step, chunk) tags; rings too long for the strided encoding
-  // fall back to whole-block steps with the legacy tag = step scheme.
-  int chunks = chunks_for(msg);
-  int stride = kChunkTagStride;
-  if ((n - 2) * stride + chunks - 1 > mpi::kMaxUserTag) {
-    chunks = 1;
-    stride = 1;
-  }
-
   GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
   TaskGraph g;
   const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
-
-  std::vector<int> prev_recv(static_cast<std::size_t>(chunks), -1);
-  for (int s = 0; s < n - 1; ++s) {
-    const int out_b = (my - s + n) % n;
-    const int in_b = (my - s - 1 + 2 * n) % n;
-    for (int c = 0; c < chunks; ++c) {
-      const auto [coff, clen] = chunk_range(msg, chunks, c);
-      const int tag = s * stride + c;
-      const std::size_t out_off = static_cast<std::size_t>(out_b) * msg + coff;
-      const std::size_t in_off = static_cast<std::size_t>(in_b) * msg + coff;
-
-      const int t_send = g.add(
-          TaskKind::kSend, Lane::kNic,
-          [&comm, my, right, tag, recv, out_off, clen] {
-            return comm.send(my, right, tag, recv.sub(out_off, clen));
-          },
-          TaskOpts{"send s" + std::to_string(s), obs::names::kPhaseExchange, c,
-                   clen, -1, right_g});
-      if (s == 0) {
-        if (seed >= 0) g.depend(t_send, seed);
-      } else {
-        g.depend(t_send, prev_recv[static_cast<std::size_t>(c)]);
-      }
-
-      const int t_recv = g.add(
-          TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
-          TaskOpts{"recv s" + std::to_string(s), obs::names::kPhaseExchange, c,
-                   clen, -1, left_g});
-      g.depend_external(t_recv);
-      comm.irecv(my, left, tag, recv.sub(in_off, clen))
-          .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-      prev_recv[static_cast<std::size_t>(c)] = t_recv;
-    }
-  }
+  build_ring_exchange(g, exec, comm, my, recv,
+                      VarLayout::from_counts(std::vector<std::size_t>(
+                          static_cast<std::size_t>(n), msg)),
+                      {}, seed, ExchangeOpts{});
   co_await exec.run(g);
 }
 
@@ -271,47 +426,7 @@ sim::Task<void> allgather_rd(mpi::Comm& comm, int my, hw::BufView send,
   RangeProducers prod;
   const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
   if (seed >= 0) prod.add(static_cast<std::size_t>(my) * msg, msg, seed);
-
-  // Step k: exchange the owned aligned group of 2^k blocks with the partner
-  // at distance 2^k, chunked; each send depends on exactly the tasks that
-  // produced its bytes (seed or earlier recvs), so later steps stream as
-  // their inputs land. log2(N) <= 31 steps keeps tags in range.
-  for (int k = 0; (1 << k) < n; ++k) {
-    const int dist = 1 << k;
-    const int partner = my ^ dist;
-    const int partner_g = comm.to_global(partner);
-    const std::size_t own_base =
-        static_cast<std::size_t>(my & ~(dist - 1)) * msg;
-    const std::size_t partner_base =
-        static_cast<std::size_t>(partner & ~(dist - 1)) * msg;
-    const std::size_t len = static_cast<std::size_t>(dist) * msg;
-    const int chunks = chunks_for(len);
-    for (int c = 0; c < chunks; ++c) {
-      const auto [coff, clen] = chunk_range(len, chunks, c);
-      const int tag = k * kChunkTagStride + c;
-
-      const int t_send = g.add(
-          TaskKind::kSend, Lane::kNic,
-          [&comm, my, partner, tag, recv, own_base, coff, clen] {
-            return comm.send(my, partner, tag,
-                             recv.sub(own_base + coff, clen));
-          },
-          TaskOpts{"send k" + std::to_string(k), obs::names::kPhaseExchange, c,
-                   clen, -1, partner_g});
-      for (const int p : prod.covering(own_base + coff, clen)) {
-        g.depend(t_send, p);
-      }
-
-      const int t_recv = g.add(
-          TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
-          TaskOpts{"recv k" + std::to_string(k), obs::names::kPhaseExchange, c,
-                   clen, -1, partner_g});
-      g.depend_external(t_recv);
-      comm.irecv(my, partner, tag, recv.sub(partner_base + coff, clen))
-          .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-      prod.add(partner_base + coff, clen, t_recv);
-    }
-  }
+  build_rd_exchange(g, exec, comm, my, recv, msg, prod, ExchangeOpts{});
   co_await exec.run(g);
 }
 
@@ -348,13 +463,10 @@ sim::Task<void> allgather_direct(mpi::Comm& comm, int my, hw::BufView send,
   // completion-ordered, not post-ordered.
   for (int i = 1; i < n; ++i) {
     const int src = (my - i + n) % n;
-    const int t_recv = g.add(
-        TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
-        TaskOpts{"recv", obs::names::kPhaseExchange, -1, msg, -1,
-                 comm.to_global(src)});
-    g.depend_external(t_recv);
-    comm.irecv(my, src, i, recv.sub(static_cast<std::size_t>(src) * msg, msg))
-        .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
+    add_recv_stub(g, exec, comm, my, src, i,
+                  recv.sub(static_cast<std::size_t>(src) * msg, msg),
+                  TaskOpts{"recv", obs::names::kPhaseExchange, -1, msg, -1,
+                           comm.to_global(src)});
   }
   for (int i = 1; i < n; ++i) {
     const int dst = (my + i) % n;
@@ -449,6 +561,15 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
     co_return;
   }
 
+  std::shared_ptr<shm::ShmRegion> region;
+  if (ppn > 1) {
+    region = comm.share().acquire<shm::ShmRegion>(
+        node, shm::op_key(comm.ctx(), seq, 7), ppn, [&] {
+          return std::make_shared<shm::ShmRegion>(cl, node, recv.len,
+                                                  comm.sink());
+        });
+  }
+
   // ---- Phase 2: inter-node Bruck over whole node blocks, leaders only ----
   // The store-and-forward exchange stays one macro task; the streaming win
   // comes from phase 3 draining per published block below.
@@ -465,12 +586,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
     g.depend(t_p2, t_p1);
 
     // ---- Phase 3, leader side: publish each remote node block ----
-    if (ppn > 1) {
-      auto region = comm.share().acquire<shm::ShmRegion>(
-          node, op_key(comm.ctx(), seq, 7), ppn, [&] {
-            return std::make_shared<shm::ShmRegion>(cl, node, recv.len,
-                                                    comm.sink());
-          });
+    if (region != nullptr) {
       for (int o = 1; o < nodes; ++o) {
         const int other = (node + o) % nodes;
         const std::size_t off = static_cast<std::size_t>(other) * chunk;
@@ -487,27 +603,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
     }
   } else {
     // ---- Phase 3, member side: drain publication slots as they land ----
-    auto region = comm.share().acquire<shm::ShmRegion>(
-        node, op_key(comm.ctx(), seq, 7), ppn, [&] {
-          return std::make_shared<shm::ShmRegion>(cl, node, recv.len,
-                                                  comm.sink());
-        });
-    std::vector<int> outs;
-    outs.reserve(static_cast<std::size_t>(nodes - 1));
-    for (int i = 0; i + 1 < nodes; ++i) {
-      const int t = g.add(
-          TaskKind::kShmOut, Lane::kShm,
-          [region, grank, i, recv] {
-            return copy_out_published(region, grank,
-                                      static_cast<std::size_t>(i), recv);
-          },
-          TaskOpts{"out", "phase3", i, 0, -1, -1});
-      g.depend_external(t);
-      outs.push_back(t);
-    }
-    region->add_publish_listener([&exec, outs](std::size_t idx) {
-      if (idx < outs.size()) exec.satisfy(outs[idx]);
-    });
+    build_publish_drain(g, exec, region, grank, recv, nodes - 1, "out");
   }
   co_await exec.run(g);
 }

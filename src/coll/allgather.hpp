@@ -11,10 +11,19 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <string>
 
+#include "coll/allgatherv.hpp"
+#include "coll/graph.hpp"
 #include "hw/buffer.hpp"
 #include "mpi/comm.hpp"
+#include "obs/names.hpp"
 #include "sim/task.hpp"
+
+namespace hmca::shm {
+class ShmRegion;
+}  // namespace hmca::shm
 
 namespace hmca::coll {
 
@@ -29,6 +38,60 @@ using AllgatherFn = std::function<sim::Task<void>(
 sim::Task<void> seed_own_block(mpi::Comm& comm, int my, hw::BufView send,
                                hw::BufView recv, std::size_t msg,
                                bool in_place);
+
+// ---- Chunked exchange graph builders ----
+//
+// The Ring/RD exchanges of the flat allgathers and phase 2 (+ the phase-3
+// publish) of the hierarchical ones, added to a caller's graph. Chunk c of
+// step s travels with tag s * kChunkTagStride + c; recvs are posted at
+// build time and release their stub tasks through `exec`. Per chunk the
+// tasks are created send, recv, publish (creation order = FIFO priority).
+
+/// Span naming and the optional leader publish. Tasks are labelled
+/// `prefix` + "send s3" / "recv s3" (" k3" for RD) and "p3 pub s3". With a
+/// `region`, every landed chunk is copied in at its recv offset and
+/// published (an empty one as a zero-length marker, keeping member slots
+/// aligned).
+struct ExchangeOpts {
+  std::string prefix;
+  std::string phase = obs::names::kPhaseExchange;
+  std::shared_ptr<shm::ShmRegion> region;
+};
+
+/// Recv stub: posts the irecv of `dst` now; the task is released when it
+/// completes.
+int add_recv_stub(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm, int my,
+                  int src, int tag, hw::BufView dst, TaskOpts opts);
+
+/// Ring over `blocks` (one per rank): step s sends block my - s right and
+/// receives block my - s - 1 from the left, each split by chunks_for. If
+/// the strided tags would pass mpi::kMaxUserTag, every block goes whole
+/// with tag s. First-step sends wait on the `first` tasks covering their
+/// bytes, else on `first_fallback` (if >= 0; RangeProducers keeps no empty
+/// ranges); later ones on the recv stub of the same chunk.
+void build_ring_exchange(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm,
+                         int my, hw::BufView recv, const VarLayout& blocks,
+                         const RangeProducers& first, int first_fallback,
+                         const ExchangeOpts& opts);
+
+/// Recursive Doubling over comm.size() (a power of two) blocks of `block`
+/// bytes. Sends wait on the `prod` tasks covering their bytes; recv stubs
+/// join `prod` as producers.
+void build_rd_exchange(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm,
+                       int my, hw::BufView recv, std::size_t block,
+                       RangeProducers& prod, const ExchangeOpts& opts);
+
+/// Publication slots of a publishing exchange: the Ring run by the leader
+/// of block `own`, or the RD over `n` blocks of `block` bytes.
+int ring_exchange_publishes(const VarLayout& blocks, int own);
+int rd_exchange_publishes(int n, std::size_t block);
+
+/// Member side (phase 3): `slots` copy-out tasks labelled `label`, slot i
+/// released when `region` publishes its i-th chunk and copied to the same
+/// offset of `recv`.
+void build_publish_drain(TaskGraph& g, GraphExecutor& exec,
+                         std::shared_ptr<shm::ShmRegion> region, int rank,
+                         hw::BufView recv, int slots, const std::string& label);
 
 /// Ring: N-1 nearest-neighbour steps, each forwarding the block received in
 /// the previous step (Sec. 2.2(2)). Bandwidth-optimal, latency O(N).

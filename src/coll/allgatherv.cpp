@@ -42,22 +42,13 @@ void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
   }
 }
 
-sim::Task<void> seed_own(mpi::Comm& comm, int my, hw::BufView send,
-                         hw::BufView recv, const VarLayout& layout,
-                         bool in_place) {
-  if (in_place || layout.count(my) == 0) co_return;
-  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
-                                      static_cast<double>(layout.count(my)));
-  hw::copy_payload(recv.sub(layout.offset(my), layout.count(my)), send);
-}
-
 // Variable-size ring forwarding: block lengths differ per step, so the
 // pipeline structure is the per-step sendrecv chain; run wrapped.
 sim::Task<void> ring_body(mpi::Comm& comm, int my, hw::BufView send,
                           hw::BufView recv, const VarLayout& layout,
                           bool in_place) {
   const int n = comm.size();
-  co_await seed_own(comm, my, send, recv, layout, in_place);
+  co_await seed_own_block(comm, my, send, recv, layout, in_place);
   if (n == 1) co_return;
 
   const int right = (my + 1) % n;
@@ -78,6 +69,15 @@ sim::Task<void> ring_body(mpi::Comm& comm, int my, hw::BufView send,
 
 }  // namespace
 
+sim::Task<void> seed_own_block(mpi::Comm& comm, int my, hw::BufView send,
+                               hw::BufView recv, const VarLayout& layout,
+                               bool in_place) {
+  if (in_place || layout.count(my) == 0) co_return;
+  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
+                                      static_cast<double>(layout.count(my)));
+  hw::copy_payload(recv.sub(layout.offset(my), layout.count(my)), send);
+}
+
 sim::Task<void> allgatherv_ring(mpi::Comm& comm, int my, hw::BufView send,
                                 hw::BufView recv, const VarLayout& layout,
                                 bool in_place) {
@@ -97,7 +97,7 @@ sim::Task<void> allgatherv_direct(mpi::Comm& comm, int my, hw::BufView send,
   check_args(comm, my, send, recv, layout, in_place);
   const int n = comm.size();
   if (n == 1) {
-    co_await seed_own(comm, my, send, recv, layout, in_place);
+    co_await seed_own_block(comm, my, send, recv, layout, in_place);
     co_return;
   }
 
@@ -111,7 +111,7 @@ sim::Task<void> allgatherv_direct(mpi::Comm& comm, int my, hw::BufView send,
     seed = g.add(
         TaskKind::kCopy, Lane::kCpu,
         [&comm, my, send, recv, &layout, in_place] {
-          return seed_own(comm, my, send, recv, layout, in_place);
+          return seed_own_block(comm, my, send, recv, layout, in_place);
         },
         TaskOpts{"seed", obs::names::kPhaseExchange, -1, layout.count(my), -1,
                  -1});
@@ -119,13 +119,10 @@ sim::Task<void> allgatherv_direct(mpi::Comm& comm, int my, hw::BufView send,
   const hw::BufView own = recv.sub(layout.offset(my), layout.count(my));
   for (int i = 1; i < n; ++i) {
     const int src = (my - i + n) % n;
-    const int t_recv = g.add(
-        TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
-        TaskOpts{"recv", obs::names::kPhaseExchange, -1, layout.count(src), -1,
-                 comm.to_global(src)});
-    g.depend_external(t_recv);
-    comm.irecv(my, src, i, recv.sub(layout.offset(src), layout.count(src)))
-        .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
+    add_recv_stub(g, exec, comm, my, src, i,
+                  recv.sub(layout.offset(src), layout.count(src)),
+                  TaskOpts{"recv", obs::names::kPhaseExchange, -1,
+                           layout.count(src), -1, comm.to_global(src)});
   }
   for (int i = 1; i < n; ++i) {
     const int dst = (my + i) % n;

@@ -25,6 +25,12 @@ struct VarLayout {
   std::size_t offset(int r) const { return offsets.at(static_cast<std::size_t>(r)); }
 };
 
+/// Copy the caller's `layout.count(my)` bytes into its recv block (one CPU
+/// copy), or do nothing for in-place operation or an empty block.
+sim::Task<void> seed_own_block(mpi::Comm& comm, int my, hw::BufView send,
+                               hw::BufView recv, const VarLayout& layout,
+                               bool in_place);
+
 /// Ring Allgatherv: N-1 neighbour steps forwarding variable-size blocks.
 /// `send` holds the caller's `layout.count(my)` bytes (ignored when
 /// in_place: the contribution already sits at its recv offset); `recv`

@@ -1,7 +1,7 @@
 // Internal helpers shared by the hierarchical collective engines
 // (core/hierarchical.cpp and core/hierarchy.cpp). Not part of the public
 // API — everything here is an implementation convention of how node-share
-// keys and stage partitions are handled.
+// key blocks and stage partitions are handled.
 #pragma once
 
 #include <algorithm>
@@ -9,20 +9,12 @@
 #include <vector>
 
 #include "mpi/comm.hpp"
+#include "shm/shm.hpp"
 
 namespace hmca::core::detail {
 
-/// Node-share key of one collective invocation: the per-rank op sequence
-/// number disambiguates invocations, the comm context id disambiguates
-/// communicators, and the 4-bit salt disambiguates the shared objects of
-/// one invocation.
-inline std::uint64_t op_key(int ctx, std::uint64_t seq, int salt = 0) {
-  return (seq << 20) | (static_cast<std::uint64_t>(ctx) << 4) |
-         static_cast<std::uint64_t>(salt);
-}
-
 /// A block of distinct node-share keys for one collective invocation. The
-/// salt field of op_key holds 4 bits, so each consumed sequence number
+/// salt field of shm::op_key holds 4 bits, so each consumed sequence number
 /// yields 15 usable keys (salt 0 is reserved for single-key callers);
 /// every rank constructs the allocator at the same point of the SPMD
 /// program, so the consumed sequence numbers — and therefore key(i) —
@@ -35,8 +27,8 @@ class KeyAlloc {
     for (int i = 0; i < seqs; ++i) seqs_.push_back(comm.next_op_seq(my));
   }
   std::uint64_t key(int i) const {
-    return op_key(ctx_, seqs_.at(static_cast<std::size_t>(i) / 15),
-                  1 + i % 15);
+    return shm::op_key(ctx_, seqs_.at(static_cast<std::size_t>(i) / 15),
+                       1 + i % 15);
   }
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,8 +16,6 @@ namespace hmca::core {
 
 namespace {
 
-using detail::op_key;
-
 using detail::group_of;
 using detail::KeyAlloc;
 
@@ -29,17 +26,6 @@ int publish_count(Phase2Algo algo, int nodes) {
   return algo == Phase2Algo::kRing ? nodes - 1 : coll::log2_floor(nodes);
 }
 
-// Member-side drain of publication slot `i`: chunk identity (offset/len)
-// is only known at publish time, so the body reads it when released.
-sim::Task<void> copy_out_published(std::shared_ptr<shm::ShmRegion> region,
-                                   int grank, std::size_t i,
-                                   hw::BufView recv) {
-  const auto c = region->chunk(i);
-  if (c.len > 0) {
-    co_await region->copy_out(grank, i, recv.sub(c.offset, c.len));
-  }
-}
-
 // Phase 1 via a double-copy shared-memory gather (Mamidala-style): every
 // rank copies its contribution in, waits for all, then copies the L-1 peer
 // blocks out into its recv slice.
@@ -48,7 +34,7 @@ sim::Task<void> shm_gather_phase1(mpi::Comm& comm, int my, hw::BufView send,
                                   bool in_place, int node, int local, int l,
                                   std::uint64_t seq) {
   auto region = comm.share().acquire<shm::ShmRegion>(
-      node, op_key(comm.ctx(), seq, 1), l, [&] {
+      node, shm::op_key(comm.ctx(), seq, 1), l, [&] {
         return std::make_shared<shm::ShmRegion>(
             comm.cluster(), node, static_cast<std::size_t>(l) * msg,
             comm.sink());
@@ -285,7 +271,7 @@ sim::Task<void> hier_barrier(mpi::Comm& comm, int my, hw::BufView send,
   std::shared_ptr<shm::ShmRegion> region;
   if (l > 1) {
     region = comm.share().acquire<shm::ShmRegion>(
-        node, op_key(comm.ctx(), seq, 2), l, [&] {
+        node, shm::op_key(comm.ctx(), seq, 2), l, [&] {
           return std::make_shared<shm::ShmRegion>(cl, node, recv.len,
                                                   comm.sink());
         });
@@ -402,156 +388,30 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
   std::shared_ptr<shm::ShmRegion> region;
   if (l > 1) {
     region = comm.share().acquire<shm::ShmRegion>(
-        node, op_key(comm.ctx(), seq, 2), l, [&] {
+        node, shm::op_key(comm.ctx(), seq, 2), l, [&] {
           return std::make_shared<shm::ShmRegion>(cl, node, recv.len,
                                                   comm.sink());
         });
   }
 
+  // Phase 2 with the phase-3 publish on the leader; members drain every
+  // publication slot the leader's exchange produces.
+  const auto blocks = coll::VarLayout::from_counts(
+      std::vector<std::size_t>(static_cast<std::size_t>(n), chunk));
   if (leader) {
     auto& lcomm = comm.world().leader_comm();
+    const coll::ExchangeOpts x{"p2 ", "phase2", region};
     if (algo == Phase2Algo::kRing) {
-      const int right = (node + 1) % n;
-      const int left = (node - 1 + n) % n;
-      const int right_g = lcomm.to_global(right);
-      const int left_g = lcomm.to_global(left);
-      const int chunks = coll::chunks_for(chunk);
-      if ((n - 2) * coll::kChunkTagStride + chunks > mpi::kMaxUserTag) {
-        throw std::invalid_argument(
-            "allgather_hierarchical: ring steps exceed the tag space");
-      }
-      std::vector<int> prev_recv(static_cast<std::size_t>(chunks), -1);
-      for (int s = 0; s < n - 1; ++s) {
-        const int out_b = (node - s + n) % n;
-        const int in_b = (node - s - 1 + 2 * n) % n;
-        for (int c = 0; c < chunks; ++c) {
-          const auto [coff, clen] = coll::chunk_range(chunk, chunks, c);
-          const int tag = s * coll::kChunkTagStride + c;
-          const std::size_t out_off =
-              static_cast<std::size_t>(out_b) * chunk + coff;
-          const std::size_t in_off =
-              static_cast<std::size_t>(in_b) * chunk + coff;
-
-          const int t_send = g.add(
-              coll::TaskKind::kSend, coll::Lane::kNic,
-              [&lcomm, node, right, tag, recv, out_off, clen] {
-                return lcomm.send(node, right, tag, recv.sub(out_off, clen));
-              },
-              coll::TaskOpts{"p2 send s" + std::to_string(s), "phase2", c,
-                             clen, -1, right_g});
-          if (s == 0) {
-            for (const int p : prod.covering(out_off, clen)) {
-              g.depend(t_send, p);
-            }
-          } else {
-            g.depend(t_send, prev_recv[static_cast<std::size_t>(c)]);
-          }
-
-          const int t_recv = g.add(
-              coll::TaskKind::kRecv, coll::Lane::kNone,
-              [] { return coll::noop_task(); },
-              coll::TaskOpts{"p2 recv s" + std::to_string(s), "phase2", c,
-                             clen, -1, left_g});
-          g.depend_external(t_recv);
-          lcomm.irecv(node, left, tag, recv.sub(in_off, clen))
-              .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-          prev_recv[static_cast<std::size_t>(c)] = t_recv;
-
-          if (region != nullptr) {
-            const int t_pub = g.add(
-                coll::TaskKind::kShmIn, coll::Lane::kShm,
-                [region, grank, recv, in_off, clen] {
-                  return region->copy_in_publish(grank,
-                                                 recv.sub(in_off, clen),
-                                                 in_off);
-                },
-                coll::TaskOpts{"p3 pub s" + std::to_string(s), "phase2", c,
-                               clen, -1, -1});
-            g.depend(t_pub, t_recv);
-          }
-        }
-      }
-    } else {  // Recursive Doubling
-      for (int k = 0; (1 << k) < n; ++k) {
-        const int dist = 1 << k;
-        const int partner = node ^ dist;
-        const int partner_g = lcomm.to_global(partner);
-        const std::size_t own_base =
-            static_cast<std::size_t>(node & ~(dist - 1)) * chunk;
-        const std::size_t partner_base =
-            static_cast<std::size_t>(partner & ~(dist - 1)) * chunk;
-        const std::size_t len = static_cast<std::size_t>(dist) * chunk;
-        const int chunks = coll::chunks_for(len);
-        for (int c = 0; c < chunks; ++c) {
-          const auto [coff, clen] = coll::chunk_range(len, chunks, c);
-          const int tag = k * coll::kChunkTagStride + c;
-
-          const int t_send = g.add(
-              coll::TaskKind::kSend, coll::Lane::kNic,
-              [&lcomm, node, partner, tag, recv, own_base, coff, clen] {
-                return lcomm.send(node, partner, tag,
-                                  recv.sub(own_base + coff, clen));
-              },
-              coll::TaskOpts{"p2 send k" + std::to_string(k), "phase2", c,
-                             clen, -1, partner_g});
-          for (const int p : prod.covering(own_base + coff, clen)) {
-            g.depend(t_send, p);
-          }
-
-          const int t_recv = g.add(
-              coll::TaskKind::kRecv, coll::Lane::kNone,
-              [] { return coll::noop_task(); },
-              coll::TaskOpts{"p2 recv k" + std::to_string(k), "phase2", c,
-                             clen, -1, partner_g});
-          g.depend_external(t_recv);
-          lcomm.irecv(node, partner, tag, recv.sub(partner_base + coff, clen))
-              .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-          prod.add(partner_base + coff, clen, t_recv);
-
-          if (region != nullptr) {
-            const std::size_t in_off = partner_base + coff;
-            const int t_pub = g.add(
-                coll::TaskKind::kShmIn, coll::Lane::kShm,
-                [region, grank, recv, in_off, clen] {
-                  return region->copy_in_publish(grank,
-                                                 recv.sub(in_off, clen),
-                                                 in_off);
-                },
-                coll::TaskOpts{"p3 pub k" + std::to_string(k), "phase2", c,
-                               clen, -1, -1});
-            g.depend(t_pub, t_recv);
-          }
-        }
-      }
+      coll::build_ring_exchange(g, exec, lcomm, node, recv, blocks, prod, -1,
+                                x);
+    } else {
+      coll::build_rd_exchange(g, exec, lcomm, node, recv, chunk, prod, x);
     }
   } else {
-    // Members allocate one drain task per publication slot; the region's
-    // publish callback releases slot i the moment the leader's copy lands.
-    int publishes = 0;
-    if (algo == Phase2Algo::kRing) {
-      publishes = (n - 1) * coll::chunks_for(chunk);
-    } else {
-      for (int k = 0; (1 << k) < n; ++k) {
-        publishes +=
-            coll::chunks_for(static_cast<std::size_t>(1 << k) * chunk);
-      }
-    }
-    std::vector<int> outs;
-    outs.reserve(static_cast<std::size_t>(publishes));
-    for (int i = 0; i < publishes; ++i) {
-      const int t = g.add(
-          coll::TaskKind::kShmOut, coll::Lane::kShm,
-          [region, grank, i, recv] {
-            return copy_out_published(region, grank,
-                                      static_cast<std::size_t>(i), recv);
-          },
-          coll::TaskOpts{"p3 out", "phase3", i, 0, -1, -1});
-      g.depend_external(t);
-      outs.push_back(t);
-    }
-    region->add_publish_listener([&exec, outs](std::size_t idx) {
-      if (idx < outs.size()) exec.satisfy(outs[idx]);
-    });
+    const int slots = algo == Phase2Algo::kRing
+                          ? coll::ring_exchange_publishes(blocks, node)
+                          : coll::rd_exchange_publishes(n, chunk);
+    coll::build_publish_drain(g, exec, region, grank, recv, slots, "p3 out");
   }
 
   co_await exec.run(g);

@@ -10,6 +10,11 @@
 //      shared memory and publishes it; members copy published chunks out
 //      while the next inter-node transfer is already in flight.
 //
+// Phases 2 and 3 of the overlapped path are built by the shared exchange
+// builders of coll/allgather.hpp: coll::build_ring_exchange or
+// coll::build_rd_exchange with the leader's publish, and
+// coll::build_publish_drain on the members.
+//
 // The same engine, configured differently, reproduces the single-leader
 // prior design of Mamidala et al. [19] (shm gather + RD, overlap), the
 // Sec. 7 NUMA-aware design (a socket NodePlan) and the overlap ablation

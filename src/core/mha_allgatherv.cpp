@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "coll/allgather.hpp"
 #include "coll/graph.hpp"
 #include "core/mha_intra.hpp"
 #include "model/cost.hpp"
@@ -17,11 +16,6 @@
 namespace hmca::core {
 
 namespace {
-
-std::uint64_t op_key(int ctx, std::uint64_t seq, int salt = 0) {
-  return (seq << 20) | (static_cast<std::uint64_t>(ctx) << 4) |
-         static_cast<std::uint64_t>(salt);
-}
 
 void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
                 const hw::BufView& recv, const coll::VarLayout& layout,
@@ -40,35 +34,6 @@ void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
   }
 }
 
-// Member-side drain of publication slot `i`; zero-length markers (empty
-// node blocks) are skipped, chunk geometry is read at release time.
-sim::Task<void> copy_out_published(std::shared_ptr<shm::ShmRegion> region,
-                                   int grank, std::size_t i,
-                                   hw::BufView recv) {
-  const auto c = region->chunk(i);
-  if (c.len > 0) {
-    co_await region->copy_out(grank, i, recv.sub(c.offset, c.len));
-  }
-}
-
-// Local seed copy for the l == 1 phase-1 task.
-sim::Task<void> seed_copy(hw::Cluster& cl, int grank, hw::BufView dst,
-                          hw::BufView src) {
-  co_await cl.cpu_copy_by(grank, static_cast<double>(src.len));
-  hw::copy_payload(dst, src);
-}
-
-// Leader-side publish of one phase-2 chunk; empty blocks publish a
-// zero-length marker (no copy startup) to keep member slot indices aligned.
-sim::Task<void> publish_chunk(std::shared_ptr<shm::ShmRegion> region,
-                              int grank, hw::BufView src, std::size_t off) {
-  if (src.len == 0) {
-    region->publish(off, 0);
-    co_return;
-  }
-  co_await region->copy_in_publish(grank, src, off);
-}
-
 // The byte-budget direct-spread walk (see allgatherv_mha_intra): the
 // CPU/HCA split depends on the variable block sizes encountered along the
 // walk, so the body stays one coroutine and runs as a wrapped graph task.
@@ -81,10 +46,7 @@ sim::Task<void> intra_body(mpi::Comm& node_comm, int my, hw::BufView send,
   const int node = node_comm.node_of(my);
   const int grank = node_comm.to_global(my);
 
-  if (!in_place && layout.count(my) > 0) {
-    co_await cl.cpu_copy_by(grank, static_cast<double>(layout.count(my)));
-    hw::copy_payload(recv.sub(layout.offset(my), layout.count(my)), send);
-  }
+  co_await coll::seed_own_block(node_comm, my, send, recv, layout, in_place);
   if (l == 1) co_return;
 
   // Address exchange, as in the equal-block MHA-intra.
@@ -92,7 +54,7 @@ sim::Task<void> intra_body(mpi::Comm& node_comm, int my, hw::BufView send,
       in_place ? recv.sub(layout.offset(my), layout.count(my)) : send;
   const std::uint64_t seq = node_comm.next_op_seq(my);
   auto board = node_comm.share().acquire<AddressBoard>(
-      node, op_key(node_comm.ctx(), seq, 11), l,
+      node, shm::op_key(node_comm.ctx(), seq, 11), l,
       [&] { return std::make_shared<AddressBoard>(eng, l); });
   co_await board->put_and_wait(my, contribution);
 
@@ -167,14 +129,13 @@ sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
   auto& eng = comm.engine();
   const int grank = comm.to_global(my);
 
-  // Node chunk geometry: node k's slice covers its ranks' blocks, which
+  // Node block geometry: node k's block covers its ranks' blocks, which
   // are contiguous because ranks are node-major.
-  auto node_offset = [&](int k) { return layout.offset(k * l); };
-  auto node_bytes = [&](int k) {
-    const std::size_t end = (k + 1 < n) ? layout.offset((k + 1) * l)
-                                        : layout.total;
-    return end - node_offset(k);
-  };
+  std::vector<std::size_t> node_counts(static_cast<std::size_t>(n), 0);
+  for (int r = 0; r < comm.size(); ++r) {
+    node_counts[static_cast<std::size_t>(r / l)] += layout.count(r);
+  }
+  const auto nodes = coll::VarLayout::from_counts(std::move(node_counts));
 
   coll::GraphExecutor exec(eng, comm.sink(), grank);
   coll::TaskGraph g;
@@ -190,7 +151,7 @@ sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
     }
     auto local_layout = coll::VarLayout::from_counts(std::move(local_counts));
     const hw::BufView node_slice =
-        recv.sub(node_offset(node), node_bytes(node));
+        recv.sub(nodes.offset(node), nodes.count(node));
     t_p1 = g.add(
         coll::TaskKind::kWrapped, coll::Lane::kNone,
         [&comm, my, send, node_slice, node, local,
@@ -198,12 +159,13 @@ sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
           return intra_body(comm.world().node_comm(node), local, send,
                             node_slice, local_layout, in_place);
         },
-        coll::TaskOpts{"intra-v", "phase1", -1, node_bytes(node), -1, -1});
+        coll::TaskOpts{"intra-v", "phase1", -1, nodes.count(node), -1, -1});
   } else if (!in_place && layout.count(my) > 0) {
-    const hw::BufView dst = recv.sub(layout.offset(my), layout.count(my));
     t_p1 = g.add(
         coll::TaskKind::kCopy, coll::Lane::kCpu,
-        [&cl, grank, dst, send] { return seed_copy(cl, grank, dst, send); },
+        [&comm, my, send, recv, &layout, in_place] {
+          return coll::seed_own_block(comm, my, send, recv, layout, in_place);
+        },
         coll::TaskOpts{"seed", "phase1", -1, layout.count(my), -1, -1});
   }
 
@@ -215,115 +177,24 @@ sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
   std::shared_ptr<shm::ShmRegion> region;
   if (l > 1) {
     region = comm.share().acquire<shm::ShmRegion>(
-        node, op_key(comm.ctx(), seq, 12), l, [&] {
+        node, shm::op_key(comm.ctx(), seq, 12), l, [&] {
           return std::make_shared<shm::ShmRegion>(cl, node, recv.len,
                                                   comm.sink(),
                                                   cl.global_rank(node, 0));
         });
   }
 
-  // Per-block chunk counts must agree between the sender and receiver of
-  // every hop and with the members' slot count, so they derive from the
-  // shared layout alone. Long rings fall back to one chunk per block with
-  // the legacy tag = step scheme.
-  int stride = coll::kChunkTagStride;
-  bool chunked = true;
-  if (static_cast<long long>(n - 2) * stride + coll::kMaxChunks - 1 >
-      mpi::kMaxUserTag) {
-    stride = 1;
-    chunked = false;
-  }
-  auto block_chunks = [&](int b) {
-    return chunked ? coll::chunks_for(node_bytes(b)) : 1;
-  };
-
+  // Phase 2 over the node blocks with the phase-3 publish on the leader;
+  // members drain every publication slot the leader's ring produces. The
+  // first sends wait on the one phase-1 task, empty node blocks included.
   if (leader) {
-    auto& lcomm = comm.world().leader_comm();
-    const int right = (node + 1) % n;
-    const int left = (node - 1 + n) % n;
-    const int right_g = lcomm.to_global(right);
-    const int left_g = lcomm.to_global(left);
-    // Last recv stubs per chunk of each block (for forwarding deps).
-    std::vector<std::vector<int>> stubs(static_cast<std::size_t>(n));
-    for (int s = 0; s < n - 1; ++s) {
-      const int out_b = (node - s + n) % n;
-      const int in_b = (node - s - 1 + 2 * n) % n;
-
-      const int out_chunks = block_chunks(out_b);
-      for (int c = 0; c < out_chunks; ++c) {
-        const auto [coff, clen] =
-            coll::chunk_range(node_bytes(out_b), out_chunks, c);
-        const int tag = s * stride + c;
-        const std::size_t out_off = node_offset(out_b) + coff;
-        const int t_send = g.add(
-            coll::TaskKind::kSend, coll::Lane::kNic,
-            [&lcomm, node, right, tag, recv, out_off, clen] {
-              return lcomm.send(node, right, tag, recv.sub(out_off, clen));
-            },
-            coll::TaskOpts{"p2 send s" + std::to_string(s), "phase2", c, clen,
-                           -1, right_g});
-        if (s == 0) {
-          if (t_p1 >= 0) g.depend(t_send, t_p1);
-        } else {
-          g.depend(t_send, stubs[static_cast<std::size_t>(out_b)]
-                               [static_cast<std::size_t>(c)]);
-        }
-      }
-
-      const int in_chunks = block_chunks(in_b);
-      auto& in_stubs = stubs[static_cast<std::size_t>(in_b)];
-      in_stubs.assign(static_cast<std::size_t>(in_chunks), -1);
-      for (int c = 0; c < in_chunks; ++c) {
-        const auto [coff, clen] =
-            coll::chunk_range(node_bytes(in_b), in_chunks, c);
-        const int tag = s * stride + c;
-        const std::size_t in_off = node_offset(in_b) + coff;
-        const int t_recv = g.add(
-            coll::TaskKind::kRecv, coll::Lane::kNone,
-            [] { return coll::noop_task(); },
-            coll::TaskOpts{"p2 recv s" + std::to_string(s), "phase2", c, clen,
-                           -1, left_g});
-        g.depend_external(t_recv);
-        lcomm.irecv(node, left, tag, recv.sub(in_off, clen))
-            .on_done([&exec, t_recv] { exec.satisfy(t_recv); });
-        in_stubs[static_cast<std::size_t>(c)] = t_recv;
-
-        if (region != nullptr) {
-          const int t_pub = g.add(
-              coll::TaskKind::kShmIn, coll::Lane::kShm,
-              [region, grank, recv, in_off, clen] {
-                return publish_chunk(region, grank, recv.sub(in_off, clen),
-                                     in_off);
-              },
-              coll::TaskOpts{"p3 pub s" + std::to_string(s), "phase2", c,
-                             clen, -1, -1});
-          g.depend(t_pub, t_recv);
-        }
-      }
-    }
+    coll::build_ring_exchange(
+        g, exec, comm.world().leader_comm(), node, recv, nodes, {}, t_p1,
+        coll::ExchangeOpts{"p2 ", "phase2", region});
   } else {
-    // One drain task per publication slot: every block except ours, one
-    // slot per chunk, released by the region's publish callback.
-    int publishes = 0;
-    for (int b = 0; b < n; ++b) {
-      if (b != node) publishes += block_chunks(b);
-    }
-    std::vector<int> outs;
-    outs.reserve(static_cast<std::size_t>(publishes));
-    for (int i = 0; i < publishes; ++i) {
-      const int t = g.add(
-          coll::TaskKind::kShmOut, coll::Lane::kShm,
-          [region, grank, i, recv] {
-            return copy_out_published(region, grank,
-                                      static_cast<std::size_t>(i), recv);
-          },
-          coll::TaskOpts{"p3 out", "phase3", i, 0, -1, -1});
-      g.depend_external(t);
-      outs.push_back(t);
-    }
-    region->add_publish_listener([&exec, outs](std::size_t idx) {
-      if (idx < outs.size()) exec.satisfy(outs[idx]);
-    });
+    coll::build_publish_drain(g, exec, region, grank, recv,
+                              coll::ring_exchange_publishes(nodes, node),
+                              "p3 out");
   }
 
   co_await exec.run(g);

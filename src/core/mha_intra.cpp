@@ -86,14 +86,8 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
   const hw::BufView contribution =
       in_place ? recv.sub(own_off, msg) : send;
   const std::uint64_t seq = node_comm.next_op_seq(my);
-  // Key layout must match the op_key convention everywhere else
-  // ((seq << 20) | (ctx << 4) | salt): an unshifted ctx aliases another
-  // comm's (ctx << 4) | salt slot in the node-wide registry and hands one
-  // rank a type-confused shared object.
-  const std::uint64_t board_key =
-      (seq << 20) | (static_cast<std::uint64_t>(node_comm.ctx()) << 4) | 3;
   auto board = node_comm.share().acquire<AddressBoard>(
-      node, board_key, l,
+      node, shm::op_key(node_comm.ctx(), seq, 3), l,
       [&] { return std::make_shared<AddressBoard>(eng, l); });
   const int t_board = g.add(
       coll::TaskKind::kWrapped, coll::Lane::kNone,

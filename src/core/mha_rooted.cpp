@@ -12,15 +12,6 @@
 
 namespace hmca::core {
 
-namespace {
-
-std::uint64_t op_key(int ctx, std::uint64_t seq, int salt = 0) {
-  return (seq << 20) | (static_cast<std::uint64_t>(ctx) << 4) |
-         static_cast<std::uint64_t>(salt);
-}
-
-}  // namespace
-
 sim::Task<void> mha_bcast(mpi::Comm& comm, int my, int root, hw::BufView data,
                           std::size_t pipeline_chunk) {
   auto& cl = comm.cluster();
@@ -73,7 +64,7 @@ sim::Task<void> mha_bcast(mpi::Comm& comm, int my, int root, hw::BufView data,
   if (l == 1) co_return;
   coll::PhaseSpan p3(comm, my, obs::names::kPhase3);
   auto region = comm.share().acquire<shm::ShmRegion>(
-      node, op_key(comm.ctx(), seq, 7), l, [&] {
+      node, shm::op_key(comm.ctx(), seq, 7), l, [&] {
         return std::make_shared<shm::ShmRegion>(cl, node, data.len,
                                                 comm.sink(),
                                                 cl.global_rank(node, 0));
@@ -131,7 +122,7 @@ sim::Task<void> mha_reduce(mpi::Comm& comm, int my, int root, hw::BufView data,
   if (l > 1) {
     if (data.len <= kShmReduceThreshold) {
       auto region = comm.share().acquire<shm::ShmRegion>(
-          node, op_key(comm.ctx(), seq, 8), l, [&] {
+          node, shm::op_key(comm.ctx(), seq, 8), l, [&] {
             return std::make_shared<shm::ShmRegion>(
                 cl, node, data.len * static_cast<std::size_t>(l - 1),
                 comm.sink(), cl.global_rank(node, 0));

@@ -331,7 +331,7 @@ CompareResult compare_reports(const Json& base, const Json& next,
   check_format(base, "base");
   check_format(next, "new");
   CompareResult result;
-  Differ d{opts, result};
+  Differ d{opts, result, {}, {}};
 
   const auto base_idx = index_scenarios(base, "base");
   const auto next_idx = index_scenarios(next, "new");

@@ -199,14 +199,14 @@ ScenarioResult run_scenario(const Scenario& sc) {
     case Kind::kPt2ptLatency:
       for (std::size_t bytes : sc.xs) {
         const double s = osu::measure_pt2pt_latency(sc.spec(), 0, 1, bytes);
-        res.points.push_back({bytes, {{"latency_us", s * 1e6}}});
+        res.points.push_back({bytes, {{"latency_us", s * 1e6}}, {}});
       }
       break;
     case Kind::kPt2ptBandwidth:
       for (std::size_t bytes : sc.xs) {
         const double bps = osu::measure_pt2pt_bandwidth(sc.spec(), 0, 1,
                                                         bytes);
-        res.points.push_back({bytes, {{"bandwidth_mb_s", bps / 1e6}}});
+        res.points.push_back({bytes, {{"bandwidth_mb_s", bps / 1e6}}, {}});
       }
       break;
     case Kind::kOffloadSweep: {
@@ -214,7 +214,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
       for (std::size_t d : sc.xs) {
         const double s = core::OffloadTuner::measure(
             spec, sc.ppn, sc.msg_bytes, static_cast<double>(d));
-        res.points.push_back({d, {{"latency_us", s * 1e6}}});
+        res.points.push_back({d, {{"latency_us", s * 1e6}}, {}});
       }
       res.derived["analytic_d"] = static_cast<double>(
           core::analytic_offload(spec, sc.ppn, sc.msg_bytes));

@@ -106,6 +106,15 @@ class ShmRegion {
   std::vector<std::function<void(std::size_t)>> listeners_;
 };
 
+/// Node-share key of one collective invocation: the per-rank op sequence
+/// number disambiguates invocations, the comm context id disambiguates
+/// communicators, and the 4-bit salt disambiguates the shared objects of
+/// one invocation.
+inline std::uint64_t op_key(int ctx, std::uint64_t seq, int salt = 0) {
+  return (seq << 20) | (static_cast<std::uint64_t>(ctx) << 4) |
+         static_cast<std::uint64_t>(salt);
+}
+
 /// Rendezvous registry for per-operation node-shared objects.
 class NodeShare {
  public:
@@ -126,9 +135,8 @@ class NodeShare {
     }
     // A key collision between two operations hands one side an object of
     // the wrong type; the static cast below would silently reinterpret it.
-    // Fail loudly instead — every caller derives keys from the shared
-    // (seq << 20) | (ctx << 4) | salt convention precisely to keep this
-    // branch dead.
+    // Fail loudly instead — every caller derives keys through op_key
+    // precisely to keep this branch dead.
     if (*it->second.type != typeid(T)) {
       throw sim::SimError(
           "NodeShare::acquire: key collision — object registered as " +

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -31,26 +32,52 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-double to_number(const std::string& v, const std::string& where) {
+// Value `v` of field `key`: a finite number.
+double to_number(const std::string& key, const std::string& v,
+                 const std::string& where) {
+  double d = 0;
   try {
     std::size_t used = 0;
-    const double d = std::stod(v, &used);
+    d = std::stod(v, &used);
     if (used != v.size()) throw std::invalid_argument(v);
-    return d;
   } catch (const std::exception&) {
-    throw FaultPlanError("fault plan: bad number '" + v + "' in '" + where +
-                         "'");
+    throw FaultPlanError("fault plan: bad number " + key + "='" + v +
+                         "' in '" + where + "'");
   }
+  if (!std::isfinite(d)) {
+    throw FaultPlanError("fault plan: " + key + "='" + v +
+                         "' is not a finite number in '" + where + "'");
+  }
+  return d;
 }
 
-int to_index(const std::string& v, const std::string& where) {
-  if (v == "*") return -1;
-  const double d = to_number(v, where);
+// Value `v` of integer field `key`, checked against [lo, hi] before the
+// cast (an out-of-range double-to-integer conversion is undefined).
+double to_integer(const std::string& key, const std::string& v,
+                  const std::string& where, double lo, double hi) {
+  const double d = to_number(key, v, where);
   if (d != std::floor(d)) {
-    throw FaultPlanError("fault plan: index '" + v + "' in '" + where +
-                         "' must be an integer or *");
+    throw FaultPlanError("fault plan: " + key + "='" + v + "' in '" + where +
+                         "' must be an integer");
   }
-  return static_cast<int>(d);
+  if (d < lo || d > hi) {
+    throw FaultPlanError("fault plan: " + key + "='" + v + "' in '" + where +
+                         "' is out of range");
+  }
+  return d;
+}
+
+int to_int(const std::string& key, const std::string& v,
+           const std::string& where) {
+  return static_cast<int>(
+      to_integer(key, v, where, std::numeric_limits<int>::min(),
+                 std::numeric_limits<int>::max()));
+}
+
+// Node/HCA selector: an integer index, or * for all.
+int to_index(const std::string& key, const std::string& v,
+             const std::string& where) {
+  return v == "*" ? -1 : to_int(key, v, where);
 }
 
 using Fields = std::map<std::string, std::string>;
@@ -75,24 +102,29 @@ void build_entry(FaultPlan& plan, const std::string& kind, const Fields& f,
     auto it = f.find(key);
     return it != f.end() ? it->second : std::string(fallback);
   };
+  auto number = [&](const char* key, const char* fallback) {
+    return to_number(key, get(key, fallback), where);
+  };
   if (kind == "kill" || kind == "degrade") {
     FaultEvent e;
     e.kind = kind == "kill" ? FaultKind::kKill : FaultKind::kDegrade;
-    e.node = to_index(get("node", "*"), where);
-    e.hca = to_index(get("hca", "*"), where);
-    e.t = to_number(get("t", "0"), where);
+    e.node = to_index("node", get("node", "*"), where);
+    e.hca = to_index("hca", get("hca", "*"), where);
+    e.t = number("t", "0");
     if (e.kind == FaultKind::kDegrade) {
-      e.bw_factor = to_number(get("bw", "1"), where);
-      e.lat_factor = to_number(get("lat", "1"), where);
+      e.bw_factor = number("bw", "1");
+      e.lat_factor = number("lat", "1");
     }
     plan.events.push_back(e);
   } else if (kind == "flaky" || kind == "transient") {
     TransientSpec t;
-    t.rate = to_number(get("rate", "0.05"), where);
-    t.max_consecutive = static_cast<int>(to_number(get("burst", "3"), where));
-    t.backoff_base = to_number(get("backoff", "2e-6"), where);
-    t.backoff_max = to_number(get("backoff_max", "64e-6"), where);
-    t.seed = static_cast<std::uint64_t>(to_number(get("seed", "24397"), where));
+    t.rate = number("rate", "0.05");
+    t.max_consecutive = to_int("burst", get("burst", "3"), where);
+    t.backoff_base = number("backoff", "2e-6");
+    t.backoff_max = number("backoff_max", "64e-6");
+    // The largest double below 2^64 is the largest one uint64_t holds.
+    t.seed = static_cast<std::uint64_t>(to_integer(
+        "seed", get("seed", "24397"), where, 0, std::nextafter(0x1p64, 0.0)));
     plan.transient = t;
   } else {
     throw FaultPlanError("fault plan: unknown kind '" + kind + "' in '" +

@@ -19,6 +19,7 @@
 #include "obs/sink.hpp"
 #include "osu/env.hpp"
 #include "osu/harness.hpp"
+#include "shm/shm.hpp"
 #include "testing/coll_testing.hpp"
 #include "trace/trace.hpp"
 
@@ -556,9 +557,11 @@ TEST(HierDetail, GroupOfFindsEnclosingSpan) {
 }
 
 TEST(HierDetail, OpKeysSeparateSaltAndContext) {
-  EXPECT_NE(detail::op_key(1, 5, 1), detail::op_key(1, 5, 2));
-  EXPECT_NE(detail::op_key(1, 5, 1), detail::op_key(2, 5, 1));
-  EXPECT_NE(detail::op_key(1, 5, 1), detail::op_key(1, 6, 1));
+  EXPECT_NE(shm::op_key(1, 5, 1), shm::op_key(1, 5, 2));
+  EXPECT_NE(shm::op_key(1, 5, 1), shm::op_key(2, 5, 1));
+  EXPECT_NE(shm::op_key(1, 5, 1), shm::op_key(1, 6, 1));
+  // The layout every node-share key uses: (seq << 20) | (ctx << 4) | salt.
+  EXPECT_EQ(shm::op_key(3, 5, 7), (5ull << 20) | (3ull << 4) | 7ull);
 }
 
 // ---- The point of depth 3: multi-socket wins, telemetry-confirmed ----

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 
 #include "sim/fault.hpp"
 #include "sim/rng.hpp"
@@ -102,6 +103,42 @@ TEST(FaultPlan, ValidateChecksTopologyAndFactors) {
       FaultPlanError);
   EXPECT_THROW(FaultPlan::parse("flaky:rate=1.5").validate(2, 2),
                FaultPlanError);
+}
+
+TEST(FaultPlan, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // Each case names the field and echoes the text the user gave.
+  const std::pair<const char*, const char*> cases[] = {
+      {"kill:node=0,hca=0,t=inf", "t='inf'"},
+      {"kill:node=0,hca=0,t=nan", "t='nan'"},
+      {"degrade:node=0,hca=0,t=0,lat=inf", "lat='inf'"},
+      {"degrade:node=0,hca=0,t=0,bw=-inf", "bw='-inf'"},
+      {"kill:node=4294967296,hca=0,t=0", "node='4294967296'"},
+      {"kill:node=0,hca=-3e9,t=0", "hca='-3e9'"},
+      {"flaky:rate=0.1,burst=1e30", "burst='1e30'"},
+      {"flaky:rate=0.1,burst=2.5", "burst='2.5'"},
+      {"flaky:rate=inf", "rate='inf'"},
+      {"flaky:rate=0.1,seed=-1", "seed='-1'"},
+      {"flaky:rate=0.1,seed=1.8446744073709552e19",
+       "seed='1.8446744073709552e19'"},
+      {"[{\"kind\":\"kill\",\"node\":1e10}]", "node='1e10'"},
+  };
+  for (const auto& [plan, named] : cases) {
+    try {
+      FaultPlan::parse(plan);
+      ADD_FAILURE() << "accepted: " << plan;
+    } catch (const FaultPlanError& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+          << plan << " -> " << e.what();
+    }
+  }
+  // The largest in-range values still parse.
+  EXPECT_EQ(FaultPlan::parse("kill:node=2147483647,hca=0,t=0")
+                .events.front()
+                .node,
+            2147483647);
+  EXPECT_EQ(FaultPlan::parse("flaky:rate=0.1,seed=18446744073709549568")
+                .transient->seed,
+            18446744073709549568ull);
 }
 
 TEST(TransientSpec, BackoffIsBoundedExponential) {
