@@ -5,6 +5,7 @@
 // benches.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "osu/harness.hpp"
 #include "sim/engine.hpp"
 #include "sim/fluid.hpp"
+#include "sim/sync.hpp"
 #include "trace/trace.hpp"
 
 using namespace hmca;
@@ -36,6 +38,33 @@ void BM_EngineEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tasks * 100);
 }
 BENCHMARK(BM_EngineEventThroughput)->Arg(16)->Arg(256);
+
+sim::Task<void> turn_taker(sim::Engine& eng, sim::Semaphore& sem, int turns) {
+  for (int i = 0; i < turns; ++i) {
+    co_await sem.acquire();
+    co_await eng.sleep(1e-6);
+    sem.release();
+  }
+}
+
+// The executor's contention pattern: 64 coroutines take turns on one 1-slot
+// semaphore, so every release wakes all waiters at the current time and all
+// but one re-suspend. Unlike BM_EngineEventThroughput, almost every event
+// here is scheduled at `now`.
+void BM_EngineSameTimeWakeups(benchmark::State& state) {
+  constexpr int kTasks = 64;
+  const int turns = static_cast<int>(state.range(0));
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Engine eng;
+    sim::Semaphore sem(eng, 1);
+    for (int i = 0; i < kTasks; ++i) eng.spawn(turn_taker(eng, sem, turns));
+    eng.run();
+    events += eng.events_dispatched();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EngineSameTimeWakeups)->Arg(4)->Arg(16);
 
 sim::Task<void> one_flow(sim::FluidNetwork& net, sim::ResourceId r) {
   sim::FlowSpec f;

@@ -60,8 +60,10 @@ class Engine {
   EventId schedule_callback(std::function<void()> fn, Time t);
 
   /// Remove a scheduled event before it fires. Returns false when the id
-  /// is stale (event already fired or cancelled). O(1). Cancelling a
-  /// coroutine event does not destroy the coroutine — the caller owns it.
+  /// is stale (event already fired or cancelled). O(1), or O(log k) for an
+  /// event scheduled at the current time with k such events queued.
+  /// Cancelling a coroutine event does not destroy the coroutine — the
+  /// caller owns it.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Resume a coroutine at the current time (after already-queued events

@@ -21,6 +21,9 @@ EventId encode_id(std::uint32_t slot, std::uint32_t gen) {
   return (static_cast<EventId>(gen) << 32) | slot;
 }
 
+/// Largest CalendarQueue generation; see CalendarQueue::kLaneTag.
+constexpr std::uint32_t kMaxGen = 0x7fffffffu;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -54,7 +57,7 @@ void CalendarQueue::free_node(std::uint32_t slot) {
   n.h = {};
   n.fn = nullptr;
   n.live = false;
-  ++n.gen;
+  n.gen = n.gen == kMaxGen ? 1 : n.gen + 1;
   free_.push_back(slot);
 }
 
@@ -104,8 +107,8 @@ void CalendarQueue::unlink(std::uint32_t slot) {
   n.prev = n.next = kNil;
 }
 
-EventId CalendarQueue::push(QueueTime t, std::coroutine_handle<> h,
-                            std::function<void()> fn) {
+EventId CalendarQueue::push_calendar(QueueTime t, std::coroutine_handle<> h,
+                                     std::function<void()>&& fn) {
   const std::uint32_t slot = alloc_node();
   Node& n = arena_[slot];
   n.t = t;
@@ -115,16 +118,21 @@ EventId CalendarQueue::push(QueueTime t, std::coroutine_handle<> h,
   n.live = true;
   link_into_bucket(slot);
   ++count_;
+  if (count_ == 1 || (peek_ != kNil && before(n, arena_[peek_]))) {
+    peek_ = slot;
+  }
   maybe_resize();
-  return encode_id(slot, arena_[slot].gen);
+  return encode_id(slot, n.gen);
 }
 
 bool CalendarQueue::cancel(EventId id) {
+  if ((id & kLaneTag) != 0) return cancel_lane(id & ~kLaneTag);
   const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
   if (slot >= arena_.size()) return false;
   Node& n = arena_[slot];
   if (!n.live || n.gen != gen) return false;
+  if (slot == peek_) peek_ = kNil;
   unlink(slot);
   free_node(slot);
   --count_;
@@ -147,10 +155,48 @@ void CalendarQueue::locate_min() {
   located_ = true;
 }
 
-QueuedEvent CalendarQueue::pop() {
+void CalendarQueue::grow_lane() {
+  std::vector<LaneEntry> grown(std::max(kLaneMinSlots, 2 * lane_.size()));
+  for (std::size_t i = 0; i < lane_len_; ++i) grown[i] = std::move(lane_at(i));
+  lane_.swap(grown);
+  lane_head_ = 0;
+}
+
+bool CalendarQueue::cancel_lane(std::uint64_t seq) {
+  // The queued entries are sorted by seq (cancelled ones keep theirs under
+  // the tag bit); popped entries are outside the ring's queued range.
+  std::size_t lo = 0;
+  std::size_t hi = lane_len_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if ((lane_at(mid).seq & ~kLaneTag) < seq) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == lane_len_) return false;
+  LaneEntry& e = lane_at(lo);
+  if (e.seq != seq) return false;  // never queued, or already cancelled
+  e.seq |= kLaneTag;
+  e.h = {};
+  e.fn = nullptr;
+  --lane_live_;
+  drop_cancelled();
+  return true;
+}
+
+void CalendarQueue::drop_cancelled() {
+  while (lane_len_ > 0 && (lane_[lane_head_].seq & kLaneTag) != 0) {
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_len_;
+  }
+}
+
+std::uint32_t CalendarQueue::calendar_min() {
+  if (peek_ != kNil) return peek_;
   if (!located_) locate_min();
   const std::size_t nbuckets = heads_.size();
-  std::uint32_t found = kNil;
   for (;;) {
     for (std::size_t scanned = 0; scanned < nbuckets; ++scanned) {
       const auto b = static_cast<std::size_t>(cur_vb_ % nbuckets);
@@ -159,34 +205,39 @@ QueuedEvent CalendarQueue::pop() {
       // its year (same virtual bucket). Events in this bucket belonging to
       // later years wait for a later lap.
       if (head != kNil && virtual_bucket(arena_[head].t) <= cur_vb_) {
-        found = head;
-        break;
+        peek_ = head;
+        return head;
       }
       ++cur_vb_;
     }
-    if (found != kNil) break;
     // A whole lap without a hit: the schedule went sparse. Jump the cursor
     // straight to the global minimum instead of walking empty years.
     locate_min();
   }
+}
 
-  Node& n = arena_[found];
+QueuedEvent CalendarQueue::pop_calendar() {
+  const std::uint32_t slot = calendar_min();
+  Node& n = arena_[slot];
   QueuedEvent ev;
   ev.t = n.t;
   ev.seq = n.seq;
   ev.h = n.h;
   ev.fn = std::move(n.fn);
-  // Re-anchor the cursor at the popped time: the engine never schedules in
-  // the past, so no later push can land below this year.
+  // Re-anchor the cursor at the popped time: every remaining calendar event
+  // is at or after it, and a later push behind it rewinds the cursor.
   cur_vb_ = virtual_bucket(n.t);
-  unlink(found);
-  free_node(found);
+  located_ = true;
+  peek_ = kNil;
+  unlink(slot);
+  free_node(slot);
   --count_;
   if (count_ == 0) {
     located_ = false;
   } else {
     maybe_resize();
   }
+  if (lane_live_ == 0) lane_t_ = ev.t;
   return ev;
 }
 

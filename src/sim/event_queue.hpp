@@ -7,7 +7,10 @@
 //                    O(1) amortized push/pop for the engine's mostly
 //                    monotone schedule pattern, O(1) tail insertion for
 //                    bursts of equal timestamps, and O(1) cancellation by
-//                    unlinking.
+//                    unlinking — plus a same-timestamp FIFO lane that
+//                    takes the pushes landing on the current time (the
+//                    engine's schedule_now, wake-ups and spawns) without
+//                    touching the buckets.
 //   BinaryHeapQueue  the retained reference: the original binary-heap
 //                    (std::priority_queue) scheduler with lazy-deletion
 //                    cancel. Kept so the differential test in
@@ -26,7 +29,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
+#include <utility>
 #include <vector>
 
 namespace hmca::sim {
@@ -56,31 +61,71 @@ struct QueuedEvent {
 /// the event population and the bucket width is re-estimated from the
 /// queued time span on every resize, so performance adapts to the
 /// simulation's event density without affecting pop order.
+///
+/// Same-timestamp lane (a "delta" FIFO beside the calendar). Once an event
+/// at time T has popped, every push with t == T appends a {seq, payload}
+/// entry to the lane instead of taking an arena node and a bucket; lane_t_
+/// moves to a newly popped time only while the lane is empty. All lane
+/// entries share lane_t_ and are appended in seq order, so the lane front
+/// is the lane minimum, and pop takes the smaller (t, seq) of the lane
+/// front and the cached calendar minimum: the pop order is exactly the
+/// calendar-only order. Calendar events at T were pushed before T became
+/// current, so they carry smaller seqs and pop first. Lane ids are
+/// kLaneTag | seq; cancel binary-searches the seq-sorted lane and marks the
+/// entry, O(log lane). The lane is a ring buffer whose slots are reused, so
+/// steady same-timestamp traffic allocates nothing.
 class CalendarQueue {
  public:
   CalendarQueue();
 
   /// Insert an event; returns a token usable with cancel(). The next
   /// monotone sequence number is assigned internally (FIFO tie-break).
-  EventId push(QueueTime t, std::coroutine_handle<> h, std::function<void()> fn);
+  EventId push(QueueTime t, std::coroutine_handle<> h,
+               std::function<void()> fn) {
+    if (t != lane_t_) return push_calendar(t, h, std::move(fn));
+    const std::uint64_t seq = seq_next_++;
+    if (lane_len_ == lane_.size()) grow_lane();
+    lane_at(lane_len_++) = LaneEntry{seq, h, std::move(fn)};
+    ++lane_live_;
+    return kLaneTag | seq;
+  }
 
   /// Remove a not-yet-popped event. Returns false when the id is stale
-  /// (already popped or cancelled). O(1).
+  /// (already popped or cancelled). O(1) for calendar events, O(log lane)
+  /// for lane events.
   bool cancel(EventId id);
 
   /// Remove and return the minimum (t, seq) event. Precondition: !empty().
-  QueuedEvent pop();
+  QueuedEvent pop() {
+    if (lane_live_ > 0 && (count_ == 0 || lane_pops_first())) {
+      return pop_lane();
+    }
+    return pop_calendar();
+  }
 
-  bool empty() const noexcept { return count_ == 0; }
-  std::size_t size() const noexcept { return count_; }
+  bool empty() const noexcept { return count_ + lane_live_ == 0; }
+  std::size_t size() const noexcept { return count_ + lane_live_; }
 
   // Introspection for tests/diagnostics.
   std::size_t bucket_count() const noexcept { return heads_.size(); }
   double bucket_width() const noexcept { return width_; }
+  /// Queued events held by the same-timestamp lane (included in size()).
+  std::size_t lane_size() const noexcept { return lane_live_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
   static constexpr std::size_t kMinBuckets = 16;
+  /// Lane ids are kLaneTag | seq. Calendar ids keep their generation below
+  /// 2^31 so the tag bit never appears in them.
+  static constexpr EventId kLaneTag = EventId{1} << 63;
+  /// Initial lane ring size; the ring doubles when full.
+  static constexpr std::size_t kLaneMinSlots = 64;
+
+  struct LaneEntry {
+    std::uint64_t seq = 0;  // kLaneTag set: cancelled
+    std::coroutine_handle<> h;
+    std::function<void()> fn;
+  };
 
   struct Node {
     QueueTime t = 0.0;
@@ -109,6 +154,35 @@ class CalendarQueue {
   /// Point the scan cursor at the global minimum via a direct search over
   /// bucket heads (each head is its bucket's minimum). O(buckets).
   void locate_min();
+  /// Slot of the calendar minimum, cached in peek_. Precondition: count_ > 0.
+  std::uint32_t calendar_min();
+  /// Whether the lane front precedes the calendar minimum in (t, seq).
+  /// Precondition: lane_live_ > 0 and count_ > 0.
+  bool lane_pops_first() {
+    const Node& c = arena_[calendar_min()];
+    return c.t != lane_t_ ? lane_t_ < c.t : lane_[lane_head_].seq < c.seq;
+  }
+  EventId push_calendar(QueueTime t, std::coroutine_handle<> h,
+                        std::function<void()>&& fn);
+  QueuedEvent pop_calendar();
+  QueuedEvent pop_lane() {
+    LaneEntry& e = lane_[lane_head_];
+    QueuedEvent ev{lane_t_, e.seq, e.h, std::move(e.fn)};
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_len_;
+    --lane_live_;
+    if (lane_len_ != lane_live_) drop_cancelled();
+    return ev;
+  }
+  /// The i-th queued lane entry from the front (i < lane_.size()).
+  LaneEntry& lane_at(std::size_t i) {
+    return lane_[(lane_head_ + i) & (lane_.size() - 1)];
+  }
+  void grow_lane();
+  bool cancel_lane(std::uint64_t seq);
+  /// Drop cancelled entries off the lane front, so a non-empty lane always
+  /// starts with a live entry.
+  void drop_cancelled();
   void resize(std::size_t nbuckets);
   void maybe_resize();
 
@@ -123,6 +197,18 @@ class CalendarQueue {
   std::uint64_t seq_next_ = 0;
   std::uint64_t cur_vb_ = 0;  // scan cursor: current virtual bucket
   bool located_ = false;      // cur_vb_ valid (false after resize/drain)
+  std::uint32_t peek_ = kNil;  // cached calendar minimum, kNil = unknown
+
+  // Same-timestamp lane: a ring of power-of-two size holding lane_len_
+  // entries in seq order from lane_head_; lane_live_ of them are not
+  // cancelled.
+  std::vector<LaneEntry> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_len_ = 0;
+  std::size_t lane_live_ = 0;
+  // Time the lane holds: the time last popped while the lane was empty.
+  // NaN until the first pop, so no push matches it before then.
+  QueueTime lane_t_ = std::numeric_limits<QueueTime>::quiet_NaN();
 };
 
 /// The original binary-heap scheduler, retained verbatim as the

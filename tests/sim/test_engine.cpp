@@ -229,6 +229,26 @@ TEST(Engine, CancelPreventsCallbackAndReportsStaleness) {
   EXPECT_FALSE(eng.cancel(id)) << "cancel after run must report stale";
 }
 
+TEST(Engine, CancelOfEventScheduledAtNow) {
+  // Events scheduled at the current time while the engine runs (the
+  // schedule_now / wake-up pattern) cancel exactly like future events.
+  Engine eng;
+  std::vector<int> order;
+  EventId victim = kInvalidEvent;
+  EventId fired_id = kInvalidEvent;
+  eng.schedule_callback([&] {
+    victim = eng.schedule_callback([&] { order.push_back(1); }, eng.now());
+    fired_id = eng.schedule_callback([&] { order.push_back(2); }, eng.now());
+    EXPECT_TRUE(eng.cancel(victim));
+    EXPECT_FALSE(eng.cancel(victim)) << "second cancel must report stale";
+  }, 1.0);
+  eng.run();
+  EXPECT_EQ(order, std::vector<int>{2});
+  EXPECT_EQ(eng.events_dispatched(), 2u);
+  EXPECT_DOUBLE_EQ(eng.now(), 1.0);
+  EXPECT_FALSE(eng.cancel(fired_id)) << "cancel after firing must be stale";
+}
+
 TEST(Engine, CancelOfFiredEventIsRejected) {
   Engine eng;
   int fired = 0;

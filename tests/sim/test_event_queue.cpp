@@ -5,11 +5,14 @@
 // lexicographic (t, seq) order with FIFO tie-break at equal timestamps —
 // and this suite drives randomized schedule/cancel/re-schedule sequences
 // (including bursts of equal timestamps) through both at once, asserting
-// identical pop order. Seed-replayable via the conformance-harness env
+// identical pop order. The EventQueueLane cases and the churn driver pin
+// the calendar queue's same-timestamp lane (pushes at the last popped time)
+// against the same oracle. Seed-replayable via the conformance-harness env
 // convention:
 //   HMCA_SIMCORE_SEED=<seed> ctest -L simcore
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -86,6 +89,7 @@ class DifferentialDriver {
   Rng& rng() { return rng_; }
   QueueTime last_popped() const { return last_popped_t_; }
   std::size_t size() const { return cal_.size(); }
+  std::size_t lane_size() const { return cal_.lane_size(); }
 
  private:
   CalendarQueue cal_;
@@ -129,6 +133,41 @@ TEST(EventQueueDifferential, RandomizedScheduleCancelReschedule) {
     d.drain();
     if (HasFatalFailure()) return;
   }
+}
+
+TEST(EventQueueDifferential, SameTimestampChurnMatchesReference) {
+  // The engine's dominant pattern: pop an event, then push follow-ups at
+  // the popped time (schedule_now, wake-ups, spawns), with occasional
+  // future events and cancels. Long runs keep the same-timestamp lane busy
+  // across many timestamps, including refills while it is non-empty.
+  const std::uint64_t seed = suite_seed() ^ 0x1A4Eull;
+  DifferentialDriver d(seed);
+  auto& rng = d.rng();
+  for (int i = 0; i < 64; ++i) {
+    d.push(static_cast<double>(rng.next_below(50)) * 1e-6);
+  }
+  std::size_t lane_peak = 0;
+  for (int op = 0; op < 50000; ++op) {
+    if (d.size() == 0) d.push(d.last_popped() + 1e-6);
+    d.pop_and_compare();
+    if (HasFatalFailure()) return;
+    const double now = d.last_popped();
+    const std::uint64_t kind = rng.next_below(100);
+    if (kind < 45) {
+      d.push(now);
+    } else if (kind < 65) {
+      const std::uint64_t burst = 2 + rng.next_below(4);
+      for (std::uint64_t i = 0; i < burst; ++i) d.push(now);
+    } else if (kind < 85) {
+      d.push(now + static_cast<double>(1 + rng.next_below(50)) * 1e-6);
+    } else if (kind < 95) {
+      d.push(now);
+      d.cancel_random();
+    }
+    lane_peak = std::max(lane_peak, d.lane_size());
+  }
+  EXPECT_GT(lane_peak, 1u) << "churn never reached the same-timestamp lane";
+  d.drain();
 }
 
 TEST(EventQueueDifferential, EqualTimestampBurstsPopInPushOrder) {
@@ -209,6 +248,166 @@ TEST(EventQueue, CancelledSlotReuseRejectsStaleId) {
   const EventId c = q.push(3.0, {}, nullptr);
   EXPECT_FALSE(q.cancel(a));
   EXPECT_TRUE(q.cancel(c));
+  EXPECT_TRUE(q.empty());
+}
+
+/// Pops both queues to empty and returns the calendar queue's (t, seq)
+/// sequence, asserting the reference pops the same.
+std::vector<std::pair<QueueTime, std::uint64_t>> drain_both(
+    CalendarQueue& cal, BinaryHeapQueue& ref) {
+  std::vector<std::pair<QueueTime, std::uint64_t>> order;
+  EXPECT_EQ(cal.size(), ref.size());
+  while (!cal.empty()) {
+    const QueuedEvent a = cal.pop();
+    const QueuedEvent b = ref.pop();
+    EXPECT_EQ(a.t, b.t);
+    EXPECT_EQ(a.seq, b.seq);
+    order.emplace_back(a.t, a.seq);
+  }
+  EXPECT_TRUE(ref.empty());
+  return order;
+}
+
+TEST(EventQueueLane, CalendarEventsAtNowPopBeforeLaneEvents) {
+  // Events queued for T before T became current live in the calendar and
+  // carry smaller seqs than anything pushed at T afterwards.
+  CalendarQueue cal;
+  BinaryHeapQueue ref;
+  for (int i = 0; i < 3; ++i) {
+    cal.push(1.0, {}, nullptr);
+    ref.push(1.0, {}, nullptr);
+  }
+  EXPECT_EQ(cal.pop().seq, ref.pop().seq);  // T = 1.0 is now current
+  EXPECT_EQ(cal.lane_size(), 0u);
+  for (int i = 0; i < 2; ++i) {
+    cal.push(1.0, {}, nullptr);
+    ref.push(1.0, {}, nullptr);
+  }
+  EXPECT_EQ(cal.lane_size(), 2u) << "pushes at the popped time use the lane";
+  EXPECT_EQ(cal.size(), 4u);
+  const auto order = drain_both(cal, ref);
+  const std::vector<std::pair<QueueTime, std::uint64_t>> want = {
+      {1.0, 1}, {1.0, 2}, {1.0, 3}, {1.0, 4}};
+  EXPECT_EQ(order, want);
+}
+
+TEST(EventQueueLane, CancelBeforePopAfterPopAndTwice) {
+  CalendarQueue cal;
+  BinaryHeapQueue ref;
+  cal.push(2.0, {}, nullptr);
+  ref.push(2.0, {}, nullptr);
+  cal.pop();
+  ref.pop();
+  const EventId a = cal.push(2.0, {}, nullptr);
+  const EventId ra = ref.push(2.0, {}, nullptr);
+  const EventId b = cal.push(2.0, {}, nullptr);
+  const EventId rb = ref.push(2.0, {}, nullptr);
+  const EventId c = cal.push(2.0, {}, nullptr);
+  const EventId rc = ref.push(2.0, {}, nullptr);
+  ASSERT_EQ(cal.lane_size(), 3u);
+
+  // Before its pop: the middle entry is marked and skipped.
+  EXPECT_TRUE(cal.cancel(b));
+  EXPECT_TRUE(ref.cancel(rb));
+  EXPECT_EQ(cal.size(), 2u);
+  // Twice: the marked entry is not cancelled again.
+  EXPECT_FALSE(cal.cancel(b)) << "double cancel of a lane event";
+  EXPECT_FALSE(ref.cancel(rb));
+
+  const QueuedEvent first = cal.pop();
+  EXPECT_EQ(first.seq, ref.pop().seq);
+  // After its pop: the id is stale.
+  EXPECT_FALSE(cal.cancel(a)) << "cancel of a popped lane event";
+  EXPECT_FALSE(ref.cancel(ra));
+
+  // Cancelling the last live entry empties the lane and the queue.
+  EXPECT_TRUE(cal.cancel(c));
+  EXPECT_TRUE(ref.cancel(rc));
+  EXPECT_TRUE(cal.empty());
+  EXPECT_TRUE(ref.empty());
+  EXPECT_FALSE(cal.cancel(c));
+  EXPECT_EQ(cal.lane_size(), 0u);
+}
+
+TEST(EventQueueLane, PushBehindTheCursorWhileLaneIsBusy) {
+  // Standalone users may push behind the last popped time. Those events go
+  // to the calendar and still pop in (t, seq) order around the lane.
+  CalendarQueue cal;
+  BinaryHeapQueue ref;
+  auto push = [&](QueueTime t) {
+    cal.push(t, {}, nullptr);
+    ref.push(t, {}, nullptr);
+  };
+  push(5.0);
+  push(7.0);
+  EXPECT_EQ(cal.pop().seq, ref.pop().seq);  // T = 5.0
+  push(5.0);
+  push(5.0);
+  ASSERT_EQ(cal.lane_size(), 2u);
+  push(3.0);  // behind the cursor, lane non-empty
+  push(5.0);
+  push(4.0);
+  EXPECT_EQ(cal.lane_size(), 3u);
+  const QueuedEvent early = cal.pop();
+  EXPECT_EQ(early.t, 3.0);
+  EXPECT_EQ(early.seq, ref.pop().seq);
+  // The lane still holds 5.0, so a push at the popped 3.0 goes to the
+  // calendar and pops before the lane.
+  push(3.0);
+  EXPECT_EQ(cal.lane_size(), 3u);
+  const auto order = drain_both(cal, ref);
+  ASSERT_EQ(order.size(), 6u);
+  EXPECT_EQ(order.front().first, 3.0);
+  EXPECT_EQ(order[1].first, 4.0);
+  EXPECT_EQ(order.back().first, 7.0);
+}
+
+TEST(EventQueueLane, RingGrowsAndWrapsAroundCancels) {
+  // Refill the lane while it is part-drained, so its ring wraps, grows with
+  // the queued entries split across the wrap point, and is cancelled into
+  // on both sides of it.
+  CalendarQueue cal;
+  BinaryHeapQueue ref;
+  std::vector<std::pair<EventId, EventId>> ids;
+  auto push = [&](QueueTime t) {
+    ids.emplace_back(cal.push(t, {}, nullptr), ref.push(t, {}, nullptr));
+  };
+  auto pop_both = [&] {
+    const QueuedEvent a = cal.pop();
+    const QueuedEvent b = ref.pop();
+    EXPECT_EQ(a.t, b.t);
+    EXPECT_EQ(a.seq, b.seq);
+  };
+  push(0.5);
+  pop_both();  // T = 0.5
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 50 + 40 * round; ++i) push(0.5);
+    for (std::size_t k = 0; k < 10; ++k) {
+      const std::size_t i = ids.size() - 1 - 5 * k;
+      EXPECT_EQ(cal.cancel(ids[i].first), ref.cancel(ids[i].second));
+    }
+    for (int i = 0; i < 30; ++i) pop_both();
+    ASSERT_EQ(cal.size(), ref.size());
+    EXPECT_EQ(cal.lane_size(), cal.size()) << "every push lands on T";
+  }
+  push(0.75);
+  drain_both(cal, ref);
+  EXPECT_EQ(cal.lane_size(), 0u);
+}
+
+TEST(EventQueueLane, CallbackPayloadSurvivesTheLane) {
+  CalendarQueue q;
+  q.push(1.0, {}, nullptr);
+  q.pop();
+  int fired = 0;
+  q.push(1.0, {}, [&fired] { fired += 7; });
+  ASSERT_EQ(q.lane_size(), 1u);
+  QueuedEvent ev = q.pop();
+  EXPECT_DOUBLE_EQ(ev.t, 1.0);
+  ASSERT_TRUE(ev.fn != nullptr);
+  EXPECT_FALSE(static_cast<bool>(ev.h));
+  ev.fn();
+  EXPECT_EQ(fired, 7);
   EXPECT_TRUE(q.empty());
 }
 

@@ -1,6 +1,7 @@
 // Unit tests for coroutine synchronization primitives.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -109,6 +110,26 @@ TEST(Semaphore, AllowsConcurrencyUpToCount) {
   for (int i = 0; i < 4; ++i) eng.spawn(worker(eng));
   eng.run();
   EXPECT_DOUBLE_EQ(eng.now(), 2.0);  // two batches of two
+}
+
+TEST(Semaphore, ReleaseWakesTheWholeHerd) {
+  // Pins the wake-up cost of release(): every waiter is rescheduled, one
+  // takes the slot and the rest re-suspend. With N workers each holding a
+  // 1-slot semaphore for 1 s, the run dispatches N spawns, N sleep wakes
+  // and (N-1) + (N-2) + ... + 0 = N(N-1)/2 release wake-ups.
+  constexpr std::uint64_t kWorkers = 16;
+  Engine eng;
+  Semaphore sem(eng, 1);
+  auto worker = [&](Engine& e) -> Task<void> {
+    co_await sem.acquire();
+    co_await e.sleep(1.0);
+    sem.release();
+  };
+  for (std::uint64_t i = 0; i < kWorkers; ++i) eng.spawn(worker(eng));
+  eng.run();
+  EXPECT_DOUBLE_EQ(eng.now(), static_cast<double>(kWorkers));
+  EXPECT_EQ(eng.events_dispatched(),
+            2 * kWorkers + kWorkers * (kWorkers - 1) / 2);
 }
 
 TEST(Semaphore, BulkAcquire) {
