@@ -73,6 +73,10 @@ sim::Task<void> one_flow(sim::FluidNetwork& net, sim::ResourceId r) {
   co_await net.transfer(std::move(f));
 }
 
+sim::Task<void> one_spec(sim::FluidNetwork& net, sim::FlowSpec f) {
+  co_await net.transfer(std::move(f));
+}
+
 void BM_FluidWaterFilling(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -85,6 +89,48 @@ void BM_FluidWaterFilling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flows);
 }
 BENCHMARK(BM_FluidWaterFilling)->Arg(32)->Arg(512);
+
+// Node-shaped fluid load: 8 nodes x 4 rails, every rail of node n sending
+// to the same rail of nodes n+1 and n+2, through its hca tx, the peer's hca
+// rx, its PCIe link and its node memory (weights 1/1/1/2). That is 64 flow
+// classes chained into one sharing component, as a ring exchange chains
+// them. Byte counts all differ, so every completion re-solves the network.
+void BM_FluidNodeClasses(benchmark::State& state) {
+  constexpr int kNodes = 8;
+  constexpr int kRails = 4;
+  const int flows = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine eng;
+    sim::FluidNetwork net(eng);
+    std::vector<sim::ResourceId> tx, rx, pcie, mem;
+    for (int n = 0; n < kNodes; ++n) {
+      const std::string node = std::to_string(n);
+      mem.push_back(net.add_resource("mem" + node, 40e9));
+      for (int h = 0; h < kRails; ++h) {
+        const std::string rail = node + "." + std::to_string(h);
+        tx.push_back(net.add_resource("tx" + rail, 12.5e9));
+        rx.push_back(net.add_resource("rx" + rail, 12.5e9));
+        pcie.push_back(net.add_resource("pcie" + rail, 16e9));
+      }
+    }
+    for (int i = 0; i < flows; ++i) {
+      const int n = i % kNodes;
+      const int h = i / kNodes % kRails;
+      const int dst = (n + 1 + i / (kNodes * kRails) % 2) % kNodes;
+      sim::FlowSpec f;
+      f.uses = {{tx[n * kRails + h], 1.0},
+                {rx[dst * kRails + h], 1.0},
+                {pcie[n * kRails + h], 1.0},
+                {mem[n], 2.0}};
+      f.bytes = 1e6 + 3e3 * i;
+      eng.spawn(one_spec(net, std::move(f)));
+    }
+    eng.run();
+    benchmark::DoNotOptimize(net.bytes_served(mem[0]));
+  }
+  state.SetItemsProcessed(state.iterations() * flows);
+}
+BENCHMARK(BM_FluidNodeClasses)->Arg(256)->Arg(512);
 
 void BM_SimulatedAllgatherRing(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));

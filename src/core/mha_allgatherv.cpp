@@ -34,9 +34,11 @@ void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
   }
 }
 
-// The byte-budget direct-spread walk (see allgatherv_mha_intra): the
-// CPU/HCA split depends on the variable block sizes encountered along the
-// walk, so the body stays one coroutine and runs as a wrapped graph task.
+// Phase 1 of allgatherv_mha on one node: the intra-node MHA direct spread
+// over CMA, with the far end of the schedule offloaded to the HCAs until the
+// Eq. 1 byte budget is spent. The CPU/HCA split depends on the variable
+// block sizes encountered along the walk, so the body stays one coroutine
+// and runs as a wrapped graph task.
 sim::Task<void> intra_body(mpi::Comm& node_comm, int my, hw::BufView send,
                            hw::BufView recv, coll::VarLayout layout,
                            bool in_place) {
@@ -97,20 +99,6 @@ sim::Task<void> intra_body(mpi::Comm& node_comm, int my, hw::BufView send,
 }
 
 }  // namespace
-
-sim::Task<void> allgatherv_mha_intra(mpi::Comm& node_comm, int my,
-                                     hw::BufView send, hw::BufView recv,
-                                     const coll::VarLayout& layout,
-                                     bool in_place) {
-  check_args(node_comm, my, send, recv, layout, in_place);
-  coll::VarLayout l = layout;
-  co_await coll::run_as_graph(
-      node_comm.engine(), node_comm.sink(), node_comm.to_global(my),
-      "mha-intra-v",
-      [&node_comm, my, send, recv, l = std::move(l), in_place] {
-        return intra_body(node_comm, my, send, recv, l, in_place);
-      });
-}
 
 sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
                                hw::BufView recv,

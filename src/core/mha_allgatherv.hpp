@@ -12,17 +12,10 @@
 
 namespace hmca::core {
 
-/// Intra-node MHA Allgatherv over a node-local communicator: CMA direct
-/// spread with the far end of the schedule offloaded to the HCAs until the
-/// Eq. 1 byte budget is spent.
-sim::Task<void> allgatherv_mha_intra(mpi::Comm& node_comm, int my,
-                                     hw::BufView send, hw::BufView recv,
-                                     const coll::VarLayout& layout,
-                                     bool in_place = false);
-
 /// Hierarchical MHA Allgatherv over the world communicator: per-node
-/// aggregation (intra variant above), variable-size inter-leader Ring over
-/// all rails, overlapped shared-memory distribution.
+/// aggregation (CMA direct spread with the far end of the schedule offloaded
+/// to the HCAs until the Eq. 1 byte budget is spent), variable-size
+/// inter-leader Ring over all rails, overlapped shared-memory distribution.
 sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
                                hw::BufView recv,
                                const coll::VarLayout& layout,

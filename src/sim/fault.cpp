@@ -313,8 +313,8 @@ void FaultPlan::validate(int nodes, int hcas) const {
                 e.describe() + "'");
     require(e.t >= 0, "negative time in '" + e.describe() + "'");
     if (e.kind == FaultKind::kDegrade) {
-      require(e.bw_factor > 0 && e.bw_factor <= 1,
-              "bw factor must be in (0, 1] in '" + e.describe() + "'");
+      require(e.bw_factor >= kMinBwFactor && e.bw_factor <= 1,
+              "bw factor must be in [1e-3, 1] in '" + e.describe() + "'");
       require(e.lat_factor >= 1, "lat factor must be >= 1 in '" +
                                      e.describe() + "'");
     }

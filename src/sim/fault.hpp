@@ -42,13 +42,18 @@ class FaultPlanError : public std::invalid_argument {
 
 enum class FaultKind { kKill, kDegrade };
 
+/// Smallest accepted degrade bandwidth factor. A rail's factor becomes a
+/// fluid weight of 1 / bw and a rate cap of bw times the port rate, so a
+/// factor near zero would turn into a huge weight and a near-zero cap.
+inline constexpr double kMinBwFactor = 1e-3;
+
 /// One timed rail fault. node/hca -1 broadcast over all nodes/rails.
 struct FaultEvent {
   FaultKind kind = FaultKind::kKill;
   int node = -1;
   int hca = -1;
   Time t = kTimeZero;
-  double bw_factor = 1.0;   ///< degrade: rail bandwidth multiplier (0, 1]
+  double bw_factor = 1.0;   ///< degrade: rail bandwidth multiplier [1e-3, 1]
   double lat_factor = 1.0;  ///< degrade: post-cost multiplier (>= 1)
 
   /// Human-readable summary ("kill n0.h1 @5e-06s"), used for trace spans.

@@ -1,6 +1,7 @@
 #include "sim/fluid.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace hmca::sim {
@@ -14,6 +15,17 @@ constexpr double kRemainderEps = 1e-6;
 // floating-point resolution of `now`, re-arming an event at the same
 // timestamp forever (zero virtual progress, 100% CPU).
 constexpr double kMinCompletionDt = 1e-9;
+// A weight that is an integer no larger than this is "exact" for the class
+// solve: a resource's pending sum of such weights stays far below 2^53 for
+// any network that fits in memory, so it is exact in any summation order.
+constexpr double kMaxExactWeight = 65536.0;
+
+// splitmix64 finalizer: the class-key hash combiner.
+std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 }  // namespace
 
 std::vector<double> waterfill_reference(
@@ -148,42 +160,84 @@ std::uint32_t FluidNetwork::alloc_slot() {
     return slot;
   }
   remaining_.push_back(0.0);
-  rate_.push_back(0.0);
+  cls_.push_back(kNil);
   next_.push_back(kNil);
   prev_.push_back(kNil);
-  uses_off_.push_back(0);
-  n_uses_.push_back(0);
   cold_.emplace_back();
-  flow_mark_.push_back(0);
   return static_cast<std::uint32_t>(cold_.size() - 1);
+}
+
+std::uint32_t FluidNetwork::intern_class(const FlowSpec& spec) {
+  std::uint64_t h = mix64(std::bit_cast<std::uint64_t>(spec.rate_cap));
+  for (const auto& u : spec.uses) {
+    h = mix64(h ^ u.resource);
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(u.weight));
+  }
+  const auto it = class_index_.try_emplace(h, kNil).first;
+  const auto nu = static_cast<std::uint32_t>(spec.uses.size());
+  for (std::uint32_t c = it->second; c != kNil; c = classes_[c].hash_next) {
+    const FlowClass& k = classes_[c];
+    if (k.cap != spec.rate_cap || k.n_uses != nu) continue;
+    const ResourceUse* uses = uses_arena_.data() + k.uses_off;
+    bool same = true;
+    for (std::uint32_t i = 0; i < nu && same; ++i) {
+      same = uses[i].resource == spec.uses[i].resource &&
+             uses[i].weight == spec.uses[i].weight;
+    }
+    if (same) return c;
+  }
+  FlowClass k;
+  k.uses_off = static_cast<std::uint32_t>(uses_arena_.size());
+  k.n_uses = nu;
+  k.hash_next = it->second;
+  k.cap = spec.rate_cap;
+  k.integral = std::all_of(spec.uses.begin(), spec.uses.end(),
+                           [](const ResourceUse& u) {
+                             return u.weight <= kMaxExactWeight &&
+                                    u.weight == std::floor(u.weight);
+                           });
+  uses_arena_.insert(uses_arena_.end(), spec.uses.begin(), spec.uses.end());
+  entry_pos_.resize(uses_arena_.size());
+  const auto c = static_cast<std::uint32_t>(classes_.size());
+  classes_.push_back(k);
+  it->second = c;
+  return c;
+}
+
+void FluidNetwork::link_class(std::uint32_t c) {
+  const FlowClass& k = classes_[c];
+  // One entry per use (duplicate resource ids are legal).
+  for (std::uint32_t i = 0; i < k.n_uses; ++i) {
+    auto& entries = resources_[uses_arena_[k.uses_off + i].resource].entries;
+    entry_pos_[k.uses_off + i] = static_cast<std::uint32_t>(entries.size());
+    entries.push_back(pack_entry(c, i));
+  }
+}
+
+void FluidNetwork::unlink_class(std::uint32_t c) {
+  const FlowClass& k = classes_[c];
+  for (std::uint32_t i = 0; i < k.n_uses; ++i) {
+    auto& entries = resources_[uses_arena_[k.uses_off + i].resource].entries;
+    const std::uint32_t pos = entry_pos_[k.uses_off + i];
+    const std::uint64_t moved = entries.back();
+    entries[pos] = moved;
+    entries.pop_back();
+    if (moved != pack_entry(c, i)) {
+      const auto mc = static_cast<std::uint32_t>(moved >> 32);
+      entry_pos_[classes_[mc].uses_off + static_cast<std::uint32_t>(moved)] =
+          pos;
+    }
+  }
 }
 
 void FluidNetwork::add_flow(FlowSpec spec, std::coroutine_handle<> h) {
   advance();
   const std::uint32_t slot = alloc_slot();
-  FlowCold& f = cold_[slot];
+  const std::uint32_t c = intern_class(spec);
+  if (classes_[c].mult++ == 0) link_class(c);
+  cls_[slot] = c;
   remaining_[slot] = spec.bytes;
-  rate_[slot] = 0.0;
-  f.spec = std::move(spec);
-  f.waiter = h;
-  f.start_seq = next_start_seq_++;
-  f.alive = true;
-  // Copy the uses into the flat arena (recycling a freed same-length block).
-  const auto nu = static_cast<std::uint32_t>(f.spec.uses.size());
-  std::uint32_t uoff = 0;
-  if (nu > 0) {
-    if (nu < uses_free_.size() && !uses_free_[nu].empty()) {
-      uoff = uses_free_[nu].back();
-      uses_free_[nu].pop_back();
-    } else {
-      uoff = static_cast<std::uint32_t>(uses_arena_.size());
-      uses_arena_.resize(uses_arena_.size() + nu);
-    }
-    std::copy(f.spec.uses.begin(), f.spec.uses.end(),
-              uses_arena_.begin() + uoff);
-  }
-  uses_off_[slot] = uoff;
-  n_uses_[slot] = nu;
+  cold_[slot] = FlowCold{std::move(spec), h};
   // Link at the tail of the insertion-order list.
   prev_[slot] = tail_;
   next_[slot] = kNil;
@@ -193,18 +247,7 @@ void FluidNetwork::add_flow(FlowSpec spec, std::coroutine_handle<> h) {
     head_ = slot;
   }
   tail_ = slot;
-  // Register one membership entry per use (duplicates are legal).
-  f.entry_pos.clear();
-  for (std::uint32_t i = 0; i < f.spec.uses.size(); ++i) {
-    auto& entries = resources_[f.spec.uses[i].resource].entries;
-    entries.push_back(pack_entry(slot, i));
-    f.entry_pos.push_back(static_cast<std::uint32_t>(entries.size() - 1));
-  }
-  if (f.spec.uses.empty()) {
-    dirty_flows_.push_back(slot);
-  } else {
-    mark_dirty(f.spec);
-  }
+  mark_dirty(c);
   ++active_;
   peak_flows_ = std::max(peak_flows_, static_cast<int>(active_));
   if (flow_observer_) flow_observer_(eng_->now(), active_flows());
@@ -212,18 +255,9 @@ void FluidNetwork::add_flow(FlowSpec spec, std::coroutine_handle<> h) {
 }
 
 void FluidNetwork::remove_flow(std::uint32_t slot) {
-  FlowCold& f = cold_[slot];
-  for (std::uint32_t i = 0; i < f.spec.uses.size(); ++i) {
-    auto& entries = resources_[f.spec.uses[i].resource].entries;
-    const std::uint32_t pos = f.entry_pos[i];
-    const std::uint64_t moved = entries.back();
-    entries[pos] = moved;
-    entries.pop_back();
-    if (moved != pack_entry(slot, i)) {
-      cold_[static_cast<std::uint32_t>(moved >> 16)]
-          .entry_pos[static_cast<std::uint32_t>(moved & 0xffffu)] = pos;
-    }
-  }
+  const std::uint32_t c = cls_[slot];
+  mark_dirty(c);
+  if (--classes_[c].mult == 0) unlink_class(c);
   if (prev_[slot] != kNil) {
     next_[prev_[slot]] = next_[slot];
   } else {
@@ -234,22 +268,20 @@ void FluidNetwork::remove_flow(std::uint32_t slot) {
   } else {
     tail_ = prev_[slot];
   }
-  if (n_uses_[slot] > 0) {
-    if (n_uses_[slot] >= uses_free_.size()) {
-      uses_free_.resize(n_uses_[slot] + 1);
-    }
-    uses_free_[n_uses_[slot]].push_back(uses_off_[slot]);
-  }
-  f.alive = false;
-  f.waiter = {};
-  f.spec = FlowSpec{};
-  f.entry_pos.clear();
+  cold_[slot] = FlowCold{};
   free_slots_.push_back(slot);
   --active_;
 }
 
-void FluidNetwork::mark_dirty(const FlowSpec& spec) {
-  for (const auto& u : spec.uses) dirty_resources_.push_back(u.resource);
+void FluidNetwork::mark_dirty(std::uint32_t c) {
+  const FlowClass& k = classes_[c];
+  if (k.n_uses == 0) {
+    dirty_classes_.push_back(c);
+    return;
+  }
+  for (std::uint32_t i = 0; i < k.n_uses; ++i) {
+    dirty_resources_.push_back(uses_arena_[k.uses_off + i].resource);
+  }
 }
 
 void FluidNetwork::touch() {
@@ -269,15 +301,15 @@ void FluidNetwork::advance() {
   if (dt > 0.0) {
     const ResourceUse* arena = uses_arena_.data();
     for (std::uint32_t s = head_; s != kNil; s = next_[s]) {
-      const double moved = std::min(remaining_[s], rate_[s] * dt);
+      const FlowClass& k = classes_[cls_[s]];
+      const double moved = std::min(remaining_[s], k.rate * dt);
       // moved == 0 leaves remaining and served bit-identical (x - 0.0 == x,
       // x + 0.0 * w == x for the non-negative values involved); skipping
       // avoids touching the use list for stalled flows.
       if (moved == 0.0) continue;
       remaining_[s] -= moved;
-      const ResourceUse* uses = arena + uses_off_[s];
-      const std::uint32_t nu = n_uses_[s];
-      for (std::uint32_t i = 0; i < nu; ++i) {
+      const ResourceUse* uses = arena + k.uses_off;
+      for (std::uint32_t i = 0; i < k.n_uses; ++i) {
         res_served_[uses[i].resource] += moved * uses[i].weight;
       }
     }
@@ -297,7 +329,6 @@ void FluidNetwork::do_update() {
     const std::uint32_t next = next_[s];
     if (remaining_[s] <= kRemainderEps) {
       eng_->schedule_now(cold_[s].waiter);
-      mark_dirty(cold_[s].spec);
       remove_flow(s);
       completed = true;
     }
@@ -312,7 +343,8 @@ void FluidNetwork::do_update() {
   ++completion_gen_;
   double dt_min = std::numeric_limits<double>::infinity();
   for (std::uint32_t s = head_; s != kNil; s = next_[s]) {
-    if (rate_[s] > 0.0) dt_min = std::min(dt_min, remaining_[s] / rate_[s]);
+    const double rate = classes_[cls_[s]].rate;
+    if (rate > 0.0) dt_min = std::min(dt_min, remaining_[s] / rate);
   }
   if (std::isfinite(dt_min)) {
     dt_min = std::max(dt_min, kMinCompletionDt);
@@ -327,15 +359,15 @@ void FluidNetwork::do_update() {
 
 void FluidNetwork::reallocate() {
   // Expand the dirty seeds into the affected connected component(s) of the
-  // flow/resource sharing graph. Flows outside keep their current rates:
-  // the progressive-filling rounds below never read an unaffected flow or
+  // class/resource sharing graph. Classes outside keep their current rates:
+  // the progressive-filling rounds below never read an unaffected class or
   // resource, and by the component-decomposition property of max-min
   // fairness the result is bit-identical to a from-scratch solve (the
   // retained waterfill_reference; pinned by the incremental property test).
-  if (dirty_resources_.empty() && dirty_flows_.empty()) return;
+  if (dirty_resources_.empty() && dirty_classes_.empty()) return;
   ++mark_epoch_;
   affected_res_.clear();
-  affected_.clear();
+  affected_cls_.clear();
   for (const ResourceId r : dirty_resources_) {
     if (resources_[r].mark != mark_epoch_) {
       resources_[r].mark = mark_epoch_;
@@ -343,95 +375,100 @@ void FluidNetwork::reallocate() {
     }
   }
   dirty_resources_.clear();
-  for (const std::uint32_t s : dirty_flows_) {
-    if (cold_[s].alive && flow_mark_[s] != mark_epoch_) {
-      flow_mark_[s] = mark_epoch_;
-      affected_.push_back(s);
+  for (const std::uint32_t c : dirty_classes_) {
+    if (classes_[c].mult > 0 && classes_[c].mark != mark_epoch_) {
+      classes_[c].mark = mark_epoch_;
+      affected_cls_.push_back(c);
     }
   }
-  dirty_flows_.clear();
+  dirty_classes_.clear();
+  bool integral = true;
   for (std::size_t i = 0; i < affected_res_.size(); ++i) {
     // affected_res_ grows as the BFS expands; index loop, no iterators.
     const Resource& r = resources_[affected_res_[i]];
     for (const std::uint64_t e : r.entries) {
-      const auto slot = static_cast<std::uint32_t>(e >> 16);
-      if (flow_mark_[slot] == mark_epoch_) continue;
-      flow_mark_[slot] = mark_epoch_;
-      affected_.push_back(slot);
-      const ResourceUse* uses = uses_arena_.data() + uses_off_[slot];
-      const std::uint32_t nu = n_uses_[slot];
-      for (std::uint32_t i = 0; i < nu; ++i) {
-        const ResourceUse& u = uses[i];
-        Resource& ru = resources_[u.resource];
+      const auto c = static_cast<std::uint32_t>(e >> 32);
+      FlowClass& k = classes_[c];
+      if (k.mark == mark_epoch_) continue;
+      k.mark = mark_epoch_;
+      affected_cls_.push_back(c);
+      integral = integral && k.integral;
+      const ResourceUse* uses = uses_arena_.data() + k.uses_off;
+      for (std::uint32_t j = 0; j < k.n_uses; ++j) {
+        Resource& ru = resources_[uses[j].resource];
         if (ru.mark != mark_epoch_) {
           ru.mark = mark_epoch_;
-          affected_res_.push_back(u.resource);
+          affected_res_.push_back(uses[j].resource);
         }
       }
     }
   }
-  if (affected_.empty()) return;
-  // Water-fill in flow-start order: sums over flows must accumulate in the
-  // same order a from-scratch solve over the full network would use. The
-  // insertion-order list is already sorted by start_seq, so rebuild the
-  // affected list by walking it and filtering on the epoch mark (linear,
-  // cheaper than sorting the BFS-discovery order).
-  affected_.clear();
-  for (std::uint32_t s = head_; s != kNil; s = next_[s]) {
-    if (flow_mark_[s] == mark_epoch_) affected_.push_back(s);
-  }
+  if (affected_cls_.empty()) return;
 
-  // Copy the hot per-flow fields into the dense scratch once; the rounds
-  // below then run over flat arrays instead of chasing FlowCold structs.
-  const std::size_t nflows = affected_.size();
-  wf_.clear();
-  for (const std::uint32_t s : affected_) {
-    wf_.push_back(WfFlow{uses_off_[s], n_uses_[s], cold_[s].spec.rate_cap});
-    rate_[s] = 0.0;
+  for (const std::uint32_t c : affected_cls_) {
+    classes_[c].rate = 0.0;
+    classes_[c].frozen = false;
   }
-  frozen_.assign(nflows, 0);
   if (res_avail_.size() < resources_.size()) {
     res_avail_.resize(resources_.size());
     res_pending_.resize(resources_.size());
     res_bn_.resize(resources_.size());
+    res_live_.resize(resources_.size());
   }
-  auto unfrozen = static_cast<int>(nflows);
+  const auto nclasses = static_cast<std::uint32_t>(affected_cls_.size());
+  std::uint32_t unfrozen = nclasses;
+  order_.clear();
 
-  // Progressive filling over the affected component (see
-  // waterfill_reference for the algorithm notes; the loop bodies mirror it
-  // exactly so the FP operation sequences match).
+  // Progressive filling over the affected component, one decision per
+  // class (see waterfill_reference for the algorithm notes; every value the
+  // rounds compare or divide is bit-identical to the per-flow solve):
+  //   - pending weights: when every weight in the component is a small
+  //     integer, all partial sums are exact, so a class adds mult * w in any
+  //     order. Otherwise the sum is order-dependent and runs per flow in
+  //     start order, as the reference does.
+  //   - min-cap, share and the bottleneck test are order-free mins and
+  //     compares, and members of a class freeze together at the same rate.
+  //   - the frozen flows' avail = max(0, avail - rate * w) fold is
+  //     order-dependent, so it runs per flow in start order (over the uses
+  //     plan_fold keeps).
   while (unfrozen > 0) {
     for (const ResourceId rid : affected_res_) {
       res_avail_[rid] = res_cap_[rid];
       res_pending_[rid] = 0.0;
     }
-    if (unfrozen == static_cast<int>(nflows)) {
-      // First round (and any later round before the first freeze): nothing
-      // is frozen, so every flow takes the pending path — same FP ops, no
-      // per-flow branch.
-      for (std::size_t idx = 0; idx < nflows; ++idx) {
-        const WfFlow& f = wf_[idx];
-        const ResourceUse* uses = uses_arena_.data() + f.uses_off;
-        for (std::uint32_t i = 0; i < f.n_uses; ++i) {
-          const ResourceUse& u = uses[i];
-          res_pending_[u.resource] += u.weight;
+    if (integral) {
+      for (const std::uint32_t c : affected_cls_) {
+        const FlowClass& k = classes_[c];
+        if (k.frozen) continue;
+        const double mult = k.mult;
+        const ResourceUse* uses = uses_arena_.data() + k.uses_off;
+        for (std::uint32_t i = 0; i < k.n_uses; ++i) {
+          res_pending_[uses[i].resource] += mult * uses[i].weight;
         }
       }
-    } else {
-      for (std::size_t idx = 0; idx < nflows; ++idx) {
-        const WfFlow& f = wf_[idx];
-        const ResourceUse* uses = uses_arena_.data() + f.uses_off;
-        if (frozen_[idx]) {
-          const double rate = rate_[affected_[idx]];
-          for (std::uint32_t i = 0; i < f.n_uses; ++i) {
-            const ResourceUse& u = uses[i];
-            res_avail_[u.resource] =
-                std::max(0.0, res_avail_[u.resource] - rate * u.weight);
+    }
+    if (!integral || unfrozen < nclasses) {
+      if (order_.empty()) {
+        // The insertion-order list is sorted by start, so filtering it on
+        // the class mark yields the component's flows in start order.
+        for (std::uint32_t s = head_; s != kNil; s = next_[s]) {
+          if (classes_[cls_[s]].mark == mark_epoch_) order_.push_back(cls_[s]);
+        }
+      }
+      if (unfrozen < nclasses) plan_fold();
+      for (const std::uint32_t c : order_) {
+        const FlowClass& k = classes_[c];
+        if (k.frozen) {
+          const FoldStep* steps = fold_.data() + k.fold_off;
+          for (std::uint32_t i = 0; i < k.fold_n; ++i) {
+            const FoldStep& st = steps[i];
+            res_avail_[st.resource] =
+                std::max(0.0, res_avail_[st.resource] - st.amount);
           }
-        } else {
-          for (std::uint32_t i = 0; i < f.n_uses; ++i) {
-            const ResourceUse& u = uses[i];
-            res_pending_[u.resource] += u.weight;
+        } else if (!integral) {
+          const ResourceUse* uses = uses_arena_.data() + k.uses_off;
+          for (std::uint32_t i = 0; i < k.n_uses; ++i) {
+            res_pending_[uses[i].resource] += uses[i].weight;
           }
         }
       }
@@ -444,15 +481,16 @@ void FluidNetwork::reallocate() {
       }
     }
     double min_cap = std::numeric_limits<double>::infinity();
-    for (std::size_t idx = 0; idx < nflows; ++idx) {
-      if (!frozen_[idx]) min_cap = std::min(min_cap, wf_[idx].cap);
+    for (const std::uint32_t c : affected_cls_) {
+      if (!classes_[c].frozen) min_cap = std::min(min_cap, classes_[c].cap);
     }
 
     if (min_cap <= share) {
-      for (std::size_t idx = 0; idx < nflows; ++idx) {
-        if (frozen_[idx] || wf_[idx].cap != min_cap) continue;
-        frozen_[idx] = 1;
-        rate_[affected_[idx]] = min_cap;
+      for (const std::uint32_t c : affected_cls_) {
+        FlowClass& k = classes_[c];
+        if (k.frozen || k.cap != min_cap) continue;
+        k.frozen = true;
+        k.rate = min_cap;
         --unfrozen;
       }
       continue;
@@ -471,22 +509,54 @@ void FluidNetwork::reallocate() {
       // but guard against an infinite loop.
       throw SimError("FluidNetwork: water-filling failed to converge");
     }
-    for (std::size_t idx = 0; idx < nflows; ++idx) {
-      if (frozen_[idx]) continue;
-      const WfFlow& f = wf_[idx];
-      const ResourceUse* uses = uses_arena_.data() + f.uses_off;
+    for (const std::uint32_t c : affected_cls_) {
+      FlowClass& k = classes_[c];
+      if (k.frozen) continue;
+      const ResourceUse* uses = uses_arena_.data() + k.uses_off;
       bool bottlenecked = false;
-      for (std::uint32_t i = 0; i < f.n_uses; ++i) {
+      for (std::uint32_t i = 0; i < k.n_uses; ++i) {
         if (res_bn_[uses[i].resource]) {
           bottlenecked = true;
           break;
         }
       }
       if (!bottlenecked) continue;
-      frozen_[idx] = 1;
-      rate_[affected_[idx]] = share;
+      k.frozen = true;
+      k.rate = share;
       --unfrozen;
     }
+  }
+}
+
+void FluidNetwork::plan_fold() {
+  // A resource has pending weight exactly when an unfrozen class crosses it
+  // (weights are positive), and only such resources' avail is read by the
+  // share and bottleneck tests. So each frozen class folds only its uses on
+  // those resources; every resource that is read still sees all its frozen
+  // flows, in start order. rate * weight is the same product for every
+  // member, so it is taken once per class (the build is ISO C++, where GCC
+  // does not contract a product into the subtraction as an FMA).
+  for (const ResourceId rid : affected_res_) res_live_[rid] = 0;
+  for (const std::uint32_t c : affected_cls_) {
+    const FlowClass& k = classes_[c];
+    if (k.frozen) continue;
+    const ResourceUse* uses = uses_arena_.data() + k.uses_off;
+    for (std::uint32_t i = 0; i < k.n_uses; ++i) {
+      res_live_[uses[i].resource] = 1;
+    }
+  }
+  fold_.clear();
+  for (const std::uint32_t c : affected_cls_) {
+    FlowClass& k = classes_[c];
+    if (!k.frozen) continue;
+    k.fold_off = static_cast<std::uint32_t>(fold_.size());
+    const ResourceUse* uses = uses_arena_.data() + k.uses_off;
+    for (std::uint32_t i = 0; i < k.n_uses; ++i) {
+      if (res_live_[uses[i].resource]) {
+        fold_.push_back(FoldStep{uses[i].resource, k.rate * uses[i].weight});
+      }
+    }
+    k.fold_n = static_cast<std::uint32_t>(fold_.size()) - k.fold_off;
   }
 }
 
@@ -494,7 +564,8 @@ std::vector<FluidNetwork::FlowSnapshot> FluidNetwork::snapshot() const {
   std::vector<FlowSnapshot> out;
   out.reserve(active_);
   for (std::uint32_t s = head_; s != kNil; s = next_[s]) {
-    out.push_back(FlowSnapshot{&cold_[s].spec, remaining_[s], rate_[s]});
+    out.push_back(
+        FlowSnapshot{&cold_[s].spec, remaining_[s], classes_[cls_[s]].rate});
   }
   return out;
 }

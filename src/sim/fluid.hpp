@@ -25,9 +25,23 @@
 // from-scratch solve; waterfill_reference() retains the from-scratch
 // algorithm as the differential oracle the property tests compare against.
 //
+// The solve runs per *flow class*: live flows with the same exact
+// (resource, weight) use list and the same rate cap, counted by a
+// multiplicity. Members of a class always freeze together at one rate, so
+// the component BFS, min-cap, share, bottleneck test and freezing run once
+// per class. The FP sequence stays the per-flow reference's:
+//   - when every weight in the component is a small integer, pending sums
+//     are exact, so a class adds mult * w in any order;
+//   - mins and compares are order-free;
+//   - the later rounds' avail = max(0, avail - rate * w) fold over frozen
+//     flows rounds at each step, so it runs per flow in start order, onto
+//     the resources that still have pending weight (the only ones read);
+//   - a component with any non-integer weight (degraded rails, user-set
+//     weights) also sums its pending weights per flow in start order.
+//
 // Flow state is arena-allocated with the hot per-flow fields (remaining
-// bytes, current rate) in struct-of-arrays form, so the per-timestamp
-// advance sweep touches dense doubles instead of pointer-chasing a list.
+// bytes, class id) in struct-of-arrays form, so the per-timestamp advance
+// sweep touches dense arrays instead of pointer-chasing a list.
 #pragma once
 
 #include <coroutine>
@@ -35,6 +49,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -136,36 +151,63 @@ class FluidNetwork {
     std::string name;
     // Affected-component BFS mark (epoch-stamped, no per-update clears).
     std::uint64_t mark = 0;
-    // Active flows crossing this resource: one entry per ResourceUse,
-    // packed as (flow slot, use index) so removal can fix up the moved
-    // entry's back-pointer after a swap-delete.
+    // Live flow classes crossing this resource: one entry per class use,
+    // packed as (class id, use index) so unlinking a class can fix up the
+    // moved entry's back-pointer after a swap-delete.
     std::vector<std::uint64_t> entries;
   };
 
+  /// A flow class: the flows with one exact use list and one rate cap.
+  /// Every max-min rule treats such flows alike, so they always freeze
+  /// together at the same rate, which the class carries. A class whose last
+  /// member completes is unlinked from its resources but stays interned, so
+  /// a later flow with the same key revives it.
+  struct FlowClass {
+    std::uint32_t uses_off = 0;      // into uses_arena_ and entry_pos_
+    std::uint32_t n_uses = 0;
+    std::uint32_t mult = 0;          // live member flows
+    std::uint32_t hash_next = kNil;  // next class with the same key hash
+    double cap = kNoRateCap;
+    double rate = 0.0;
+    std::uint64_t mark = 0;  // affected-component BFS epoch
+    bool integral = false;   // every weight is a small exact integer
+    // Water-filling scratch: frozen yet, and (once frozen) the block of
+    // fold_ this class's flows subtract from avail each later round.
+    bool frozen = false;
+    std::uint32_t fold_off = 0;
+    std::uint32_t fold_n = 0;
+  };
+
+  /// One frozen-flow avail subtraction: rate * weight on one resource.
+  struct FoldStep {
+    ResourceId resource;
+    double amount;
+  };
+
   /// Cold per-flow state; the hot fields live in the parallel SoA arrays
-  /// remaining_/rate_ below, which the advance sweep iterates.
+  /// remaining_/cls_ below, which the advance sweep iterates.
   struct FlowCold {
     FlowSpec spec;
     std::coroutine_handle<> waiter;
-    std::uint64_t start_seq = 0;  // insertion order (FP-determinism anchor)
-    // Position of each use's entry inside Resource::entries.
-    std::vector<std::uint32_t> entry_pos;
-    bool alive = false;
   };
 
-  static std::uint64_t pack_entry(std::uint32_t slot, std::uint32_t use) {
-    return (static_cast<std::uint64_t>(slot) << 16) | use;
+  static std::uint64_t pack_entry(std::uint32_t cls, std::uint32_t use) {
+    return (static_cast<std::uint64_t>(cls) << 32) | use;
   }
 
   void validate(const FlowSpec& spec) const;
   void add_flow(FlowSpec spec, std::coroutine_handle<> h);
   std::uint32_t alloc_slot();
-  void remove_flow(std::uint32_t slot);  // unlink + detach from resources
+  std::uint32_t intern_class(const FlowSpec& spec);
+  void link_class(std::uint32_t c);    // list a revived class on resources
+  void unlink_class(std::uint32_t c);  // drop an emptied class from them
+  void remove_flow(std::uint32_t slot);
   void touch();        // request an update at the current timestamp
   void do_update();    // advance, complete, re-water-fill, schedule next
   void advance();      // progress all flows to eng_->now()
-  void mark_dirty(const FlowSpec& spec);  // queue a flow's resources
+  void mark_dirty(std::uint32_t c);  // queue a class's resources
   void reallocate();   // incremental max-min water-filling over dirty set
+  void plan_fold();    // a later round's frozen-class fold steps
 
   Engine* eng_;
   std::vector<Resource> resources_;
@@ -175,49 +217,40 @@ class FluidNetwork {
   std::vector<double> res_cap_;
   std::vector<double> res_served_;
 
+  // Flow classes, interned by a hash of (uses, cap) with per-hash chains.
+  // Each class's uses sit in one contiguous block of uses_arena_; entry_pos_
+  // parallels it with each use's position inside Resource::entries.
+  std::vector<FlowClass> classes_;
+  std::unordered_map<std::uint64_t, std::uint32_t> class_index_;
+  std::vector<ResourceUse> uses_arena_;
+  std::vector<std::uint32_t> entry_pos_;
+
   // Flow arena: SoA hot arrays + cold sidecar, linked in insertion order
   // (the list links are themselves SoA so traversals that skip a flow —
   // the advance sweep, the completion scan — never touch its cold struct).
   std::vector<double> remaining_;
-  std::vector<double> rate_;
+  std::vector<std::uint32_t> cls_;  // class id of each flow slot
   std::vector<std::uint32_t> next_;
   std::vector<std::uint32_t> prev_;
-  // Each flow's resource uses, copied once at add_flow into one contiguous
-  // arena block (recycled by length on removal): the advance sweep and the
-  // water-filling rounds read these instead of chasing every flow's own
-  // spec.uses heap vector.
-  std::vector<ResourceUse> uses_arena_;
-  std::vector<std::uint32_t> uses_off_;               // slot-indexed
-  std::vector<std::uint32_t> n_uses_;                 // slot-indexed
-  std::vector<std::vector<std::uint32_t>> uses_free_;  // freelists by length
   std::vector<FlowCold> cold_;
   std::vector<std::uint32_t> free_slots_;
   std::uint32_t head_ = kNil, tail_ = kNil;
   std::size_t active_ = 0;
-  std::uint64_t next_start_seq_ = 0;
 
   // Dirty set accumulated since the last reallocation.
   std::vector<ResourceId> dirty_resources_;
-  std::vector<std::uint32_t> dirty_flows_;  // seeds for resource-free flows
+  std::vector<std::uint32_t> dirty_classes_;  // seeds for resource-free classes
   std::uint64_t mark_epoch_ = 0;
-  std::vector<std::uint64_t> flow_mark_;  // epoch-stamped, arena-indexed
 
   // Reallocation scratch (kept hot across updates to avoid allocation).
-  // The water-filling rounds iterate these dense arrays instead of chasing
-  // FlowCold/Resource structs; values are copied in, so the floating-point
-  // operation sequence is unchanged.
-  struct WfFlow {
-    std::uint32_t uses_off;  // into uses_arena_
-    std::uint32_t n_uses;
-    double cap;
-  };
   std::vector<ResourceId> affected_res_;
-  std::vector<std::uint32_t> affected_;
-  std::vector<WfFlow> wf_;
-  std::vector<char> frozen_;
+  std::vector<std::uint32_t> affected_cls_;  // BFS discovery order
+  std::vector<std::uint32_t> order_;  // affected flows' classes, start order
   std::vector<double> res_avail_;    // indexed by ResourceId
   std::vector<double> res_pending_;  // indexed by ResourceId
   std::vector<char> res_bn_;         // indexed by ResourceId
+  std::vector<char> res_live_;       // indexed by ResourceId
+  std::vector<FoldStep> fold_;
 
   Time last_update_ = kTimeZero;
   bool update_pending_ = false;

@@ -105,6 +105,23 @@ TEST(FaultPlan, ValidateChecksTopologyAndFactors) {
                FaultPlanError);
 }
 
+TEST(FaultPlan, RejectsBandwidthFactorBelowFloor) {
+  // 1e-300 would become a 1e300 fluid weight and a near-zero rate cap.
+  try {
+    FaultPlan::parse("degrade:node=0,hca=0,t=0,bw=1e-300").validate(2, 2);
+    FAIL() << "bw=1e-300 accepted";
+  } catch (const FaultPlanError& e) {
+    EXPECT_NE(std::string(e.what()).find("bw factor must be in [1e-3, 1]"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(
+      FaultPlan::parse("degrade:node=0,hca=0,t=0,bw=0.0009").validate(2, 2),
+      FaultPlanError);
+  EXPECT_NO_THROW(
+      FaultPlan::parse("degrade:node=0,hca=0,t=0,bw=1e-3").validate(2, 2));
+}
+
 TEST(FaultPlan, RejectsNonFiniteAndOutOfRangeNumbers) {
   // Each case names the field and echoes the text the user gave.
   const std::pair<const char*, const char*> cases[] = {

@@ -5,8 +5,11 @@
 // every settle point, the incremental rates match a from-scratch max-min
 // water-filling solve — the retained waterfill_reference oracle — within
 // 0 ULP, i.e. bit-for-bit, under randomized flow add/remove churn on
-// randomized topologies. A conservation check (sum of flow rates never
-// exceeds any resource's capacity) rides along at every settle point.
+// randomized topologies. One generator draws fractional weights (the
+// solver's per-flow fallback), the other integer weights on shared use
+// templates (its class-level path). A conservation check (sum of flow
+// rates never exceeds any resource's capacity) rides along at every settle
+// point.
 // Seed-replayable: HMCA_SIMCORE_SEED=<seed> ctest -L simcore
 #include <gtest/gtest.h>
 
@@ -40,6 +43,9 @@ struct Topology {
     double bytes;
     double cap;
     double start;
+    // Re-run the same spec this many more times, each after the previous
+    // run drains plus kRepeatGap, so its flow class empties and revives.
+    int repeats = 0;
   };
   std::vector<Plan> plans;
 };
@@ -85,14 +91,93 @@ Topology make_topology(std::uint64_t seed, int components = 1) {
   return topo;
 }
 
+/// Random flow-class workload: every flow copies one of 1-5 shared use
+/// templates with integer weights {1, 2, 3} (some capped), so live flows
+/// fall into a few classes with multiplicities above one and the solver
+/// takes its class-level path. Capped templates force cap rounds and
+/// multi-round solves. Two extra plans ride along: a repeating flow with a
+/// class of its own (a cap no template uses), whose multiplicity drops to 0
+/// between runs and is then reused, and one fractional-weight flow that
+/// puts its component on the per-flow fallback while it is live.
+Topology make_class_topology(std::uint64_t seed) {
+  Rng rng(seed);
+  Topology topo;
+  const int resources = 2 + static_cast<int>(rng.next_below(4));
+  for (int r = 0; r < resources; ++r) {
+    topo.capacities.push_back(
+        50.0 + static_cast<double>(rng.next_below(4500)) / 10.0);
+  }
+  auto random_uses = [&] {
+    std::vector<ResourceUse> uses;
+    const int n = 1 + static_cast<int>(rng.next_below(
+        static_cast<std::uint64_t>(resources)));
+    for (int u = 0; u < n; ++u) {
+      uses.push_back(ResourceUse{
+          static_cast<ResourceId>(rng.next_below(
+              static_cast<std::uint64_t>(resources))),
+          1.0 + static_cast<double>(rng.next_below(3))});
+    }
+    return uses;
+  };
+  struct Template {
+    std::vector<ResourceUse> uses;
+    double cap;
+  };
+  std::vector<Template> templates;
+  const int ntemplates = 1 + static_cast<int>(rng.next_below(5));
+  for (int t = 0; t < ntemplates; ++t) {
+    Template tp;
+    tp.uses = random_uses();
+    tp.cap = rng.next_below(10) < 4
+                 ? 5.0 + static_cast<double>(rng.next_below(450)) / 10.0
+                 : kNoRateCap;
+    templates.push_back(std::move(tp));
+  }
+  auto random_plan = [&] {
+    Topology::Plan p;
+    p.bytes = 10.0 + static_cast<double>(rng.next_below(49900)) / 10.0;
+    p.cap = kNoRateCap;
+    p.start = static_cast<double>(rng.next_below(3000)) / 1000.0;
+    return p;
+  };
+  const int flows = 8 + static_cast<int>(rng.next_below(32));
+  for (int f = 0; f < flows; ++f) {
+    Topology::Plan p = random_plan();
+    const Template& tp = templates[rng.next_below(templates.size())];
+    p.uses = tp.uses;
+    p.cap = tp.cap;
+    topo.plans.push_back(std::move(p));
+  }
+  Topology::Plan revived = random_plan();
+  revived.uses = random_uses();
+  revived.cap = 1e6;  // never binds; only makes the class key unique
+  revived.bytes /= 10.0;
+  revived.repeats = 3;
+  topo.plans.push_back(std::move(revived));
+  Topology::Plan fractional = random_plan();
+  fractional.uses = templates[rng.next_below(templates.size())].uses;
+  // Not dyadic, so pending sums round; live from the start, so it shares
+  // most settle points with the class-path flows.
+  fractional.uses[0].weight +=
+      0.1 * static_cast<double>(1 + rng.next_below(9));
+  fractional.start = 0.0;
+  topo.plans.push_back(std::move(fractional));
+  return topo;
+}
+
+constexpr double kRepeatGap = 0.0503;
+
 Task<void> run_flow(Engine& eng, FluidNetwork& net, const Topology::Plan& plan,
                     int* done) {
   co_await eng.sleep(plan.start);
-  FlowSpec spec;
-  spec.uses = plan.uses;
-  spec.bytes = plan.bytes;
-  spec.rate_cap = plan.cap;
-  co_await net.transfer(std::move(spec));
+  for (int run = 0; run <= plan.repeats; ++run) {
+    if (run > 0) co_await eng.sleep(kRepeatGap);
+    FlowSpec spec;
+    spec.uses = plan.uses;
+    spec.bytes = plan.bytes;
+    spec.rate_cap = plan.cap;
+    co_await net.transfer(std::move(spec));
+  }
   ++*done;
 }
 
@@ -142,8 +227,7 @@ Task<void> monitor(Engine& eng, FluidNetwork& net, const Topology& topo,
   }
 }
 
-void run_churn(std::uint64_t seed, int components) {
-  const Topology topo = make_topology(seed, components);
+void run_churn(std::uint64_t seed, const Topology& topo) {
   Engine eng;
   FluidNetwork net(eng);
   for (std::size_t r = 0; r < topo.capacities.size(); ++r) {
@@ -163,14 +247,23 @@ void run_churn(std::uint64_t seed, int components) {
 class FluidIncremental : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FluidIncremental, MatchesReferenceSolveAtEverySettlePoint) {
-  run_churn(suite_seed() + GetParam(), /*components=*/1);
+  const std::uint64_t seed = suite_seed() + GetParam();
+  run_churn(seed, make_topology(seed, /*components=*/1));
 }
 
 TEST_P(FluidIncremental, MatchesReferenceAcrossDisjointComponents) {
   // Multiple disconnected sharing components: churn in one must leave the
   // rest untouched, and the incremental partial recompute must still agree
   // with the global reference solve bit-for-bit.
-  run_churn(suite_seed() + GetParam(), /*components=*/3);
+  const std::uint64_t seed = suite_seed() + GetParam();
+  run_churn(seed, make_topology(seed, /*components=*/3));
+}
+
+TEST_P(FluidIncremental, ClassPathMatchesReferenceWithSharedTemplates) {
+  // Integer weights and shared use templates: the solver decides per flow
+  // class, and must still match the per-flow reference bit-for-bit.
+  const std::uint64_t seed = suite_seed() + GetParam();
+  run_churn(seed, make_class_topology(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidIncremental,
