@@ -345,5 +345,50 @@ TEST(ExchangePin, MhaInterRing) {
              0x1.2586bfaab8e86p-16, 509);
 }
 
+// ---- Exact pins: the paper's baselines ----
+//
+// Bruck on a non-power-of-two world, the Kandalla multi-leader design and
+// the strict-barrier hierarchical ablation with both phase-2 exchanges.
+// These bodies run as plain coroutines under one phase span, so a change in
+// how they are dispatched shows up here first.
+
+coll::AllgatherFn fn_mha_inter_barrier(core::Phase2Algo phase2) {
+  return [phase2](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+                  std::size_t m, bool ip) {
+    core::HierOptions o;
+    o.phase2 = phase2;
+    o.overlap = false;
+    return core::allgather_hierarchical(c, r, s, rv, m, ip, o);
+  };
+}
+
+TEST(BaselinePin, BruckNonPowerOfTwo) {
+  expect_pin(run_pinned(fn_bruck(), 3, 2, 4096, false),
+             0x1.8bc7af23b00aap-17, 207);
+  expect_pin(run_pinned(fn_bruck(), 5, 3, 1000, true),
+             0x1.6ae99be321853p-17, 601);
+}
+
+TEST(BaselinePin, MultiLeader) {
+  expect_pin(run_pinned(fn_multi_leader(1), 2, 4, 65536, false),
+             0x1.3d7903c5ec9d6p-13, 272);
+  expect_pin(run_pinned(fn_multi_leader(2), 2, 4, 65536, false),
+             0x1.076930f8d8688p-13, 498);
+  expect_pin(run_pinned(fn_multi_leader(2), 3, 4, 4096, true),
+             0x1.70a22d5aa4d6cp-16, 514);
+}
+
+TEST(BaselinePin, MhaInterBarrier) {
+  expect_pin(run_pinned(fn_mha_inter_barrier(core::Phase2Algo::kRD), 4, 4,
+                        65536, false),
+             0x1.ea5e2f170584bp-13, 876);
+  expect_pin(run_pinned(fn_mha_inter_barrier(core::Phase2Algo::kRing), 3, 4,
+                        200000, false),
+             0x1.f68132a180defp-12, 656);
+  expect_pin(run_pinned(fn_mha_inter_barrier(core::Phase2Algo::kRing), 3, 4,
+                        4096, true),
+             0x1.4e5efd60060b6p-16, 453);
+}
+
 }  // namespace
 }  // namespace hmca::coll

@@ -4,7 +4,10 @@
 // in test_conformance.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <ios>
 #include <vector>
 
 #include "coll/alltoall.hpp"
@@ -168,6 +171,72 @@ TEST(Alltoallv, LayoutPrefixSumsAreStandard) {
   EXPECT_EQ(l.recv_offset(1, 1), 3u);   // rank 1's own block follows
   EXPECT_EQ(l.recv_total(1), 10u);
   EXPECT_EQ(l.total(), 20u);
+}
+
+// ---- Exact pins of the pairwise baselines ----
+//
+// Simulated latency (hex float) and dispatched engine events of the
+// pairwise alltoall(v) schedules, run in data mode on a healthy world.
+
+struct Pinned {
+  double latency;
+  std::uint64_t events;
+};
+
+template <class Layout, class Fn>
+Pinned run_pinned(const Fn& fn, const Trial& t, const Layout& layout,
+                  std::size_t send_bytes, std::size_t recv_bytes) {
+  auto spec = hmca::testing::conf::spec_of(t);
+  sim::Engine eng;
+  mpi::World world(eng, spec);
+  auto& comm = world.comm_world();
+  std::vector<hw::Buffer> sends, recvs;
+  for (int r = 0; r < comm.size(); ++r) {
+    sends.push_back(hw::Buffer::data(send_bytes));
+    recvs.push_back(hw::Buffer::data(recv_bytes));
+  }
+  for (int r = 0; r < comm.size(); ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    eng.spawn(fn(comm, r, sends[i].view(), recvs[i].view(), layout));
+  }
+  eng.run();
+  return {eng.now(), eng.events_dispatched()};
+}
+
+void expect_pin(const Pinned& got, double latency, std::uint64_t events) {
+  EXPECT_EQ(got.latency, latency) << std::hexfloat << got.latency;
+  EXPECT_EQ(got.events, events);
+}
+
+TEST(BaselinePin, AlltoallPairwise) {
+  const Trial t = healthy(2, 3);
+  const std::size_t msg = 1000;
+  const auto bytes = msg * static_cast<std::size_t>(t.procs());
+  expect_pin(run_pinned(fn_pairwise(), t, msg, bytes, bytes),
+             0x1.0fe375874dedp-17, 316);
+  const Trial wide = healthy(4, 2, 2);
+  const std::size_t big = 1u << 16;
+  const auto wide_bytes = big * static_cast<std::size_t>(wide.procs());
+  expect_pin(run_pinned(fn_pairwise(), wide, big, wide_bytes, wide_bytes),
+             0x1.5f5de7f96e4e8p-14, 857);
+}
+
+TEST(BaselinePin, AlltoallvPairwise) {
+  const Trial t = healthy(2, 3);
+  const auto layout =
+      AlltoallvLayout::from_counts(t.procs(), uneven_counts(t.procs()));
+  std::size_t send_max = 0, recv_max = 0;
+  for (int r = 0; r < t.procs(); ++r) {
+    send_max = std::max(send_max, layout.send_total(r));
+    recv_max = std::max(recv_max, layout.recv_total(r));
+  }
+  const AlltoallvFn fn = [](mpi::Comm& c, int my, hw::BufView s,
+                            hw::BufView r, const AlltoallvLayout& l) {
+    return alltoallv_pairwise(c, my, s.sub(0, l.send_total(my)),
+                              r.sub(0, l.recv_total(my)), l);
+  };
+  expect_pin(run_pinned(fn, t, layout, send_max, recv_max),
+             0x1.28ba52798d085p-17, 367);
 }
 
 }  // namespace
