@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "coll/graph.hpp"
+#include "coll/phase_span.hpp"
 #include "obs/names.hpp"
 #include "shm/shm.hpp"
 
@@ -114,118 +115,6 @@ int add_seed_task(TaskGraph& g, mpi::Comm& comm, int my, hw::BufView send,
         return seed_own_block(comm, my, send, recv, msg, in_place);
       },
       TaskOpts{"seed", obs::names::kPhaseExchange, -1, msg, -1, -1});
-}
-
-// Bruck's store-and-forward exchange: kept as one coroutine (every step
-// forwards the full accumulated prefix, so there is no chunk-level
-// parallelism to expose) and run as a single wrapped graph task.
-sim::Task<void> bruck_body(mpi::Comm& comm, int my, hw::BufView send,
-                           hw::BufView recv, std::size_t msg, bool in_place) {
-  const int n = comm.size();
-  auto& cl = comm.cluster();
-
-  // Rotated working buffer: temp[i] holds the block of rank (my + i) % n.
-  auto temp =
-      hw::Buffer::make(static_cast<std::size_t>(n) * msg, cl.spec().carry_data);
-  co_await cl.cpu_copy_by(comm.to_global(my), static_cast<double>(msg));
-  hw::copy_payload(
-      temp.slice(0, msg),
-      in_place ? recv.sub(static_cast<std::size_t>(my) * msg, msg) : send);
-
-  for (int pof = 1, step = 0; pof < n; pof *= 2, ++step) {
-    const int send_count = std::min(pof, n - pof);
-    const std::size_t len = static_cast<std::size_t>(send_count) * msg;
-    const int to = (my - pof % n + n) % n;
-    const int from = (my + pof) % n;
-    co_await comm.sendrecv(my, to, step, temp.slice(0, len), from, step,
-                           temp.slice(static_cast<std::size_t>(pof) * msg, len));
-  }
-
-  // Un-rotate: recv[(my + i) % n] = temp[i]; one local pass over the buffer.
-  co_await cl.cpu_copy_by(comm.to_global(my),
-                          static_cast<double>(n) * static_cast<double>(msg));
-  if (recv.real() && temp.has_data()) {
-    for (int i = 0; i < n; ++i) {
-      const int slot = (my + i) % n;
-      hw::copy_payload(recv.sub(static_cast<std::size_t>(slot) * msg, msg),
-                       temp.slice(static_cast<std::size_t>(i) * msg, msg));
-    }
-  }
-}
-
-// Kandalla-style multi-leader body (see allgather_multi_leader). Strict
-// phase ordering is inherent to the design (the leader ring needs whole
-// group blocks), so the body stays one coroutine and runs wrapped.
-sim::Task<void> multi_leader_body(mpi::Comm& comm, int my, hw::BufView send,
-                                  hw::BufView recv, std::size_t msg,
-                                  bool in_place, int groups) {
-  auto& cl = comm.cluster();
-  const int ppn = cl.ppn();
-  const int gs = ppn / groups;          // group size
-  const int node = comm.node_of(my);
-  const int local = comm.node_local_rank(my);
-  const int group = local / gs;
-  const int leader_local = group * gs;
-  const bool is_leader = (local == leader_local);
-  const std::uint64_t seq = comm.next_op_seq(my);
-  obs::Sink& sink = comm.sink();
-
-  // ---- Phase 1: members share blocks with the group leader via shm ----
-  const std::size_t group_block = static_cast<std::size_t>(gs) * msg;
-  auto region1 = comm.share().acquire<shm::ShmRegion>(
-      node, shm::op_key(comm.ctx(), seq, group), gs, [&] {
-        return std::make_shared<shm::ShmRegion>(cl, node, group_block, sink);
-      });
-  const std::size_t my_block_off = static_cast<std::size_t>(my) * msg;
-  if (is_leader) {
-    co_await seed_own_block(comm, my, send, recv, msg, in_place);
-    co_await region1->wait_published(static_cast<std::size_t>(gs - 1));
-    // Copy every member block from shm into the leader's recv buffer.
-    for (std::size_t i = 0; i + 1 < static_cast<std::size_t>(gs); ++i) {
-      const auto c = region1->chunk(i);
-      // Chunk offsets are relative to the group block.
-      const std::size_t dst_off =
-          (static_cast<std::size_t>(node * ppn + leader_local)) * msg + c.offset;
-      co_await region1->copy_out(comm.to_global(my), i,
-                                 recv.sub(dst_off, c.len));
-    }
-  } else {
-    const hw::BufView contribution =
-        in_place ? recv.sub(my_block_off, msg) : send;
-    co_await region1->copy_in_publish(
-        comm.to_global(my), contribution,
-        static_cast<std::size_t>(local - leader_local) * msg);
-  }
-
-  // ---- Phase 2: flat Ring over all group leaders (intra + inter mixed) ----
-  if (is_leader) {
-    auto& lcomm = comm.world().group_leader_comm(groups);
-    const int lrank = node * groups + group;
-    co_await allgather_ring(lcomm, lrank, hw::BufView{}, recv, group_block,
-                            /*in_place=*/true);
-  }
-
-  // ---- Phase 3: node-level broadcast of the full result via shm ----
-  const std::size_t total = recv.len;
-  auto region3 = comm.share().acquire<shm::ShmRegion>(
-      node, shm::op_key(comm.ctx(), seq, groups + 1), ppn, [&] {
-        return std::make_shared<shm::ShmRegion>(cl, node, total, sink);
-      });
-  if (is_leader) {
-    // Leaders split the broadcast: leader g publishes slice g of the result.
-    const std::size_t slice = total / static_cast<std::size_t>(groups);
-    const std::size_t off = static_cast<std::size_t>(group) * slice;
-    const std::size_t len =
-        (group == groups - 1) ? total - off : slice;  // remainder to the last
-    co_await region3->copy_in_publish(comm.to_global(my), recv.sub(off, len),
-                                      off);
-  } else {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(groups); ++i) {
-      co_await region3->wait_published(i + 1);
-      const auto c = region3->chunk(i);
-      co_await region3->copy_out(comm.to_global(my), i, recv.sub(c.offset, c.len));
-    }
-  }
 }
 
 }  // namespace
@@ -434,13 +323,39 @@ sim::Task<void> allgather_bruck(mpi::Comm& comm, int my, hw::BufView send,
                                 hw::BufView recv, std::size_t msg,
                                 bool in_place) {
   check_args(comm, my, send, recv, msg, in_place);
-  co_await run_as_graph(comm.engine(), comm.sink(), comm.to_global(my),
-                        "bruck",
-                        [&comm, my, send, recv, msg, in_place] {
-                          return bruck_body(comm, my, send, recv, msg,
-                                            in_place);
-                        },
-                        obs::names::kPhaseExchange);
+  // Store-and-forward: every step forwards the full accumulated prefix, so
+  // there is no chunk-level parallelism to expose; one coroutine suffices.
+  PhaseSpan phase(comm, my);
+  const int n = comm.size();
+  auto& cl = comm.cluster();
+
+  // Rotated working buffer: temp[i] holds the block of rank (my + i) % n.
+  auto temp =
+      hw::Buffer::make(static_cast<std::size_t>(n) * msg, cl.spec().carry_data);
+  co_await cl.cpu_copy_by(comm.to_global(my), static_cast<double>(msg));
+  hw::copy_payload(
+      temp.slice(0, msg),
+      in_place ? recv.sub(static_cast<std::size_t>(my) * msg, msg) : send);
+
+  for (int pof = 1, step = 0; pof < n; pof *= 2, ++step) {
+    const int send_count = std::min(pof, n - pof);
+    const std::size_t len = static_cast<std::size_t>(send_count) * msg;
+    const int to = (my - pof % n + n) % n;
+    const int from = (my + pof) % n;
+    co_await comm.sendrecv(my, to, step, temp.slice(0, len), from, step,
+                           temp.slice(static_cast<std::size_t>(pof) * msg, len));
+  }
+
+  // Un-rotate: recv[(my + i) % n] = temp[i]; one local pass over the buffer.
+  co_await cl.cpu_copy_by(comm.to_global(my),
+                          static_cast<double>(n) * static_cast<double>(msg));
+  if (recv.real() && temp.has_data()) {
+    for (int i = 0; i < n; ++i) {
+      const int slot = (my + i) % n;
+      hw::copy_payload(recv.sub(static_cast<std::size_t>(slot) * msg, msg),
+                       temp.slice(static_cast<std::size_t>(i) * msg, msg));
+    }
+  }
 }
 
 sim::Task<void> allgather_direct(mpi::Comm& comm, int my, hw::BufView send,
@@ -512,13 +427,74 @@ sim::Task<void> allgather_multi_leader(mpi::Comm& comm, int my,
         ") must be divisible by groups (" + std::to_string(groups) +
         "): leader groups would be unequal");
   }
-  co_await run_as_graph(comm.engine(), comm.sink(), comm.to_global(my),
-                        "multi_leader" + std::to_string(groups),
-                        [&comm, my, send, recv, msg, in_place, groups] {
-                          return multi_leader_body(comm, my, send, recv, msg,
-                                                   in_place, groups);
-                        },
-                        obs::names::kPhaseExchange);
+  // Strict phase ordering is inherent to the design (the leader ring needs
+  // whole group blocks), so the body stays one coroutine.
+  PhaseSpan phase(comm, my);
+  const int gs = ppn / groups;          // group size
+  const int node = comm.node_of(my);
+  const int local = comm.node_local_rank(my);
+  const int group = local / gs;
+  const int leader_local = group * gs;
+  const bool is_leader = (local == leader_local);
+  const std::uint64_t seq = comm.next_op_seq(my);
+  obs::Sink& sink = comm.sink();
+
+  // ---- Phase 1: members share blocks with the group leader via shm ----
+  const std::size_t group_block = static_cast<std::size_t>(gs) * msg;
+  auto region1 = comm.share().acquire<shm::ShmRegion>(
+      node, shm::op_key(comm.ctx(), seq, group), gs, [&] {
+        return std::make_shared<shm::ShmRegion>(cl, node, group_block, sink);
+      });
+  const std::size_t my_block_off = static_cast<std::size_t>(my) * msg;
+  if (is_leader) {
+    co_await seed_own_block(comm, my, send, recv, msg, in_place);
+    co_await region1->wait_published(static_cast<std::size_t>(gs - 1));
+    // Copy every member block from shm into the leader's recv buffer.
+    for (std::size_t i = 0; i + 1 < static_cast<std::size_t>(gs); ++i) {
+      const auto c = region1->chunk(i);
+      // Chunk offsets are relative to the group block.
+      const std::size_t dst_off =
+          (static_cast<std::size_t>(node * ppn + leader_local)) * msg + c.offset;
+      co_await region1->copy_out(comm.to_global(my), i,
+                                 recv.sub(dst_off, c.len));
+    }
+  } else {
+    const hw::BufView contribution =
+        in_place ? recv.sub(my_block_off, msg) : send;
+    co_await region1->copy_in_publish(
+        comm.to_global(my), contribution,
+        static_cast<std::size_t>(local - leader_local) * msg);
+  }
+
+  // ---- Phase 2: flat Ring over all group leaders (intra + inter mixed) ----
+  if (is_leader) {
+    auto& lcomm = comm.world().group_leader_comm(groups);
+    const int lrank = node * groups + group;
+    co_await allgather_ring(lcomm, lrank, hw::BufView{}, recv, group_block,
+                            /*in_place=*/true);
+  }
+
+  // ---- Phase 3: node-level broadcast of the full result via shm ----
+  const std::size_t total = recv.len;
+  auto region3 = comm.share().acquire<shm::ShmRegion>(
+      node, shm::op_key(comm.ctx(), seq, groups + 1), ppn, [&] {
+        return std::make_shared<shm::ShmRegion>(cl, node, total, sink);
+      });
+  if (is_leader) {
+    // Leaders split the broadcast: leader g publishes slice g of the result.
+    const std::size_t slice = total / static_cast<std::size_t>(groups);
+    const std::size_t off = static_cast<std::size_t>(group) * slice;
+    const std::size_t len =
+        (group == groups - 1) ? total - off : slice;  // remainder to the last
+    co_await region3->copy_in_publish(comm.to_global(my), recv.sub(off, len),
+                                      off);
+  } else {
+    for (std::size_t i = 0; i < static_cast<std::size_t>(groups); ++i) {
+      co_await region3->wait_published(i + 1);
+      const auto c = region3->chunk(i);
+      co_await region3->copy_out(comm.to_global(my), i, recv.sub(c.offset, c.len));
+    }
+  }
 }
 
 sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,

@@ -4,6 +4,7 @@
 
 #include "coll/allgather.hpp"
 #include "coll/graph.hpp"
+#include "coll/phase_span.hpp"
 #include "obs/names.hpp"
 #include "mpi/comm.hpp"
 
@@ -42,11 +43,24 @@ void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
   }
 }
 
-// Variable-size ring forwarding: block lengths differ per step, so the
-// pipeline structure is the per-step sendrecv chain; run wrapped.
-sim::Task<void> ring_body(mpi::Comm& comm, int my, hw::BufView send,
-                          hw::BufView recv, const VarLayout& layout,
-                          bool in_place) {
+}  // namespace
+
+sim::Task<void> seed_own_block(mpi::Comm& comm, int my, hw::BufView send,
+                               hw::BufView recv, const VarLayout& layout,
+                               bool in_place) {
+  if (in_place || layout.count(my) == 0) co_return;
+  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
+                                      static_cast<double>(layout.count(my)));
+  hw::copy_payload(recv.sub(layout.offset(my), layout.count(my)), send);
+}
+
+sim::Task<void> allgatherv_ring(mpi::Comm& comm, int my, hw::BufView send,
+                                hw::BufView recv, const VarLayout& layout,
+                                bool in_place) {
+  check_args(comm, my, send, recv, layout, in_place);
+  // Block lengths differ per step, so the pipeline structure is the
+  // per-step sendrecv chain of one coroutine.
+  PhaseSpan phase(comm, my);
   const int n = comm.size();
   co_await seed_own_block(comm, my, send, recv, layout, in_place);
   if (n == 1) co_return;
@@ -65,30 +79,6 @@ sim::Task<void> ring_body(mpi::Comm& comm, int my, hw::BufView send,
                                     layout.count(incoming)));
     cur = incoming;
   }
-}
-
-}  // namespace
-
-sim::Task<void> seed_own_block(mpi::Comm& comm, int my, hw::BufView send,
-                               hw::BufView recv, const VarLayout& layout,
-                               bool in_place) {
-  if (in_place || layout.count(my) == 0) co_return;
-  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
-                                      static_cast<double>(layout.count(my)));
-  hw::copy_payload(recv.sub(layout.offset(my), layout.count(my)), send);
-}
-
-sim::Task<void> allgatherv_ring(mpi::Comm& comm, int my, hw::BufView send,
-                                hw::BufView recv, const VarLayout& layout,
-                                bool in_place) {
-  check_args(comm, my, send, recv, layout, in_place);
-  co_await run_as_graph(comm.engine(), comm.sink(), comm.to_global(my),
-                        "allgatherv-ring",
-                        [&comm, my, send, recv, &layout, in_place] {
-                          return ring_body(comm, my, send, recv, layout,
-                                           in_place);
-                        },
-                        obs::names::kPhaseExchange);
 }
 
 sim::Task<void> allgatherv_direct(mpi::Comm& comm, int my, hw::BufView send,

@@ -3,8 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "coll/graph.hpp"
-#include "obs/names.hpp"
+#include "coll/phase_span.hpp"
 #include "coll/prim/builders.hpp"
 #include "coll/prim/planner.hpp"
 
@@ -44,52 +43,6 @@ sim::Task<void> copy_local(mpi::Comm& comm, int my, hw::BufView dst,
   co_await comm.cluster().cpu_copy_by(comm.to_global(my),
                                       static_cast<double>(src.len));
   hw::copy_payload(dst, src);
-}
-
-sim::Task<void> pairwise_body(mpi::Comm& comm, int my, hw::BufView send,
-                              hw::BufView recv, std::size_t msg) {
-  const int n = comm.size();
-  if (msg > 0) {
-    co_await copy_local(comm, my,
-                        recv.sub(static_cast<std::size_t>(my) * msg, msg),
-                        send.sub(static_cast<std::size_t>(my) * msg, msg));
-  }
-  if (msg == 0) co_return;
-  for (int s = 1; s < n; ++s) {
-    const int dst = (my + s) % n;
-    const int src = (my - s + n) % n;
-    co_await comm.sendrecv(my, dst, s,
-                           send.sub(static_cast<std::size_t>(dst) * msg, msg),
-                           src, s,
-                           recv.sub(static_cast<std::size_t>(src) * msg, msg));
-  }
-}
-
-sim::Task<void> pairwise_v_body(mpi::Comm& comm, int my, hw::BufView send,
-                                hw::BufView recv,
-                                const AlltoallvLayout& layout) {
-  const int n = comm.size();
-  const std::size_t self = layout.count(my, my);
-  if (self > 0) {
-    co_await copy_local(comm, my, recv.sub(layout.recv_offset(my, my), self),
-                        send.sub(layout.send_offset(my, my), self));
-  }
-  for (int s = 1; s < n; ++s) {
-    const int dst = (my + s) % n;
-    const int src = (my - s + n) % n;
-    const std::size_t sc = layout.count(my, dst);
-    const std::size_t rc = layout.count(src, my);
-    std::vector<mpi::Request> reqs;
-    if (rc > 0) {
-      reqs.push_back(
-          comm.irecv(my, src, s, recv.sub(layout.recv_offset(src, my), rc)));
-    }
-    if (sc > 0) {
-      reqs.push_back(
-          comm.isend(my, dst, s, send.sub(layout.send_offset(my, dst), sc)));
-    }
-    if (!reqs.empty()) co_await comm.wait_all(std::move(reqs));
-  }
 }
 
 }  // namespace
@@ -138,12 +91,22 @@ sim::Task<void> alltoall_direct(mpi::Comm& comm, int my, hw::BufView send,
 sim::Task<void> alltoall_pairwise(mpi::Comm& comm, int my, hw::BufView send,
                                   hw::BufView recv, std::size_t msg) {
   check_args(comm, my, send, recv, msg);
-  co_await run_as_graph(comm.engine(), comm.sink(), comm.to_global(my),
-                        "a2a-pairwise",
-                        [&comm, my, send, recv, msg] {
-                          return pairwise_body(comm, my, send, recv, msg);
-                        },
-                        obs::names::kPhaseExchange);
+  PhaseSpan phase(comm, my);
+  const int n = comm.size();
+  if (msg > 0) {
+    co_await copy_local(comm, my,
+                        recv.sub(static_cast<std::size_t>(my) * msg, msg),
+                        send.sub(static_cast<std::size_t>(my) * msg, msg));
+  }
+  if (msg == 0) co_return;
+  for (int s = 1; s < n; ++s) {
+    const int dst = (my + s) % n;
+    const int src = (my - s + n) % n;
+    co_await comm.sendrecv(my, dst, s,
+                           send.sub(static_cast<std::size_t>(dst) * msg, msg),
+                           src, s,
+                           recv.sub(static_cast<std::size_t>(src) * msg, msg));
+  }
 }
 
 sim::Task<void> alltoallv_direct(mpi::Comm& comm, int my, hw::BufView send,
@@ -159,13 +122,29 @@ sim::Task<void> alltoallv_pairwise(mpi::Comm& comm, int my, hw::BufView send,
                                    hw::BufView recv,
                                    const AlltoallvLayout& layout) {
   check_args_v(comm, my, send, recv, layout);
-  co_await run_as_graph(comm.engine(), comm.sink(), comm.to_global(my),
-                        "a2av-pairwise",
-                        [&comm, my, send, recv, &layout] {
-                          return pairwise_v_body(comm, my, send, recv,
-                                                 layout);
-                        },
-                        obs::names::kPhaseExchange);
+  PhaseSpan phase(comm, my);
+  const int n = comm.size();
+  const std::size_t self = layout.count(my, my);
+  if (self > 0) {
+    co_await copy_local(comm, my, recv.sub(layout.recv_offset(my, my), self),
+                        send.sub(layout.send_offset(my, my), self));
+  }
+  for (int s = 1; s < n; ++s) {
+    const int dst = (my + s) % n;
+    const int src = (my - s + n) % n;
+    const std::size_t sc = layout.count(my, dst);
+    const std::size_t rc = layout.count(src, my);
+    std::vector<mpi::Request> reqs;
+    if (rc > 0) {
+      reqs.push_back(
+          comm.irecv(my, src, s, recv.sub(layout.recv_offset(src, my), rc)));
+    }
+    if (sc > 0) {
+      reqs.push_back(
+          comm.isend(my, dst, s, send.sub(layout.send_offset(my, dst), sc)));
+    }
+    if (!reqs.empty()) co_await comm.wait_all(std::move(reqs));
+  }
 }
 
 }  // namespace hmca::coll

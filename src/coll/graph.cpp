@@ -167,10 +167,10 @@ sim::Task<void> GraphExecutor::run_one(int id) {
       co_await n.body();
       break;
     } catch (const sim::SimError&) {
-      // Wrapped legacy bodies are whole collectives: re-running one on a
-      // single rank would desync the SPMD rendezvous (op sequence numbers,
-      // shared-object keys), so they keep legacy fault semantics. Chunk
-      // tasks are idempotent and retry.
+      // A macro task holds an SPMD rendezvous: re-running it on a single
+      // rank would desync the other ranks (op sequence numbers,
+      // shared-object keys), so it never retries. Chunk tasks are
+      // idempotent and retry.
       if (attempt >= opts_.max_retries || n.kind == TaskKind::kWrapped) {
         if (!error_) error_ = std::current_exception();
         break;
@@ -332,15 +332,5 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t bytes, int chunks,
 }
 
 sim::Task<void> noop_task() { co_return; }
-
-sim::Task<void> run_as_graph(sim::Engine& eng, obs::Sink& sink, int grank,
-                             std::string label, TaskGraph::Body body,
-                             std::string phase) {
-  TaskGraph g;
-  g.add(TaskKind::kWrapped, Lane::kNone, std::move(body),
-        TaskOpts{std::move(label), std::move(phase), -1, 0, -1, -1});
-  GraphExecutor exec(eng, sink, grank);
-  co_await exec.run(g);
-}
 
 }  // namespace hmca::coll

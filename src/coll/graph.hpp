@@ -20,7 +20,13 @@
 // Failed tasks (a `sim::SimError` from the body, e.g. zero healthy rails
 // during a transient window) are re-enqueued with a bounded backoff so the
 // transfer retries after `net` has restriped — the dataflow analogue of
-// rail-level retry. Exhausted retries surface the error from `run()`.
+// rail-level retry. Exhausted retries surface the error from `run()`. A
+// macro task (`TaskKind::kWrapped`) holds an SPMD rendezvous and fails
+// without retry.
+//
+// Store-and-forward baselines (Bruck, the multi-leader and strict-barrier
+// allgathers, the allgatherv Ring, pairwise alltoall(v)) are not task
+// graphs: they run as plain coroutines under a `coll::PhaseSpan`.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +57,10 @@ enum class TaskKind {
   kCma,      ///< kernel-assisted intra-node read
   kRdma,     ///< HCA loopback / RDMA read
   kReduce,   ///< CPU reduction sweep
-  kWrapped,  ///< an entire legacy collective body run as one task
+  /// A macro task: a whole sub-collective (phase-1 gather, address board,
+  /// store-and-forward exchange) that holds an SPMD rendezvous, so it never
+  /// retries.
+  kWrapped,
 };
 const char* task_kind_name(TaskKind k);
 
@@ -59,7 +68,7 @@ const char* task_kind_name(TaskKind k);
 /// control (how many tasks of a class may be in flight); the hardware
 /// model still arbitrates actual bandwidth via fluid resources.
 enum class Lane {
-  kNone,  ///< unconstrained (address exchange, wrapped bodies)
+  kNone,  ///< unconstrained (address exchange, macro tasks)
   kCpu,   ///< the rank's copy engine: tasks serialize like a CPU would
   kShm,   ///< shared-memory port
   kNic,   ///< NIC doorbell; per-rail when `rail` >= 0
@@ -235,15 +244,5 @@ int chunks_for(std::size_t bytes);
 /// chunk `c` out of `chunks` over `bytes`, as {offset, len}.
 std::pair<std::size_t, std::size_t> chunk_range(std::size_t bytes, int chunks,
                                                 int c);
-
-/// Run a legacy collective body as a single wrapped graph task — every
-/// registry algorithm executes through the GraphExecutor even before it
-/// has a native chunk-level port (gaining task spans and fault retry).
-/// `phase` annotates the whole body with one kPhase span (flat algorithms
-/// pass obs::names::kPhaseExchange; bodies that emit their own phase1..3
-/// spans inside leave it empty).
-sim::Task<void> run_as_graph(sim::Engine& eng, obs::Sink& sink, int grank,
-                             std::string label, TaskGraph::Body body,
-                             std::string phase = {});
 
 }  // namespace hmca::coll

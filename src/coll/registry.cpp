@@ -8,15 +8,6 @@
 
 namespace hmca::coll {
 
-const char* graph_mode_name(GraphMode m) {
-  switch (m) {
-    case GraphMode::kNone: return "legacy";
-    case GraphMode::kWrapped: return "graph:wrapped";
-    case GraphMode::kNative: return "graph:native";
-  }
-  return "?";
-}
-
 std::string CommShape::level_structure() const {
   std::string out = "cluster:1>node:" + std::to_string(nodes);
   if (sockets > 1) {
@@ -138,22 +129,22 @@ void register_flat(Registry& r) {
       {"ring", "flat Ring: N-1 neighbour steps, bandwidth-optimal",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_ring(c, my, s, rv, m, ip); },
-       {}, cost_ring, GraphMode::kNative});
+       {}, cost_ring});
   r.add_allgather(
       {"rd", "Recursive Doubling: log2(N) exchanges, power-of-two sizes",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_rd(c, my, s, rv, m, ip); },
-       power_of_two_comm, cost_rd, GraphMode::kNative});
+       power_of_two_comm, cost_rd});
   r.add_allgather(
       {"bruck", "Bruck: ceil(log2 N) store-and-forward steps, any N",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_bruck(c, my, s, rv, m, ip); },
-       {}, cost_bruck, GraphMode::kWrapped});
+       {}, cost_bruck});
   r.add_allgather(
       {"direct", "Direct Spread: all transfers posted nonblocking up front",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_direct(c, my, s, rv, m, ip); },
-       {}, cost_direct, GraphMode::kNative});
+       {}, cost_direct});
   r.add_allgather(
       {"rd_or_bruck", "RD when N is a power of two, Bruck otherwise",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -162,8 +153,7 @@ void register_flat(Registry& r) {
        [](const model::ModelParams& p, const CommShape& s, std::size_t m) {
          return is_power_of_two(s.comm_size) ? cost_rd(p, s, m)
                                              : cost_bruck(p, s, m);
-       },
-       GraphMode::kNative});
+       }});
   r.add_allgather(
       {"multi_leader2",
        "Kandalla two-level, 2 leader groups/node, strict phases",
@@ -172,21 +162,21 @@ void register_flat(Registry& r) {
        [](const CommShape& s, std::size_t) {
          return s.world && s.ppn >= 2 && s.ppn % 2 == 0;
        },
-       {}, GraphMode::kWrapped});
+       {}});
   r.add_allgather(
       {"multi_leader1",
        "Kandalla two-level, single leader/node, strict phases",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_multi_leader(c, my, s, rv, m, ip, 1); },
        [](const CommShape& s, std::size_t) { return s.world && s.ppn > 1; },
-       {}, GraphMode::kWrapped});
+       {}});
   r.add_allgather(
       {"node_aware_bruck",
        "locality-aware: intra-node exchange, inter-node Bruck over leaders",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_node_aware_bruck(c, my, s, rv, m, ip); },
        [](const CommShape& s, std::size_t) { return s.world; },
-       cost_node_aware_bruck, GraphMode::kNative});
+       cost_node_aware_bruck});
 
   r.add_allreduce(
       {"rd",
@@ -235,8 +225,7 @@ void register_flat(Registry& r) {
          const double n = s.comm_size;
          return (n - 1) * step_alpha(p, s) +
                 (n - 1) * static_cast<double>(m) / step_bw(p, s);
-       },
-       GraphMode::kNative});
+       }});
   r.add_alltoall(
       {"pairwise", "classic pairwise exchange: n-1 sendrecv rounds",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
@@ -246,8 +235,7 @@ void register_flat(Registry& r) {
          const double n = s.comm_size;
          return (n - 1) *
                 (step_alpha(p, s) + static_cast<double>(m) / step_bw(p, s));
-       },
-       GraphMode::kWrapped});
+       }});
 
   r.add_alltoallv(
       {"direct",
@@ -257,8 +245,7 @@ void register_flat(Registry& r) {
          return alltoallv_direct(c, my, s, rv, l);
        },
        {},
-       {},
-       GraphMode::kNative});
+       {}});
   r.add_alltoallv(
       {"pairwise", "pairwise exchange rounds over variable blocks",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
@@ -266,8 +253,7 @@ void register_flat(Registry& r) {
          return alltoallv_pairwise(c, my, s, rv, l);
        },
        {},
-       {},
-       GraphMode::kWrapped});
+       {}});
 
   r.add_reduce_scatter(
       {"ring",
@@ -282,8 +268,7 @@ void register_flat(Registry& r) {
          const double n = s.comm_size;
          return (n - 1) * (step_alpha(p, s) +
                            static_cast<double>(bytes) / n / step_bw(p, s));
-       },
-       GraphMode::kNative});
+       }});
   r.add_reduce_scatter(
       {"rh",
        "planner recursive halving, power-of-two worlds, divisible counts",
@@ -300,8 +285,7 @@ void register_flat(Registry& r) {
          const double n = s.comm_size;
          return std::log2(std::max(2.0, n)) * step_alpha(p, s) +
                 (n - 1) / n * static_cast<double>(bytes) / step_bw(p, s);
-       },
-       GraphMode::kNative});
+       }});
 
   r.add_allgatherv({"ring", "ring forwarding of variable-size blocks",
                     [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
@@ -309,16 +293,14 @@ void register_flat(Registry& r) {
                       return allgatherv_ring(c, my, s, rv, l, ip);
                     },
                     {},
-                    {},
-                    GraphMode::kWrapped});
+                    {}});
   r.add_allgatherv({"direct", "all variable-size transfers posted up front",
                     [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
                        const VarLayout& l, bool ip) {
                       return allgatherv_direct(c, my, s, rv, l, ip);
                     },
                     {},
-                    {},
-                    GraphMode::kNative});
+                    {}});
 }
 
 }  // namespace

@@ -451,13 +451,7 @@ sim::Task<void> allgather_hierarchical(mpi::Comm& comm, int my,
   if (opts.overlap) {
     co_await hier_graph(comm, my, send, recv, msg, in_place, opts, algo);
   } else {
-    // The barriered baseline still flows through a GraphExecutor (as one
-    // wrapped task) so every dispatch path shares spans and retry counters.
-    co_await coll::run_as_graph(
-        comm.engine(), comm.sink(), comm.to_global(my), "hier-barrier",
-        [&comm, my, send, recv, msg, in_place, opts, algo] {
-          return hier_barrier(comm, my, send, recv, msg, in_place, opts, algo);
-        });
+    co_await hier_barrier(comm, my, send, recv, msg, in_place, opts, algo);
   }
 }
 

@@ -38,7 +38,7 @@ void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
 // over CMA, with the far end of the schedule offloaded to the HCAs until the
 // Eq. 1 byte budget is spent. The CPU/HCA split depends on the variable
 // block sizes encountered along the walk, so the body stays one coroutine
-// and runs as a wrapped graph task.
+// and runs as a macro task of the graph.
 sim::Task<void> intra_body(mpi::Comm& node_comm, int my, hw::BufView send,
                            hw::BufView recv, coll::VarLayout layout,
                            bool in_place) {

@@ -1,7 +1,12 @@
 #include "core/selector.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <functional>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "coll/prim/builders.hpp"
 #include "coll/prim/planner.hpp"
@@ -80,8 +85,7 @@ void register_core_impl(coll::Registry& reg) {
           std::size_t m) {
          return model::mha_intra_time(p, s.comm_size,
                                       static_cast<double>(m));
-       },
-       coll::GraphMode::kNative});
+       }});
   reg.add_allgather(
       {"mha_inter_rd",
        "Sec. 3.2 hierarchical, RD inter-leader phase, overlapped",
@@ -98,8 +102,7 @@ void register_core_impl(coll::Registry& reg) {
           std::size_t m) {
          return model::mha_inter_time_rd(p, s.nodes, s.ppn,
                                          static_cast<double>(m));
-       },
-       coll::GraphMode::kNative});
+       }});
   reg.add_allgather(
       {"mha_inter_ring",
        "Sec. 3.2 hierarchical, Ring inter-leader phase, overlapped",
@@ -114,8 +117,7 @@ void register_core_impl(coll::Registry& reg) {
           std::size_t m) {
          return model::mha_inter_time_ring(p, s.nodes, s.ppn,
                                            static_cast<double>(m));
-       },
-       coll::GraphMode::kNative});
+       }});
   reg.add_allgather(
       {"mha_inter",
        "Sec. 3.2 hierarchical, model-resolved RD/Ring phase 2 (Fig. 8)",
@@ -129,8 +131,7 @@ void register_core_impl(coll::Registry& reg) {
          const double mm = static_cast<double>(m);
          return std::min(model::mha_inter_time_rd(p, s.nodes, s.ppn, mm),
                          model::mha_inter_time_ring(p, s.nodes, s.ppn, mm));
-       },
-       coll::GraphMode::kNative});
+       }});
   reg.add_allgather(
       {"mha_inter_barrier",
        "Sec. 3.2 with strict phase barriers (dataflow-off baseline)",
@@ -141,8 +142,7 @@ void register_core_impl(coll::Registry& reg) {
          return allgather_hierarchical(c, my, s, rv, m, ip, o);
        },
        world_multi_node,
-       {},
-       coll::GraphMode::kWrapped});
+       {}});
   reg.add_allgather(
       {"single_leader",
        "Mamidala prior design: shm gather, RD exchange, overlapped",
@@ -156,7 +156,7 @@ void register_core_impl(coll::Registry& reg) {
          return allgather_hierarchical(c, my, s, rv, m, ip, o);
        },
        [](const coll::CommShape& s, std::size_t) { return s.world; },
-       {}, coll::GraphMode::kNative});
+       {}});
   // numa3 is the historical name of the derived depth-3 hierarchy.
   const auto depth3 = [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
                          std::size_t m, bool ip) {
@@ -168,7 +168,7 @@ void register_core_impl(coll::Registry& reg) {
        "Sec. 7: 3-level NUMA-aware hierarchical (socket, node, cluster)",
        depth3,
        [](const coll::CommShape& s, std::size_t) { return s.world; },
-       {}, coll::GraphMode::kNative});
+       {}});
   reg.add_allgather(
       {"hier2",
        "declarative depth-2 hierarchy (node<cluster); == mha_inter",
@@ -184,14 +184,13 @@ void register_core_impl(coll::Registry& reg) {
          const double mm = static_cast<double>(m);
          return std::min(model::mha_inter_time_rd(p, s.nodes, s.ppn, mm),
                          model::mha_inter_time_ring(p, s.nodes, s.ppn, mm));
-       },
-       coll::GraphMode::kNative});
+       }});
   reg.add_allgather(
       {"hier3",
        "declarative depth-3 hierarchy (socket<node<cluster); == numa3",
        depth3,
        [](const coll::CommShape& s, std::size_t) { return s.world; },
-       {}, coll::GraphMode::kNative});
+       {}});
 
   reg.add_allreduce(
       {"ring_mha",
@@ -244,8 +243,7 @@ void register_core_impl(coll::Registry& reg) {
          t += (s.nodes - 1) * p.alpha_h +
               s.ppn * (n - s.ppn) * msg / (p.bw_h * p.hcas);
          return t;
-       },
-       coll::GraphMode::kNative});
+       }});
 
   reg.add_bcast({"mha",
                  "hierarchical: leader scatter-allgather + pipelined shm",
@@ -272,25 +270,103 @@ void register_core_impl(coll::Registry& reg) {
          return allgatherv_mha(c, my, s, rv, l, ip);
        },
        [](const coll::CommShape& s, std::size_t) { return s.world; },
-       {}, coll::GraphMode::kNative});
+       {}});
 }
 
-/// Record the decision as a zero-length kPhase span on the deciding rank,
-/// and count it by (collective, algo, reason) — once per invocation, on
-/// rank 0, since every SPMD rank resolves the same decision.
-template <class Algo>
-void trace_decision(mpi::Comm& comm, int my, const char* what, const Algo* a,
-                    const std::string& reason, std::size_t bytes) {
-  obs::Sink& sink = comm.sink();
-  const sim::Time now = comm.engine().now();
-  sink.record(trace::Span{comm.to_global(my), trace::Kind::kPhase, now, now,
-                          /*peer=*/-1, bytes,
-                          std::string("select:") + what + "=" + a->name +
-                              " [" + reason + "]"});
-  if (my == 0 && sink.wants_metrics()) {
-    sink.count("core.selector.decision", 1,
-               {{"collective", what}, {"algo", a->name}, {"reason", reason}});
+/// The steps every family's selection shares, bound to one call. `what`
+/// names the family (reason prefix, span and metric label); `bytes` is the
+/// size the decision span records and the cost hooks see; `applies` is an
+/// entry's applicability at this call (a null predicate always applies).
+template <class A>
+class Chain {
+ public:
+  using Fn = decltype(A::fn);
+
+  Chain(mpi::Comm& comm, int my, const coll::CommShape& shape,
+        const char* what, std::size_t bytes,
+        std::function<bool(const A&)> applies)
+      : comm_(comm), my_(my), shape_(shape), what_(what), bytes_(bytes),
+        applies_(std::move(applies)) {}
+
+  /// Record the decision as a zero-length kPhase span on the deciding rank,
+  /// and count it by (collective, algo, reason) — once per invocation, on
+  /// rank 0, since every SPMD rank resolves the same decision. Reasons
+  /// carry the collective name so multi-collective traces stay unambiguous
+  /// ("allgather:threshold:..." vs "allreduce:threshold:...").
+  Selection<A> finish(const A& a, Fn fn, std::string reason) const {
+    reason = std::string(what_) + ":" + reason;
+    obs::Sink& sink = comm_.sink();
+    const sim::Time now = comm_.engine().now();
+    sink.record(trace::Span{comm_.to_global(my_), trace::Kind::kPhase, now,
+                            now, /*peer=*/-1, bytes_,
+                            std::string("select:") + what_ + "=" + a.name +
+                                " [" + reason + "]"});
+    if (my_ == 0 && sink.wants_metrics()) {
+      sink.count("core.selector.decision", 1,
+                 {{"collective", what_}, {"algo", a.name}, {"reason", reason}});
+    }
+    return Selection<A>{&a, std::move(fn), std::move(reason)};
   }
+  Selection<A> finish(const A& a, std::string reason) const {
+    return finish(a, a.fn, std::move(reason));
+  }
+
+  /// Step 1, environment override: `name`, the value of `var`, pins any
+  /// registry entry for experiments. Unknown names fail in the registry
+  /// lookup; inapplicable ones fail here, `where()` describing the call.
+  template <class Where>
+  std::optional<Selection<A>> env_override(
+      const std::optional<std::string>& name, const char* var,
+      const A& (coll::Registry::*get)(const std::string&) const,
+      Where where) const {
+    if (!name) return std::nullopt;
+    const A& a = (coll::Registry::instance().*get)(*name);
+    if (!applies_(a)) {
+      throw std::invalid_argument(std::string("selector: ") + var + "=" +
+                                  *name + " is not applicable" + where());
+    }
+    return finish(a, std::string("env:") + var);
+  }
+
+  /// Cost model: the cheapest applicable entry with an estimate (the first
+  /// registered wins a tie), or nothing when no entry has one.
+  std::optional<Selection<A>> cheapest(
+      const std::deque<A>& entries, const model::ModelParams& params) const {
+    const A* best = nullptr;
+    double best_cost = 0;
+    for (const auto& a : entries) {
+      if (!a.cost || !applies_(a)) continue;
+      const double c = a.cost(params, shape_, bytes_);
+      if (best == nullptr || c < best_cost) {
+        best = &a;
+        best_cost = c;
+      }
+    }
+    if (best == nullptr) return std::nullopt;
+    return finish(*best, "cost-model");
+  }
+
+ private:
+  mpi::Comm& comm_;
+  int my_;
+  const coll::CommShape& shape_;
+  const char* what_;
+  std::size_t bytes_;
+  std::function<bool(const A&)> applies_;
+};
+
+/// " to this communicator (size=.., nodes=.., ppn=..)": where an
+/// inapplicable allgather or alltoall override was asked to run.
+std::string on_communicator(const coll::CommShape& shape) {
+  return " to this communicator (size=" + std::to_string(shape.comm_size) +
+         ", nodes=" + std::to_string(shape.nodes) +
+         ", ppn=" + std::to_string(shape.ppn) + ")";
+}
+
+/// " (size=.., count=..)": the same for an allreduce or reduce_scatter.
+std::string on_count(const coll::CommShape& shape, std::size_t count) {
+  return " (size=" + std::to_string(shape.comm_size) +
+         ", count=" + std::to_string(count) + ")";
 }
 
 }  // namespace
@@ -311,27 +387,17 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
   const auto shape = coll::CommShape::of(comm);
   const auto& spec = comm.cluster().spec();
 
-  const auto finish = [&](const coll::AllgatherAlgo& a, coll::AllgatherFn fn,
-                          std::string reason) {
-    // Reasons carry the collective name so multi-collective traces stay
-    // unambiguous ("allgather:threshold:..." vs "allreduce:threshold:...").
-    reason = "allgather:" + reason;
-    trace_decision(comm, my, "allgather", &a, reason, msg);
-    return AllgatherSelection{&a, std::move(fn), std::move(reason)};
-  };
+  const Chain<coll::AllgatherAlgo> chain(
+      comm, my, shape, "allgather", msg, [&](const coll::AllgatherAlgo& a) {
+        return !a.applies || a.applies(shape, msg);
+      });
 
-  // 1. Environment override: pin any registry entry for experiments.
-  if (const auto env = osu::Env::allgather_algo()) {
-    const auto& a = reg.get_allgather(*env);
-    if (a.applies && !a.applies(shape, msg)) {
-      throw std::invalid_argument(
-          std::string("selector: ") + kAllgatherAlgoEnv + "=" + *env +
-          " is not applicable to this communicator (size=" +
-          std::to_string(shape.comm_size) +
-          ", nodes=" + std::to_string(shape.nodes) +
-          ", ppn=" + std::to_string(shape.ppn) + ")");
-    }
-    return finish(a, a.fn, std::string("env:") + kAllgatherAlgoEnv);
+  // 1. Environment override.
+  if (auto pinned = chain.env_override(
+          osu::Env::allgather_algo(), kAllgatherAlgoEnv,
+          &coll::Registry::get_allgather,
+          [&shape] { return on_communicator(shape); })) {
+    return *std::move(pinned);
   }
 
   // 1.5. Hierarchy override: HMCA_HIERARCHY pins the leader-hierarchy depth
@@ -343,12 +409,13 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
       const auto& a =
           reg.get_allgather(hs->depth() >= 3 ? "hier3" : "hier2");
       HierarchySpec hspec = std::move(*hs);
-      return finish(a,
-                    [hspec](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
-                            std::size_t m, bool ip) {
-                      return allgather_hierarchy(c, r, s, rv, m, ip, hspec);
-                    },
-                    std::string("env:") + osu::Env::kHierarchy);
+      return chain.finish(
+          a,
+          [hspec](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+                  std::size_t m, bool ip) {
+            return allgather_hierarchy(c, r, s, rv, m, ip, hspec);
+          },
+          std::string("env:") + osu::Env::kHierarchy);
     }
   }
 
@@ -362,46 +429,38 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
       opts.phase2 = p2;
       const auto& a = reg.get_allgather(
           p2 == Phase2Algo::kRing ? "mha_inter_ring" : "mha_inter_rd");
-      return finish(a,
-                    [opts](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
-                           std::size_t m, bool ip) {
-                      return allgather_hierarchical(c, r, s, rv, m, ip, opts);
-                    },
-                    "tuning-table");
+      return chain.finish(
+          a,
+          [opts](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+                 std::size_t m, bool ip) {
+            return allgather_hierarchical(c, r, s, rv, m, ip, opts);
+          },
+          "tuning-table");
     }
     if (shape.nodes == 1 && msg >= tuning.intra_small_threshold &&
         !table_->intra_entries().empty()) {
       const double offload = table_->offload_for(msg);
       const auto& a = reg.get_allgather("mha_intra");
-      return finish(a,
-                    [offload](mpi::Comm& c, int r, hw::BufView s,
-                              hw::BufView rv, std::size_t m, bool ip) {
-                      return allgather_mha_intra(c, r, s, rv, m, ip, offload);
-                    },
-                    "tuning-table");
+      return chain.finish(
+          a,
+          [offload](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+                    std::size_t m, bool ip) {
+            return allgather_mha_intra(c, r, s, rv, m, ip, offload);
+          },
+          "tuning-table");
     }
   }
 
-  // 3. Cost model: cheapest applicable entry with an estimate. Under rail
-  // faults the models see the surviving adapter count, so estimates track
-  // the degraded loopback/stripe capacity.
+  // 3. Cost model. Under rail faults the models see the surviving adapter
+  // count, so estimates track the degraded loopback/stripe capacity.
   if (use_cost_model_) {
     auto params = model::ModelParams::from_spec(spec);
     if (shape.degraded() && shape.healthy_hcas >= 1) {
       params.hcas = shape.healthy_hcas;
     }
-    const coll::AllgatherAlgo* best = nullptr;
-    double best_cost = 0;
-    for (const auto& a : reg.allgathers()) {
-      if (!a.cost) continue;
-      if (a.applies && !a.applies(shape, msg)) continue;
-      const double c = a.cost(params, shape, msg);
-      if (best == nullptr || c < best_cost) {
-        best = &a;
-        best_cost = c;
-      }
+    if (auto best = chain.cheapest(reg.allgathers(), params)) {
+      return *std::move(best);
     }
-    if (best != nullptr) return finish(*best, best->fn, "cost-model");
   }
 
   // 4. Static thresholds: the paper's defaults (historical dispatch), with
@@ -414,23 +473,23 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
   if (shape.nodes == 1) {
     if (msg < tuning.intra_small_threshold) {
       const auto& a = reg.get_allgather("rd_or_bruck");
-      return finish(a, a.fn, "threshold:intra-small");
+      return chain.finish(a, "threshold:intra-small");
     }
     const auto& a = reg.get_allgather("mha_intra");
     if (shape.healthy_hcas == 0) {
       // Every loopback rail is down: pin the CPU-only CMA baseline rather
       // than relying on the in-algorithm fallback, so the decision is
       // visible in the trace.
-      return finish(a,
-                    [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
-                       std::size_t m, bool ip) {
-                      return allgather_mha_intra(c, r, s, rv, m, ip,
-                                                 /*offload=*/0.0);
-                    },
-                    degraded_reason() + ":cpu-only");
+      return chain.finish(
+          a,
+          [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+             std::size_t m, bool ip) {
+            return allgather_mha_intra(c, r, s, rv, m, ip, /*offload=*/0.0);
+          },
+          degraded_reason() + ":cpu-only");
     }
-    if (shape.degraded()) return finish(a, a.fn, degraded_reason());
-    return finish(a, a.fn, "threshold:intra-large");
+    if (shape.degraded()) return chain.finish(a, degraded_reason());
+    return chain.finish(a, "threshold:intra-large");
   }
   if (shape.world) {
     if (shape.degraded()) {
@@ -439,7 +498,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
       // the surviving rails every hop and keep per-post exposure minimal,
       // so degraded shapes pin the Ring phase-2 variant.
       const auto& a = reg.get_allgather("mha_inter_ring");
-      return finish(a, a.fn, degraded_reason() + ":ring");
+      return chain.finish(a, degraded_reason() + ":ring");
     }
     if (shape.sockets > 1) {
       // Multi-socket nodes: the topology naturally supports a deeper
@@ -447,22 +506,22 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
       // phase 1 keeps the gather NUMA-local. Flat nodes fall through to
       // the paper's depth-2 Fig. 8 thresholds unchanged.
       const auto& a = reg.get_allgather("hier3");
-      return finish(a, a.fn, "depth:" + shape.level_structure());
+      return chain.finish(a, "depth:" + shape.level_structure());
     }
     const Phase2Algo p2 =
         resolve_phase2(spec, shape.nodes, shape.ppn, msg, Phase2Algo::kAuto);
     if (p2 == Phase2Algo::kRing) {
       const auto& a = reg.get_allgather("mha_inter_ring");
-      return finish(a, a.fn, "threshold:fig8-ring");
+      return chain.finish(a, "threshold:fig8-ring");
     }
     const auto& a = reg.get_allgather("mha_inter_rd");
-    return finish(a, a.fn, "threshold:fig8-rd");
+    return chain.finish(a, "threshold:fig8-rd");
   }
   // Multi-node subset communicator: the hierarchical engine needs the
   // node-major world layout, so fall back to a flat algorithm instead of
   // throwing (the historical dispatcher did the latter).
   const auto& a = reg.get_allgather("rd_or_bruck");
-  return finish(a, a.fn, "threshold:flat-fallback");
+  return chain.finish(a, "threshold:flat-fallback");
 }
 
 AllreduceSelection Selector::select_allreduce(mpi::Comm& comm, int my,
@@ -475,40 +534,25 @@ AllreduceSelection Selector::select_allreduce(mpi::Comm& comm, int my,
   const std::size_t elem = mpi::dtype_size(dtype);
   const std::size_t bytes = count * elem;
 
-  const auto finish = [&](const coll::AllreduceAlgo& a, coll::AllreduceFn fn,
-                          std::string reason) {
-    reason = "allreduce:" + reason;
-    trace_decision(comm, my, "allreduce", &a, reason, bytes);
-    return AllreduceSelection{&a, std::move(fn), std::move(reason)};
-  };
+  const Chain<coll::AllreduceAlgo> chain(
+      comm, my, shape, "allreduce", bytes, [&](const coll::AllreduceAlgo& a) {
+        return !a.applies || a.applies(shape, count, elem);
+      });
 
   // 1. Environment override.
-  if (const auto env = osu::Env::allreduce_algo()) {
-    const auto& a = reg.get_allreduce(*env);
-    if (a.applies && !a.applies(shape, count, elem)) {
-      throw std::invalid_argument(
-          std::string("selector: ") + kAllreduceAlgoEnv + "=" + *env +
-          " is not applicable (size=" + std::to_string(shape.comm_size) +
-          ", count=" + std::to_string(count) + ")");
-    }
-    return finish(a, a.fn, std::string("env:") + kAllreduceAlgoEnv);
+  if (auto pinned = chain.env_override(
+          osu::Env::allreduce_algo(), kAllreduceAlgoEnv,
+          &coll::Registry::get_allreduce,
+          [&] { return on_count(shape, count); })) {
+    return *std::move(pinned);
   }
 
   // 2. Cost model.
   if (use_cost_model_) {
     const auto params = model::ModelParams::from_spec(comm.cluster().spec());
-    const coll::AllreduceAlgo* best = nullptr;
-    double best_cost = 0;
-    for (const auto& a : reg.allreduces()) {
-      if (!a.cost) continue;
-      if (a.applies && !a.applies(shape, count, elem)) continue;
-      const double c = a.cost(params, shape, bytes);
-      if (best == nullptr || c < best_cost) {
-        best = &a;
-        best_cost = c;
-      }
+    if (auto best = chain.cheapest(reg.allreduces(), params)) {
+      return *std::move(best);
     }
-    if (best != nullptr) return finish(*best, best->fn, "cost-model");
   }
 
   // 3. Static thresholds (Sec. 5.4): RD for small vectors or when the count
@@ -516,15 +560,16 @@ AllreduceSelection Selector::select_allreduce(mpi::Comm& comm, int my,
   if (bytes <= tuning.allreduce_rd_threshold ||
       count % static_cast<std::size_t>(shape.comm_size) != 0) {
     const auto& a = reg.get_allreduce("rd");
-    return finish(a, a.fn, "threshold:small-or-indivisible");
+    return chain.finish(a, "threshold:small-or-indivisible");
   }
   const auto& a = reg.get_allreduce("ring_mha");
-  return finish(a,
-                [tuning](mpi::Comm& c, int r, hw::BufView d, std::size_t n,
-                         mpi::Dtype t, mpi::ReduceOp op) {
-                  return ring_mha_allreduce(c, r, d, n, t, op, tuning);
-                },
-                "threshold:large");
+  return chain.finish(
+      a,
+      [tuning](mpi::Comm& c, int r, hw::BufView d, std::size_t n,
+               mpi::Dtype t, mpi::ReduceOp op) {
+        return ring_mha_allreduce(c, r, d, n, t, op, tuning);
+      },
+      "threshold:large");
 }
 
 AlltoallSelection Selector::select_alltoall(mpi::Comm& comm, int my,
@@ -534,42 +579,25 @@ AlltoallSelection Selector::select_alltoall(mpi::Comm& comm, int my,
   auto& reg = coll::Registry::instance();
   const auto shape = coll::CommShape::of(comm);
 
-  const auto finish = [&](const coll::AlltoallAlgo& a, coll::AlltoallFn fn,
-                          std::string reason) {
-    reason = "alltoall:" + reason;
-    trace_decision(comm, my, "alltoall", &a, reason, msg);
-    return AlltoallSelection{&a, std::move(fn), std::move(reason)};
-  };
+  const Chain<coll::AlltoallAlgo> chain(
+      comm, my, shape, "alltoall", msg, [&](const coll::AlltoallAlgo& a) {
+        return !a.applies || a.applies(shape, msg);
+      });
 
   // 1. Environment override.
-  if (const auto env = osu::Env::alltoall_algo()) {
-    const auto& a = reg.get_alltoall(*env);
-    if (a.applies && !a.applies(shape, msg)) {
-      throw std::invalid_argument(
-          std::string("selector: ") + kAlltoallAlgoEnv + "=" + *env +
-          " is not applicable to this communicator (size=" +
-          std::to_string(shape.comm_size) +
-          ", nodes=" + std::to_string(shape.nodes) +
-          ", ppn=" + std::to_string(shape.ppn) + ")");
-    }
-    return finish(a, a.fn, std::string("env:") + kAlltoallAlgoEnv);
+  if (auto pinned = chain.env_override(
+          osu::Env::alltoall_algo(), kAlltoallAlgoEnv,
+          &coll::Registry::get_alltoall,
+          [&shape] { return on_communicator(shape); })) {
+    return *std::move(pinned);
   }
 
   // 2. Cost model.
   if (use_cost_model_) {
     const auto params = model::ModelParams::from_spec(comm.cluster().spec());
-    const coll::AlltoallAlgo* best = nullptr;
-    double best_cost = 0;
-    for (const auto& a : reg.alltoalls()) {
-      if (!a.cost) continue;
-      if (a.applies && !a.applies(shape, msg)) continue;
-      const double c = a.cost(params, shape, msg);
-      if (best == nullptr || c < best_cost) {
-        best = &a;
-        best_cost = c;
-      }
+    if (auto best = chain.cheapest(reg.alltoalls(), params)) {
+      return *std::move(best);
     }
-    if (best != nullptr) return finish(*best, best->fn, "cost-model");
   }
 
   // 3. Static thresholds: small blocks on multi-node worlds are
@@ -578,10 +606,10 @@ AlltoallSelection Selector::select_alltoall(mpi::Comm& comm, int my,
   if (shape.world && shape.nodes > 1 && shape.ppn > 1 &&
       msg <= tuning.alltoall_hier_threshold) {
     const auto& a = reg.get_alltoall("hier_leader");
-    return finish(a, a.fn, "threshold:hier-small");
+    return chain.finish(a, "threshold:hier-small");
   }
   const auto& a = reg.get_alltoall("direct");
-  return finish(a, a.fn, "threshold:direct");
+  return chain.finish(a, "threshold:direct");
 }
 
 ReduceScatterSelection Selector::select_reduce_scatter(
@@ -593,40 +621,26 @@ ReduceScatterSelection Selector::select_reduce_scatter(
   const std::size_t elem = mpi::dtype_size(dtype);
   const std::size_t bytes = count * elem;
 
-  const auto finish = [&](const coll::ReduceScatterAlgo& a,
-                          coll::ReduceScatterFn fn, std::string reason) {
-    reason = "reduce_scatter:" + reason;
-    trace_decision(comm, my, "reduce_scatter", &a, reason, bytes);
-    return ReduceScatterSelection{&a, std::move(fn), std::move(reason)};
-  };
+  const Chain<coll::ReduceScatterAlgo> chain(
+      comm, my, shape, "reduce_scatter", bytes,
+      [&](const coll::ReduceScatterAlgo& a) {
+        return !a.applies || a.applies(shape, count, elem);
+      });
 
   // 1. Environment override.
-  if (const auto env = osu::Env::reduce_scatter_algo()) {
-    const auto& a = reg.get_reduce_scatter(*env);
-    if (a.applies && !a.applies(shape, count, elem)) {
-      throw std::invalid_argument(
-          std::string("selector: ") + kReduceScatterAlgoEnv + "=" + *env +
-          " is not applicable (size=" + std::to_string(shape.comm_size) +
-          ", count=" + std::to_string(count) + ")");
-    }
-    return finish(a, a.fn, std::string("env:") + kReduceScatterAlgoEnv);
+  if (auto pinned = chain.env_override(
+          osu::Env::reduce_scatter_algo(), kReduceScatterAlgoEnv,
+          &coll::Registry::get_reduce_scatter,
+          [&] { return on_count(shape, count); })) {
+    return *std::move(pinned);
   }
 
   // 2. Cost model.
   if (use_cost_model_) {
     const auto params = model::ModelParams::from_spec(comm.cluster().spec());
-    const coll::ReduceScatterAlgo* best = nullptr;
-    double best_cost = 0;
-    for (const auto& a : reg.reduce_scatters()) {
-      if (!a.cost) continue;
-      if (a.applies && !a.applies(shape, count, elem)) continue;
-      const double c = a.cost(params, shape, bytes);
-      if (best == nullptr || c < best_cost) {
-        best = &a;
-        best_cost = c;
-      }
+    if (auto best = chain.cheapest(reg.reduce_scatters(), params)) {
+      return *std::move(best);
     }
-    if (best != nullptr) return finish(*best, best->fn, "cost-model");
   }
 
   // 3. Static thresholds: recursive halving's log2(n) startups win for
@@ -636,10 +650,10 @@ ReduceScatterSelection Selector::select_reduce_scatter(
       coll::is_power_of_two(shape.comm_size) &&
       count % static_cast<std::size_t>(shape.comm_size) == 0) {
     const auto& a = reg.get_reduce_scatter("rh");
-    return finish(a, a.fn, "threshold:rh-small");
+    return chain.finish(a, "threshold:rh-small");
   }
   const auto& a = reg.get_reduce_scatter("ring");
-  return finish(a, a.fn, "threshold:ring");
+  return chain.finish(a, "threshold:ring");
 }
 
 Selector& default_selector() {

@@ -19,9 +19,11 @@
 //      worlds route to the depth-3 hierarchy the topology supports
 //      (CommShape::natural_depth).
 //
-// Every decision is recorded as a trace::Kind::kPhase span (algorithm name +
-// reason) when the communicator carries a tracer, so benches can show *why*
-// a path was taken.
+// Steps 1 and 3 and the decision record are written once and shared by the
+// four families; each family keeps only its own steps (allgather's 1.5 and
+// 2, and every family's step-4 thresholds). Every decision is recorded as a
+// trace::Kind::kPhase span (algorithm name + reason) when the communicator
+// carries a tracer, so benches can show *why* a path was taken.
 #pragma once
 
 #include <cstddef>
@@ -51,40 +53,23 @@ inline constexpr const char* kReduceScatterAlgoEnv =
 /// automatically by the selector and the profiles.
 void register_core_algorithms();
 
-/// A resolved allgather decision. `fn` is the callable to run — usually the
-/// registry entry's, but the tuning-table path binds tuned options (offload,
-/// phase-2 algorithm) into a wrapper.
-struct AllgatherSelection {
-  const coll::AllgatherAlgo* algo = nullptr;
-  coll::AllgatherFn fn;
+/// A resolved decision for one collective family. `fn` is the callable to
+/// run — usually the registry entry's, but some steps bind tuned options
+/// into a wrapper (the tuning table's offload and phase-2 algorithm, the
+/// hierarchy override's spec, the allreduce threshold's MhaTuning).
+template <class A>
+struct Selection {
+  const A* algo = nullptr;
+  decltype(A::fn) fn;
   std::string reason;
 
   const std::string& name() const { return algo->name; }
 };
 
-struct AllreduceSelection {
-  const coll::AllreduceAlgo* algo = nullptr;
-  coll::AllreduceFn fn;
-  std::string reason;
-
-  const std::string& name() const { return algo->name; }
-};
-
-struct AlltoallSelection {
-  const coll::AlltoallAlgo* algo = nullptr;
-  coll::AlltoallFn fn;
-  std::string reason;
-
-  const std::string& name() const { return algo->name; }
-};
-
-struct ReduceScatterSelection {
-  const coll::ReduceScatterAlgo* algo = nullptr;
-  coll::ReduceScatterFn fn;
-  std::string reason;
-
-  const std::string& name() const { return algo->name; }
-};
+using AllgatherSelection = Selection<coll::AllgatherAlgo>;
+using AllreduceSelection = Selection<coll::AllreduceAlgo>;
+using AlltoallSelection = Selection<coll::AlltoallAlgo>;
+using ReduceScatterSelection = Selection<coll::ReduceScatterAlgo>;
 
 class Selector {
  public:

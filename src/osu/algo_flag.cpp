@@ -109,11 +109,7 @@ void print_algo_list(std::ostream& os) {
     for (const auto& a : entries) {
       os << "  " << a.name;
       for (std::size_t i = a.name.size(); i < 18; ++i) os << ' ';
-      os << a.summary;
-      if (a.graph != coll::GraphMode::kNone) {
-        os << "  [" << coll::graph_mode_name(a.graph) << ']';
-      }
-      os << '\n';
+      os << a.summary << '\n';
     }
   };
   section("allgather", reg.allgathers());

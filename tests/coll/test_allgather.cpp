@@ -331,9 +331,9 @@ TEST(ExchangePin, Rd) {
 
 TEST(ExchangePin, NodeAwareBruck) {
   expect_pin(run_pinned(fn_node_aware_bruck(), 3, 4, 4096, false),
-             0x1.bfb7949f68c1bp-16, 546);
+             0x1.bfb7949f68c1bp-16, 540);
   expect_pin(run_pinned(fn_node_aware_bruck(), 4, 8, 65537, false),
-             0x1.f784b889a5b45p-11, 4968);
+             0x1.f784b889a5b45p-11, 4960);
 }
 
 TEST(ExchangePin, MhaInterRing) {
@@ -364,30 +364,30 @@ coll::AllgatherFn fn_mha_inter_barrier(core::Phase2Algo phase2) {
 
 TEST(BaselinePin, BruckNonPowerOfTwo) {
   expect_pin(run_pinned(fn_bruck(), 3, 2, 4096, false),
-             0x1.8bc7af23b00aap-17, 207);
+             0x1.8bc7af23b00aap-17, 195);
   expect_pin(run_pinned(fn_bruck(), 5, 3, 1000, true),
-             0x1.6ae99be321853p-17, 601);
+             0x1.6ae99be321853p-17, 571);
 }
 
 TEST(BaselinePin, MultiLeader) {
   expect_pin(run_pinned(fn_multi_leader(1), 2, 4, 65536, false),
-             0x1.3d7903c5ec9d6p-13, 272);
+             0x1.3d7903c5ec9d6p-13, 256);
   expect_pin(run_pinned(fn_multi_leader(2), 2, 4, 65536, false),
-             0x1.076930f8d8688p-13, 498);
+             0x1.076930f8d8688p-13, 482);
   expect_pin(run_pinned(fn_multi_leader(2), 3, 4, 4096, true),
-             0x1.70a22d5aa4d6cp-16, 514);
+             0x1.70a22d5aa4d6cp-16, 490);
 }
 
 TEST(BaselinePin, MhaInterBarrier) {
   expect_pin(run_pinned(fn_mha_inter_barrier(core::Phase2Algo::kRD), 4, 4,
                         65536, false),
-             0x1.ea5e2f170584bp-13, 876);
+             0x1.ea5e2f170584bp-13, 844);
   expect_pin(run_pinned(fn_mha_inter_barrier(core::Phase2Algo::kRing), 3, 4,
                         200000, false),
-             0x1.f68132a180defp-12, 656);
+             0x1.f68132a180defp-12, 632);
   expect_pin(run_pinned(fn_mha_inter_barrier(core::Phase2Algo::kRing), 3, 4,
                         4096, true),
-             0x1.4e5efd60060b6p-16, 453);
+             0x1.4e5efd60060b6p-16, 429);
 }
 
 }  // namespace

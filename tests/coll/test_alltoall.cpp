@@ -213,12 +213,12 @@ TEST(BaselinePin, AlltoallPairwise) {
   const std::size_t msg = 1000;
   const auto bytes = msg * static_cast<std::size_t>(t.procs());
   expect_pin(run_pinned(fn_pairwise(), t, msg, bytes, bytes),
-             0x1.0fe375874dedp-17, 316);
+             0x1.0fe375874dedp-17, 304);
   const Trial wide = healthy(4, 2, 2);
   const std::size_t big = 1u << 16;
   const auto wide_bytes = big * static_cast<std::size_t>(wide.procs());
   expect_pin(run_pinned(fn_pairwise(), wide, big, wide_bytes, wide_bytes),
-             0x1.5f5de7f96e4e8p-14, 857);
+             0x1.5f5de7f96e4e8p-14, 841);
 }
 
 TEST(BaselinePin, AlltoallvPairwise) {
@@ -236,7 +236,7 @@ TEST(BaselinePin, AlltoallvPairwise) {
                               r.sub(0, l.recv_total(my)), l);
   };
   expect_pin(run_pinned(fn, t, layout, send_max, recv_max),
-             0x1.28ba52798d085p-17, 367);
+             0x1.28ba52798d085p-17, 355);
 }
 
 }  // namespace

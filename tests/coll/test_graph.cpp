@@ -288,28 +288,6 @@ TEST(GraphExecutor, IdenticalGraphsRunDeterministically) {
   EXPECT_EQ(a.second, b.second);
 }
 
-TEST(RunAsGraph, WrapsLegacyBodyWithTaskSpan) {
-  sim::Engine eng;
-  trace::Tracer tracer;
-  obs::CollectSink sink(&tracer);
-  std::vector<int> order;
-  const auto run = [&] {
-    return run_as_graph(eng, sink, 4, "legacy",
-                        [&eng, &order] { return log_after(eng, order, 9, 0); });
-  };
-  eng.spawn(run());
-  eng.run();
-  EXPECT_EQ(order, (std::vector<int>{9}));
-  bool found = false;
-  for (const auto& s : tracer.spans()) {
-    if (s.kind == trace::Kind::kTask && s.label == "task:wrapped:legacy") {
-      found = true;
-      EXPECT_EQ(s.rank, 4);
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 // ---- RangeProducers ----
 
 TEST(RangeProducers, CoveringIntersectsHalfOpenRanges) {

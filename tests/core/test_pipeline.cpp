@@ -114,23 +114,5 @@ TEST(Pipeline, StreamingNeverLosesAcrossShapes) {
   }
 }
 
-// ---- Registry metadata: everything executes via the GraphExecutor ----
-
-TEST(Pipeline, EveryAllgatherRegistersAGraphMode) {
-  register_core_algorithms();
-  const auto& reg = coll::Registry::instance();
-  for (const auto& a : reg.allgathers()) {
-    EXPECT_NE(a.graph, coll::GraphMode::kNone) << a.name;
-  }
-  for (const auto& a : reg.allgathervs()) {
-    EXPECT_NE(a.graph, coll::GraphMode::kNone) << a.name;
-  }
-  // The paper's headline designs stream natively.
-  EXPECT_EQ(reg.get_allgather("mha_inter").graph, coll::GraphMode::kNative);
-  EXPECT_EQ(reg.get_allgather("mha_inter_barrier").graph,
-            coll::GraphMode::kWrapped);
-  EXPECT_EQ(reg.get_allgather("ring").graph, coll::GraphMode::kNative);
-}
-
 }  // namespace
 }  // namespace hmca::core

@@ -149,6 +149,49 @@ TEST(SelectorEnv, InapplicablePinThrows) {
   EXPECT_THROW(select_ag(3, 2, 1024), std::invalid_argument);
 }
 
+// The named error of an inapplicable pin, family by family, byte for
+// byte: the shared override step must keep each family's wording.
+template <class Select>
+std::string pin_error(const char* var, const char* name, Select select) {
+  EnvGuard guard(var, name);
+  const auto spec = hw::ClusterSpec::thor(3, 2);
+  sim::Engine eng;
+  mpi::World world(eng, spec);
+  try {
+    select(default_selector(), world.comm_world());
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(SelectorEnv, InapplicablePinNamesTheCall) {
+  EXPECT_EQ(pin_error(kAllgatherAlgoEnv, "mha_inter_rd",
+                      [](const Selector& s, mpi::Comm& c) {
+                        s.select_allgather(c, 0, 1024);
+                      }),
+            "selector: HMCA_ALLGATHER_ALGO=mha_inter_rd is not applicable "
+            "to this communicator (size=6, nodes=3, ppn=2)");
+  EXPECT_EQ(pin_error(kAllreduceAlgoEnv, "ring",
+                      [](const Selector& s, mpi::Comm& c) {
+                        s.select_allreduce(c, 0, 7, mpi::Dtype::kFloat);
+                      }),
+            "selector: HMCA_ALLREDUCE_ALGO=ring is not applicable "
+            "(size=6, count=7)");
+  EXPECT_EQ(pin_error(kAlltoallAlgoEnv, "hier_leader",
+                      [](const Selector& s, mpi::Comm& c) {
+                        s.select_alltoall(c.world().node_comm(0), 0, 64);
+                      }),
+            "selector: HMCA_ALLTOALL_ALGO=hier_leader is not applicable "
+            "to this communicator (size=2, nodes=1, ppn=2)");
+  EXPECT_EQ(pin_error(kReduceScatterAlgoEnv, "rh",
+                      [](const Selector& s, mpi::Comm& c) {
+                        s.select_reduce_scatter(c, 0, 12, mpi::Dtype::kFloat);
+                      }),
+            "selector: HMCA_REDUCE_SCATTER_ALGO=rh is not applicable "
+            "(size=6, count=12)");
+}
+
 TEST(SelectorEnv, PinsAllreduceByName) {
   EnvGuard guard(kAllreduceAlgoEnv, "ring_mha");
   const auto sel = select_ar(2, 4, 64);  // tiny: thresholds would say rd

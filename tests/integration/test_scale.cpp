@@ -59,8 +59,8 @@ std::uint64_t run_budgeted(hw::ClusterSpec spec, const coll::AllgatherFn& fn,
   return eng.events_dispatched();
 }
 
-TEST(Scale, ThousandRankGraphModeAllgatherUnderBudget) {
-  // 32 nodes x 32 ppn = 1024 ranks through the full MHA graph-mode path
+TEST(Scale, ThousandRankTaskGraphAllgatherUnderBudget) {
+  // 32 nodes x 32 ppn = 1024 ranks through the full MHA task-graph path
   // (streaming task graph, fluid network, calendar queue). The healthy run
   // dispatches ~1.05M events at this message size; 4M is ~4x headroom, and
   // anything super-linear in the queue or solver blows through it.

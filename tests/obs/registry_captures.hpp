@@ -35,7 +35,6 @@ inline conf::Trial coverage_trial() {
 
 struct Capture {
   std::string algo;
-  bool graph_routed = false;  ///< registered with a GraphMode other than kNone
   std::vector<trace::Span> spans;
 };
 
@@ -50,8 +49,7 @@ std::vector<Capture> capture_each(const Table& table, Applies applies,
     trace::Tracer tracer;
     obs::CollectSink sink(&tracer);
     run(algo.fn, sink);
-    out.push_back(Capture{algo.name, algo.graph != coll::GraphMode::kNone,
-                          tracer.take_spans()});
+    out.push_back(Capture{algo.name, tracer.take_spans()});
   }
   return out;
 }

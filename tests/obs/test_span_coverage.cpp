@@ -1,7 +1,7 @@
 // Span-coverage conformance: every registered algorithm, in every
 // collective family, must emit the telemetry the diff attribution needs —
-// phase annotations and (for graph-routed families) task spans whose
-// critical path classifies into cpu/nic/shm resource classes. An algorithm
+// phase annotations and a critical path that classifies into cpu/nic/shm
+// resource classes. An algorithm
 // that runs silent would align against nothing in hmca-diff, so its
 // regressions could never be explained; this suite makes that a test
 // failure instead of a blind spot.
@@ -23,7 +23,6 @@ namespace {
 struct Coverage {
   std::size_t spans = 0;
   std::size_t phase_spans = 0;  ///< non-annotation kPhase spans
-  std::size_t task_spans = 0;
   double cp_total_us = 0;
   double cp_classified_us = 0;  ///< path time with a non-"" resource class
 };
@@ -35,7 +34,6 @@ Coverage analyze(const std::vector<trace::Span>& spans) {
     if (s.kind == trace::Kind::kPhase && !obs::names::is_annotation(s.label)) {
       ++c.phase_spans;
     }
-    if (s.kind == trace::Kind::kTask) ++c.task_spans;
   }
   const obs::CriticalPathReport cp = obs::analyze_critical_path(spans);
   c.cp_total_us = cp.total * 1e6;
@@ -48,18 +46,13 @@ Coverage analyze(const std::vector<trace::Span>& spans) {
 }
 
 /// The shared assertions: phases annotated, critical path non-empty and
-/// attributable. Graph-routed entries additionally require task spans
-/// (legacy allreduce/bcast bodies are not yet executed through the task
-/// graph).
+/// attributable.
 void expect_attributable(const std::string& family,
                          const testing::captures::Capture& capture) {
   SCOPED_TRACE(family + " '" + capture.algo + "'");
   const Coverage c = analyze(capture.spans);
   EXPECT_GT(c.spans, 0u) << "emitted no spans at all";
   EXPECT_GT(c.phase_spans, 0u) << "emitted no phase annotations";
-  if (capture.graph_routed) {
-    EXPECT_GT(c.task_spans, 0u) << "graph-routed but emitted no task spans";
-  }
   EXPECT_GT(c.cp_total_us, 0.0) << "critical path is empty";
   EXPECT_GT(c.cp_classified_us, 0.0)
       << "no critical-path time classifies into cpu/nic/shm/wait — "
