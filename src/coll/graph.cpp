@@ -294,8 +294,8 @@ void set_chunk_bytes_override(long long bytes) { g_chunk_override = bytes; }
 
 std::size_t configured_chunk_bytes() {
   if (g_chunk_override >= 0) return static_cast<std::size_t>(g_chunk_override);
-  // Parsed locally: coll sits below osu in the layering, so the typed
-  // accessor (osu::Env::chunk_bytes) wraps this rather than the reverse.
+  // Parsed here rather than through osu::Env: coll sits below osu in the
+  // layering.
   const char* v = std::getenv("HMCA_CHUNK_BYTES");
   if (v == nullptr || *v == '\0') return 0;
   char* end = nullptr;

@@ -177,7 +177,6 @@ class Cluster {
   /// Number of rails currently dead or degraded (observability).
   int degraded_count() const noexcept { return degraded_count_; }
 
-  const sim::FaultPlan& fault_plan() const noexcept { return faults_; }
   /// Transient-drop parameters, or nullptr when no transient injection.
   const sim::TransientSpec* transient_spec() const noexcept {
     return faults_.transient ? &*faults_.transient : nullptr;

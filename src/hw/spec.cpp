@@ -79,11 +79,6 @@ ClusterSpecBuilder& ClusterSpecBuilder::carry_data(bool on) {
   return *this;
 }
 
-ClusterSpecBuilder& ClusterSpecBuilder::fault_plan(std::string plan) {
-  spec_.fault_plan = std::move(plan);
-  return *this;
-}
-
 ClusterSpec ClusterSpecBuilder::build() const {
   ClusterSpec out = spec_;
   // Per-socket capacities from the preserved node totals: sockets(2) on a

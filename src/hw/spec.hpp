@@ -183,7 +183,6 @@ class ClusterSpecBuilder {
   ClusterSpecBuilder& hca_bw(double bytes_per_sec);
   ClusterSpecBuilder& upi_bw(double bytes_per_sec);
   ClusterSpecBuilder& carry_data(bool on);
-  ClusterSpecBuilder& fault_plan(std::string plan);
 
   /// The validated spec; throws SpecError naming the offending shape.
   ClusterSpec build() const;

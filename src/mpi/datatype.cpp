@@ -4,27 +4,6 @@
 
 namespace hmca::mpi {
 
-const char* dtype_name(Dtype d) {
-  switch (d) {
-    case Dtype::kByte: return "byte";
-    case Dtype::kInt32: return "int32";
-    case Dtype::kInt64: return "int64";
-    case Dtype::kFloat: return "float";
-    case Dtype::kDouble: return "double";
-  }
-  return "?";
-}
-
-const char* reduce_op_name(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum: return "sum";
-    case ReduceOp::kProd: return "prod";
-    case ReduceOp::kMax: return "max";
-    case ReduceOp::kMin: return "min";
-  }
-  return "?";
-}
-
 namespace {
 
 template <class T>

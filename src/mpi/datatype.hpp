@@ -22,11 +22,7 @@ constexpr std::size_t dtype_size(Dtype d) {
   return 1;
 }
 
-const char* dtype_name(Dtype d);
-
 enum class ReduceOp { kSum, kProd, kMax, kMin };
-
-const char* reduce_op_name(ReduceOp op);
 
 /// accum[i] = accum[i] OP operand[i] for `count` elements. Both views real:
 /// the arithmetic is performed; either phantom: no-op (timing handled by the

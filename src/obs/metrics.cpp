@@ -134,11 +134,6 @@ double Metrics::counter_value(std::string_view name,
   return it == counters_.end() ? 0.0 : it->second;
 }
 
-double Metrics::gauge_value(std::string_view name, const Labels& labels) const {
-  const auto it = gauges_.find(make_key(name, labels));
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
 const Metrics::Histogram* Metrics::histogram(std::string_view name,
                                              const Labels& labels) const {
   const auto it = hists_.find(make_key(name, labels));
@@ -151,12 +146,6 @@ double Metrics::counter_total(std::string_view name) const {
     if (key.name == name) total += value;
   }
   return total;
-}
-
-void Metrics::clear() {
-  counters_.clear();
-  gauges_.clear();
-  hists_.clear();
 }
 
 void Metrics::write_json(std::ostream& os, int indent) const {

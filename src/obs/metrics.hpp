@@ -67,10 +67,9 @@ class Metrics {
   void gauge(std::string_view name, double value, Labels labels = {});
   void observe(std::string_view name, double value, Labels labels = {});
 
-  /// Lookups (tests, report derivation). Counters/gauges default to 0 for
-  /// absent keys; histogram lookup returns nullptr.
+  /// Lookups (tests, report derivation). Counters default to 0 for absent
+  /// keys; histogram lookup returns nullptr.
   double counter_value(std::string_view name, const Labels& labels = {}) const;
-  double gauge_value(std::string_view name, const Labels& labels = {}) const;
   const Histogram* histogram(std::string_view name,
                              const Labels& labels = {}) const;
 
@@ -86,7 +85,6 @@ class Metrics {
   bool empty() const noexcept {
     return counters_.empty() && gauges_.empty() && hists_.empty();
   }
-  void clear();
 
   /// {"counters":[{"name":..,"labels":{..},"value":..},..],
   ///  "gauges":[..], "histograms":[..]} — keys emitted in sorted order.

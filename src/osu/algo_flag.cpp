@@ -167,17 +167,6 @@ coll::AlltoallFn pinned_alltoall(const std::string& name) {
   };
 }
 
-coll::AlltoallvFn pinned_alltoallv(const std::string& name) {
-  const auto& a = coll::Registry::instance().get_alltoallv(name);
-  return [&a, name](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
-                    const coll::AlltoallvLayout& layout) {
-    if (a.applies && !a.applies(coll::CommShape::of(c), layout.total())) {
-      inapplicable("alltoallv", name, coll::CommShape::of(c));
-    }
-    return a.fn(c, my, s, rv, layout);
-  };
-}
-
 coll::ReduceScatterFn pinned_reduce_scatter(const std::string& name) {
   const auto& a = coll::Registry::instance().get_reduce_scatter(name);
   return [&a, name](mpi::Comm& c, int my, hw::BufView d, std::size_t n,

@@ -1,6 +1,5 @@
 #include "osu/env.hpp"
 
-#include "coll/graph.hpp"
 
 #include <cstdio>
 #include <cstdlib>
@@ -75,11 +74,6 @@ std::optional<StatsFormat> Env::stats() {
   const auto v = raw(kStats);
   if (!v || value_means_off(*v)) return std::nullopt;
   return parse_stats_format(*v, kStats);
-}
-
-std::optional<std::size_t> Env::chunk_bytes() {
-  if (!raw(kChunkBytes)) return std::nullopt;
-  return coll::configured_chunk_bytes();
 }
 
 std::string Env::git_sha() {

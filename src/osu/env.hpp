@@ -80,12 +80,6 @@ class Env {
   /// Malformed values throw std::invalid_argument.
   static std::optional<StatsFormat> stats();
 
-  /// Parsed HMCA_CHUNK_BYTES — the dataflow executor's chunk granularity
-  /// (coll::configured_chunk_bytes does the actual parse so the coll layer
-  /// needs no osu dependency). 0 means the size-dependent auto policy;
-  /// malformed values throw std::invalid_argument.
-  static std::optional<std::size_t> chunk_bytes();
-
   /// The source revision stamped into provenance blocks: HMCA_GIT_SHA when
   /// set (CI passes the exact checkout), else `git rev-parse --short=12
   /// HEAD`, else "unknown". Resolved once per process — both the stats
