@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <vector>
 
 namespace hmca::sim {
 
@@ -317,6 +318,34 @@ void FaultPlan::validate(int nodes, int hcas) const {
               "bw factor must be in [1e-3, 1] in '" + e.describe() + "'");
       require(e.lat_factor >= 1, "lat factor must be >= 1 in '" +
                                      e.describe() + "'");
+    }
+  }
+  // Degrades on one rail compound: the cluster multiplies their factors in
+  // firing order (time, then plan order), wildcards included, so the floor
+  // applies to each rail's running product as well.
+  std::vector<const FaultEvent*> degrades;
+  for (const auto& e : events) {
+    if (e.kind == FaultKind::kDegrade) degrades.push_back(&e);
+  }
+  std::stable_sort(degrades.begin(), degrades.end(),
+                   [](const FaultEvent* a, const FaultEvent* b) {
+                     return a->t < b->t;
+                   });
+  std::vector<double> bw(static_cast<std::size_t>(nodes) *
+                             static_cast<std::size_t>(hcas),
+                         1.0);
+  for (const FaultEvent* e : degrades) {
+    for (int n = 0; n < nodes; ++n) {
+      if (e->node >= 0 && e->node != n) continue;
+      for (int h = 0; h < hcas; ++h) {
+        if (e->hca >= 0 && e->hca != h) continue;
+        double& product = bw[static_cast<std::size_t>(n * hcas + h)];
+        product *= e->bw_factor;
+        require(product >= kMinBwFactor,
+                "bw factors on node " + std::to_string(n) + " hca " +
+                    std::to_string(h) + " multiply to " +
+                    format_double(product) + ", below 1e-3");
+      }
     }
   }
   if (transient) {

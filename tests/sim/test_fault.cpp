@@ -2,6 +2,7 @@
 // topology validation, randomized-plan invariants and backoff bounds.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
@@ -120,6 +121,52 @@ TEST(FaultPlan, RejectsBandwidthFactorBelowFloor) {
       FaultPlanError);
   EXPECT_NO_THROW(
       FaultPlan::parse("degrade:node=0,hca=0,t=0,bw=1e-3").validate(2, 2));
+}
+
+TEST(FaultPlan, RejectsCompoundedDegradesBelowFloor) {
+  // Two 0.03 degrades on one rail multiply to 9e-4, below the floor; the
+  // error names the rail and the product.
+  try {
+    FaultPlan::parse("degrade:node=1,hca=0,t=0,bw=0.03;"
+                     "degrade:node=1,hca=0,t=1e-6,bw=0.03")
+        .validate(2, 2);
+    FAIL() << "two bw=0.03 degrades on one rail accepted";
+  } catch (const FaultPlanError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "bw factors on node 1 hca 0 multiply to 0.0009"),
+              std::string::npos)
+        << e.what();
+  }
+  // Wildcards count on every rail they cover.
+  EXPECT_THROW(FaultPlan::parse("degrade:node=*,hca=1,t=0,bw=0.03;"
+                                "degrade:node=0,hca=*,t=0,bw=0.03")
+                   .validate(2, 2),
+               FaultPlanError);
+  // Factors on different rails never combine.
+  EXPECT_NO_THROW(FaultPlan::parse("degrade:node=0,hca=0,t=0,bw=0.03;"
+                                   "degrade:node=0,hca=1,t=0,bw=0.03;"
+                                   "degrade:node=1,hca=0,t=0,bw=0.03")
+                      .validate(2, 2));
+  // 0.03 x 0.04 = 1.2e-3 stays above it.
+  EXPECT_NO_THROW(FaultPlan::parse("degrade:node=*,hca=0,t=0,bw=0.03;"
+                                   "degrade:node=1,hca=*,t=0,bw=0.04")
+                      .validate(2, 2));
+}
+
+TEST(FaultPlan, RandomPlansNeverCompoundBelowFloor) {
+  // The conformance matrix samples 1-3 rails per node; every random plan
+  // it can draw must pass validation, compounded degrades included.
+  for (std::uint64_t seed = 1; seed <= 5000; ++seed) {
+    Rng rng(seed);
+    const int nodes = 1 + static_cast<int>(rng.next_below(4));
+    const int hcas = 1 + static_cast<int>(rng.next_below(3));
+    for (const auto cat :
+         {FaultPlan::Category::kDegrade, FaultPlan::Category::kMixed}) {
+      const FaultPlan plan = FaultPlan::random(rng, nodes, hcas, cat);
+      EXPECT_NO_THROW(plan.validate(nodes, hcas))
+          << "seed " << seed << ": " << plan.to_string();
+    }
+  }
 }
 
 TEST(FaultPlan, RejectsNonFiniteAndOutOfRangeNumbers) {
