@@ -10,6 +10,10 @@
 //   - an optional *cost-estimate hook* bound to the analytic models in
 //     model/cost.hpp, letting cost-model-driven selection rank candidates.
 //
+// An entry carries no execution mode: how its callable runs (a native task
+// graph, a planner program or a plain coroutine under a PhaseSpan) is the
+// algorithm's own business.
+//
 // The flat algorithms of this library register during `Registry::instance()`
 // bootstrap; the paper's MHA designs register via
 // `core::register_core_algorithms()` (called by the selection engine and the
