@@ -1,6 +1,5 @@
 #include "osu/env.hpp"
 
-
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
