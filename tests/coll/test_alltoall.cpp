@@ -239,5 +239,59 @@ TEST(BaselinePin, AlltoallvPairwise) {
              0x1.28ba52798d085p-17, 355);
 }
 
+// ---- Exact pins of the planner-lowered schedules ----
+//
+// The direct full mesh, the skewed alltoallv and the hierarchical leader
+// exchange, each on a non-power-of-two world and on a shape whose
+// transfers pass the 64 KiB single-chunk ceiling (several chunks per wire
+// tag range). A change to how the planner builds, numbers or lowers a
+// program must not move any of these, `events` included.
+
+Pinned run_pinned_v(const Trial& t, const std::vector<std::size_t>& counts) {
+  const auto layout = AlltoallvLayout::from_counts(t.procs(), counts);
+  std::size_t send_max = 0, recv_max = 0;
+  for (int r = 0; r < t.procs(); ++r) {
+    send_max = std::max(send_max, layout.send_total(r));
+    recv_max = std::max(recv_max, layout.recv_total(r));
+  }
+  const AlltoallvFn fn = [](mpi::Comm& c, int my, hw::BufView s,
+                            hw::BufView r, const AlltoallvLayout& l) {
+    return alltoallv_direct(c, my, s.sub(0, l.send_total(my)),
+                            r.sub(0, l.recv_total(my)), l);
+  };
+  return run_pinned(fn, t, layout, send_max, recv_max);
+}
+
+Pinned run_pinned_a2a(const AlltoallFn& fn, const Trial& t, std::size_t msg) {
+  const auto bytes = msg * static_cast<std::size_t>(t.procs());
+  return run_pinned(fn, t, msg, bytes, bytes);
+}
+
+TEST(PlannerPin, AlltoallDirect) {
+  expect_pin(run_pinned_a2a(fn_direct(), healthy(2, 3), 1000),
+             0x1.0c7749280e304p-17, 550);
+  expect_pin(run_pinned_a2a(fn_direct(), healthy(2, 2, 2), 1u << 17),
+             0x1.73233476cde75p-15, 595);
+}
+
+TEST(PlannerPin, AlltoallvDirectSkewed) {
+  const Trial t = healthy(2, 3);
+  expect_pin(run_pinned_v(t, uneven_counts(t.procs())),
+             0x1.b3bff3a6058acp-18, 485);
+  auto heavy = uneven_counts(t.procs());
+  heavy[1] = 200000;  // one block past the single-chunk ceiling
+  heavy[static_cast<std::size_t>(t.procs()) + 4] = 70000;
+  expect_pin(run_pinned_v(t, heavy), 0x1.4537353718a9ep-16, 567);
+}
+
+TEST(PlannerPin, HierLeader) {
+  core::register_core_algorithms();
+  const AlltoallFn fn = Registry::instance().get_alltoall("hier_leader").fn;
+  expect_pin(run_pinned_a2a(fn, healthy(3, 3), 512),
+             0x1.1eaf6aceac63p-16, 2015);
+  expect_pin(run_pinned_a2a(fn, healthy(2, 4, 2), 16384),
+             0x1.d4b5ac3644b22p-14, 2237);
+}
+
 }  // namespace
 }  // namespace hmca::coll

@@ -6,11 +6,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ios>
+#include <vector>
 
 #include "coll/graph.hpp"
 #include "coll/prim/program.hpp"
 #include "coll/reduce_scatter.hpp"
+#include "coll/registry.hpp"
 #include "core/mha.hpp"
+#include "core/selector.hpp"
 #include "testing/conformance.hpp"
 
 namespace hmca::coll {
@@ -158,6 +162,66 @@ TEST(ReduceScatter, RejectsMismatchedBufferSize) {
                                      mpi::ReduceOp::kSum);
   }(comm, buf.view()));
   EXPECT_THROW(eng.run(), std::invalid_argument);
+}
+
+// ---- Exact pins of the planner-lowered schedules ----
+//
+// Simulated latency (hex float) and dispatched engine events of the ring
+// (uneven counts, non-power-of-two world), recursive halving and the
+// composed rs_ag allreduce, each also on a shape whose transfers pass the
+// 64 KiB single-chunk ceiling. A change to how the planner builds, numbers
+// or lowers a program must not move any of these, `events` included.
+
+struct Pinned {
+  double latency;
+  std::uint64_t events;
+};
+
+Pinned run_pinned(const ReduceScatterFn& fn, const Trial& t,
+                  std::size_t count) {
+  sim::Engine eng;
+  mpi::World world(eng, hmca::testing::conf::spec_of(t));
+  auto& comm = world.comm_world();
+  std::vector<hw::Buffer> bufs;
+  for (int r = 0; r < comm.size(); ++r) {
+    bufs.push_back(hw::Buffer::data(count * 8));
+  }
+  for (int r = 0; r < comm.size(); ++r) {
+    eng.spawn(hmca::testing::conf::detail::rs_rank(
+        comm, fn, r, bufs[static_cast<std::size_t>(r)].view(), count,
+        mpi::Dtype::kInt64, mpi::ReduceOp::kSum));
+  }
+  eng.run();
+  return {eng.now(), eng.events_dispatched()};
+}
+
+void expect_pin(const Pinned& got, double latency, std::uint64_t events) {
+  EXPECT_EQ(got.latency, latency) << std::hexfloat << got.latency;
+  EXPECT_EQ(got.events, events);
+}
+
+TEST(PlannerPin, ReduceScatterRing) {
+  expect_pin(run_pinned(fn_ring(), healthy(3, 3), 1000),
+             0x1.25e243a92be81p-17, 1482);
+  expect_pin(run_pinned(fn_ring(), healthy(2, 2, 2), 40001),
+             0x1.87bdecafa8264p-15, 621);
+}
+
+TEST(PlannerPin, ReduceScatterHalving) {
+  expect_pin(run_pinned(fn_rh(), healthy(2, 2), 64),
+             0x1.741b703ce9ae6p-19, 158);
+  expect_pin(run_pinned(fn_rh(), healthy(2, 4, 2), 1u << 17),
+             0x1.5417c9a76b8b1p-12, 4763);
+}
+
+TEST(PlannerPin, RsAgAllreduce) {
+  core::register_core_algorithms();
+  const ReduceScatterFn fn =
+      coll::Registry::instance().get_allreduce("rs_ag").fn;
+  expect_pin(run_pinned(fn, healthy(3, 3, 2), 1000),
+             0x1.cf31c4c1be164p-17, 448);
+  expect_pin(run_pinned(fn, healthy(2, 4, 2), 1u << 16),
+             0x1.72044b16965d1p-12, 2713);
 }
 
 }  // namespace
