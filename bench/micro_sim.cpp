@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the simulation substrate itself:
-// event-queue throughput, water-filling cost, end-to-end simulated
-// collectives per second, and the critical-path analyzer's scaling in
-// stream length. These gate the wall-clock cost of the paper-figure
+// event-queue throughput, water-filling cost, planner lowering, end-to-end
+// simulated collectives per second, and the critical-path analyzer's
+// scaling in stream length. These gate the wall-clock cost of the paper-figure
 // benches.
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "coll/allgather.hpp"
+#include "coll/alltoall.hpp"
 #include "hw/buffer.hpp"
 #include "mpi/comm.hpp"
 #include "obs/critical_path.hpp"
@@ -145,6 +146,42 @@ void BM_SimulatedAllgatherRing(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * nodes * 8);
 }
 BENCHMARK(BM_SimulatedAllgatherRing)->Arg(2)->Arg(8);
+
+sim::Task<void> a2a_rank(mpi::Comm& comm, int r, hw::BufView send,
+                         hw::BufView recv) {
+  co_await coll::alltoall_direct(comm, r, send, recv, 64);
+}
+
+// The planner layer: one alltoall_direct of 64-byte blocks on a world of
+// `ranks` (8 per node), null sink, no payload. The program has ranks^2
+// prims, so building, validating and lowering it weighs as much as the
+// simulated exchange itself.
+void BM_PlannerAlltoallDirect(benchmark::State& state) {
+  const int ranks = static_cast<int>(state.range(0));
+  const auto spec = hw::ClusterSpec::thor(ranks / 8, 8);
+  const std::size_t bytes = 64 * static_cast<std::size_t>(ranks);
+  for (auto _ : state) {
+    sim::Engine eng;
+    mpi::World world(eng, spec);
+    auto& comm = world.comm_world();
+    std::vector<hw::Buffer> bufs;
+    for (int r = 0; r < ranks; ++r) {
+      bufs.push_back(hw::Buffer::make(bytes, false));
+      bufs.push_back(hw::Buffer::make(bytes, false));
+    }
+    for (int r = 0; r < ranks; ++r) {
+      const auto i = static_cast<std::size_t>(2 * r);
+      eng.spawn(a2a_rank(comm, r, bufs[i].view(), bufs[i + 1].view()));
+    }
+    eng.run();
+    benchmark::DoNotOptimize(eng.events_dispatched());
+  }
+  state.SetItemsProcessed(state.iterations() * ranks * ranks);
+}
+BENCHMARK(BM_PlannerAlltoallDirect)
+    ->Arg(64)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 // A synthetic pipelined stream of `n` spans on 64 ranks: each rank runs a
 // copy, a NIC transfer to its right neighbour and a dataflow task per

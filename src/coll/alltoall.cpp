@@ -84,8 +84,9 @@ AlltoallvLayout AlltoallvLayout::from_counts(int nranks,
 sim::Task<void> alltoall_direct(mpi::Comm& comm, int my, hw::BufView send,
                                 hw::BufView recv, std::size_t msg) {
   check_args(comm, my, send, recv, msg);
-  co_await prim::Planner::run(comm, my, send, recv,
-                              prim::alltoall_direct(comm.size(), msg));
+  co_await prim::Planner::run(comm, my, send, recv, [&comm, msg] {
+    return prim::alltoall_direct(comm.size(), msg);
+  });
 }
 
 sim::Task<void> alltoall_pairwise(mpi::Comm& comm, int my, hw::BufView send,
@@ -113,9 +114,9 @@ sim::Task<void> alltoallv_direct(mpi::Comm& comm, int my, hw::BufView send,
                                  hw::BufView recv,
                                  const AlltoallvLayout& layout) {
   check_args_v(comm, my, send, recv, layout);
-  co_await prim::Planner::run(
-      comm, my, send, recv,
-      prim::alltoallv_direct(layout.nranks, layout.counts));
+  co_await prim::Planner::run(comm, my, send, recv, [&layout] {
+    return prim::alltoallv_direct(layout.nranks, layout.counts);
+  });
 }
 
 sim::Task<void> alltoallv_pairwise(mpi::Comm& comm, int my, hw::BufView send,

@@ -1,6 +1,7 @@
 // Program builders: the collective algorithms expressed as primitive
-// programs (program.hpp). Each returns a validated-shape SPMD Program the
-// Planner lowers per rank; none of them talk to the network directly.
+// programs (program.hpp). Each returns a validated-shape SPMD Program; the
+// Planner builds it once per collective call and lowers each rank's share.
+// None of them talk to the network directly.
 //
 // Buffer contracts (matching the collective function signatures that call
 // them):

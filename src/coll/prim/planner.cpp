@@ -2,12 +2,14 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "coll/graph.hpp"
+#include "shm/shm.hpp"
 
 namespace hmca::coll::prim {
 namespace {
@@ -48,6 +50,114 @@ sim::Task<void> post_recvs(mpi::Comm& comm, int my, int src, int base_tag,
   co_return;
 }
 
+/// One transfer set of a program: a multicast, one owner's shard of an
+/// unshard, or a reduce — or a fence, which every rank lowers.
+struct Unit {
+  const Prim* prim = nullptr;  ///< label, phase, peers, reduce dtype/op
+  int root = 0;
+  Space src_space = Space::kRecv;
+  Space dst_space = Space::kRecv;
+  Range src;
+  std::size_t dst_off = 0;
+  int chunks = 0;              ///< chunks_for(src.len)
+  std::size_t tags = 0;        ///< Plan::tags index of peer 0's tag base
+};
+
+/// The rank-independent half of a planner call, built once by the first
+/// rank to arrive and shared by all: the validated program, its transfer
+/// units with every wire tag numbered in program order, and each rank's
+/// units. A rank lowers only `by_rank[my]`.
+struct Plan {
+  Program prog;
+  std::vector<Unit> units;
+  std::vector<int> tags;  ///< per (unit, peer) tag base; -1 = local copy
+  std::vector<std::vector<int>> by_rank;
+};
+
+std::shared_ptr<Plan> make_plan(Program prog) {
+  prog.validate();
+  auto plan = std::make_shared<Plan>();
+  plan->prog = std::move(prog);
+  plan->by_rank.resize(static_cast<std::size_t>(plan->prog.nranks));
+  auto& tags = plan->tags;
+
+  const auto add_unit = [&plan](Unit u) {
+    plan->units.push_back(u);
+    return static_cast<int>(plan->units.size()) - 1;
+  };
+  const auto join = [&plan](int rank, int id) {
+    plan->by_rank[static_cast<std::size_t>(rank)].push_back(id);
+  };
+  // Per-ordered-pair wire-tag sequence, advanced in program order: both
+  // ends of a transfer read the same base.
+  std::map<std::pair<int, int>, int> pair_seq;
+  const auto next_tag = [&pair_seq](int src, int dst, int chunks) {
+    int& next = pair_seq[{src, dst}];
+    const int base = next;
+    if (base + chunks - 1 > mpi::kMaxUserTag) {
+      throw PlanError("tag budget exceeded between ranks " +
+                      std::to_string(src) + " and " + std::to_string(dst) +
+                      " (program moves too many transfers over one pair)");
+    }
+    next += chunks;
+    return base;
+  };
+  const auto multicast = [&](const Prim& p, int root, Space src_space,
+                             Range src, Space dst_space, std::size_t dst_off) {
+    if (src.len == 0) return;
+    const int chunks = chunks_for(src.len);
+    const int id = add_unit(
+        {&p, root, src_space, dst_space, src, dst_off, chunks, tags.size()});
+    join(root, id);
+    for (const int peer : p.peers) {
+      if (peer == root) {
+        tags.push_back(-1);
+        continue;
+      }
+      tags.push_back(next_tag(root, peer, chunks));
+      join(peer, id);
+    }
+  };
+
+  const std::vector<Shard>* sharded[3] = {nullptr, nullptr, nullptr};
+  for (const Prim& p : plan->prog.prims) {
+    switch (p.op) {
+      case Op::kMulticast:
+        multicast(p, p.root, p.src_space, p.src, p.dst_space, p.dst_off);
+        break;
+      case Op::kReduce: {
+        if (p.src.len == 0) break;
+        const int chunks = chunks_for(p.src.len);
+        const int id = add_unit({&p, p.root, p.src_space, p.src_space, p.src,
+                                 p.src.off, chunks, tags.size()});
+        join(p.root, id);
+        for (const int peer : p.peers) {
+          tags.push_back(next_tag(peer, p.root, chunks));
+          join(peer, id);
+        }
+        break;
+      }
+      case Op::kShard:
+        sharded[static_cast<int>(p.src_space)] = &p.shards;
+        break;
+      case Op::kUnshard:
+        for (const Shard& s : *sharded[static_cast<int>(p.src_space)]) {
+          multicast(p, s.owner, p.src_space, s.range, p.src_space,
+                    s.range.off);
+        }
+        break;
+      case Op::kFence: {
+        Unit fence;
+        fence.prim = &p;
+        const int id = add_unit(fence);
+        for (auto& units : plan->by_rank) units.push_back(id);
+        break;
+      }
+    }
+  }
+  return plan;
+}
+
 /// Per-space dependency bookkeeping: producers for RAW/WAW, readers for
 /// WAR. Entries only accumulate (extra edges to already-finished tasks are
 /// harmless); fences clear both.
@@ -68,46 +178,36 @@ struct SpaceState {
 class Lowering {
  public:
   Lowering(mpi::Comm& comm, int my, hw::BufView send, hw::BufView recv,
-           const Program& prog, GraphExecutor& exec, TaskGraph& g,
+           const Plan& plan, GraphExecutor& exec, TaskGraph& g,
            std::deque<hw::Buffer>& temps, std::optional<hw::Buffer>& scratch)
       : comm_(comm),
         my_(my),
         grank_(comm.to_global(my)),
         send_(send),
         recv_(recv),
-        prog_(prog),
+        plan_(plan),
         exec_(exec),
         g_(g),
         temps_(temps),
         scratch_(scratch),
         carry_(send.real() || recv.real()) {}
 
+  /// Walks this rank's units only, in program order.
   void lower() {
-    const std::vector<Shard>* sharded[3] = {nullptr, nullptr, nullptr};
-    for (const Prim& p : prog_.prims) {
+    for (const int id : plan_.by_rank[static_cast<std::size_t>(my_)]) {
+      const Unit& u = plan_.units[static_cast<std::size_t>(id)];
+      const Prim& p = *u.prim;
       phase_ = p.phase;
       label_ = p.label.empty() ? op_name(p.op) : p.label;
       switch (p.op) {
-        case Op::kMulticast:
-          lower_multicast(p.root, p.peers, p.src_space, p.src, p.dst_space,
-                          p.dst_off);
-          break;
         case Op::kReduce:
-          lower_reduce(p);
+          lower_reduce(u);
           break;
-        case Op::kShard:
-          sharded[static_cast<int>(p.src_space)] = &p.shards;
-          break;
-        case Op::kUnshard: {
-          const auto* shards = sharded[static_cast<int>(p.src_space)];
-          for (const Shard& s : *shards) {
-            lower_multicast(s.owner, p.peers, p.src_space, s.range,
-                            p.src_space, s.range.off);
-          }
-          break;
-        }
         case Op::kFence:
           lower_fence();
+          break;
+        default:  // a multicast or one shard of an unshard
+          lower_multicast(u);
           break;
       }
     }
@@ -120,7 +220,7 @@ class Lowering {
       case Space::kRecv: return recv_;
       case Space::kScratch:
         if (!scratch_) {
-          scratch_ = hw::Buffer::make(prog_.scratch_bytes, carry_);
+          scratch_ = hw::Buffer::make(plan_.prog.scratch_bytes, carry_);
         }
         return scratch_->view();
     }
@@ -160,27 +260,17 @@ class Lowering {
     state(s).producers.add(off, len, task);
   }
 
-  /// Per-ordered-pair wire-tag sequence: every rank walks the program in
-  /// the same order, so both ends of a transfer compute the same base.
-  int alloc_tag(int src, int dst, int chunks) {
-    int& next = tag_next_[{src, dst}];
-    const int base = next;
-    if (base + chunks - 1 > mpi::kMaxUserTag) {
-      throw PlanError("tag budget exceeded between ranks " +
-                      std::to_string(src) + " and " + std::to_string(dst) +
-                      " (program moves too many transfers over one pair)");
-    }
-    next += chunks;
-    return base;
-  }
-
-  void lower_multicast(int root, const std::vector<int>& peers,
-                       Space src_space, Range src, Space dst_space,
-                       std::size_t dst_off) {
+  void lower_multicast(const Unit& u) {
+    const int root = u.root;
+    const Space src_space = u.src_space;
+    const Space dst_space = u.dst_space;
+    const Range src = u.src;
+    const std::size_t dst_off = u.dst_off;
     const std::size_t len = src.len;
-    if (len == 0) return;
-    const int chunks = chunks_for(len);
-    for (const int peer : peers) {
+    const int chunks = u.chunks;
+    const std::vector<int>& peers = u.prim->peers;
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      const int peer = peers[i];
       if (peer == root) {
         if (src_space == dst_space && src.off == dst_off) continue;
         if (my_ != root) continue;
@@ -200,7 +290,7 @@ class Lowering {
         }
         continue;
       }
-      const int base = alloc_tag(root, peer, chunks);
+      const int base = plan_.tags[u.tags + i];
       if (my_ == root) {
         const int peer_g = comm_.to_global(peer);
         for (int c = 0; c < chunks; ++c) {
@@ -266,17 +356,18 @@ class Lowering {
     return stubs;
   }
 
-  void lower_reduce(const Prim& p) {
+  void lower_reduce(const Unit& u) {
+    const Prim& p = *u.prim;
     const std::size_t len = p.src.len;
-    if (len == 0) return;
     const Space space = p.src_space;
     const std::size_t elem = mpi::dtype_size(p.dtype);
     const std::size_t count = len / elem;
-    const int chunks = chunks_for(len);
+    const int chunks = u.chunks;
     std::map<int, int> chain;  ///< per-chunk reduce-chain tail
 
-    for (const int peer : p.peers) {
-      const int base = alloc_tag(peer, p.root, chunks);
+    for (std::size_t i = 0; i < p.peers.size(); ++i) {
+      const int peer = p.peers[i];
+      const int base = plan_.tags[u.tags + i];
       if (my_ == peer) {
         const int root_g = comm_.to_global(p.root);
         for (int c = 0; c < chunks; ++c) {
@@ -357,7 +448,7 @@ class Lowering {
   const int grank_;
   const hw::BufView send_;
   const hw::BufView recv_;
-  const Program& prog_;
+  const Plan& plan_;
   GraphExecutor& exec_;
   TaskGraph& g_;
   std::deque<hw::Buffer>& temps_;
@@ -365,7 +456,6 @@ class Lowering {
   const bool carry_;
 
   SpaceState spaces_[3];
-  std::map<std::pair<int, int>, int> tag_next_;
   std::vector<int> since_fence_;
   int fence_task_ = -1;
   std::string phase_;
@@ -375,14 +465,19 @@ class Lowering {
 }  // namespace
 
 sim::Task<void> Planner::run(mpi::Comm& comm, int my, hw::BufView send,
-                             hw::BufView recv, Program prog) {
-  prog.validate();
+                             hw::BufView recv,
+                             std::function<Program()> build) {
   GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
   TaskGraph g;
   std::deque<hw::Buffer> temps;
   std::optional<hw::Buffer> scratch;
   {
-    Lowering lo(comm, my, send, recv, prog, exec, g, temps, scratch);
+    // The task bodies copy what they need, so the plan is released as soon
+    // as this rank's share is lowered.
+    const auto plan = comm.share().acquire<Plan>(
+        -1, shm::op_key(comm.ctx(), comm.next_op_seq(my)), comm.size(),
+        [&build] { return make_plan(build()); });
+    Lowering lo(comm, my, send, recv, *plan, exec, g, temps, scratch);
     lo.lower();
   }
   if (g.empty()) co_return;

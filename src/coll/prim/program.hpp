@@ -16,15 +16,16 @@
 //               the direct allgather of the most recent shard declaration
 //   fence       full ordering barrier between everything before and after
 //
-// A `Program` is SPMD: every rank holds the same prim list and the planner
-// (planner.hpp) lowers exactly this rank's share into the chunk-granular
+// A `Program` is SPMD: it describes every rank's part of one collective
+// call. The planner (planner.hpp) builds it once per call, shares it among
+// the ranks and lowers exactly each rank's share into the chunk-granular
 // TaskGraph — multi-rail striping, pipelining, retry and telemetry spans
 // come from the dataflow engine, not from the program.
 //
 // `Program::validate()` rejects malformed programs with errors that name
 // the offending prim and shapes (see PlanError); the planner validates
-// before lowering, so a bad composition fails before any simulated byte
-// moves.
+// once per call, before any rank lowers, so a bad composition fails
+// before any simulated byte moves.
 #pragma once
 
 #include <cstddef>

@@ -26,8 +26,9 @@ sim::Task<void> reduce_scatter_ring_any(mpi::Comm& comm, int my,
                                         mpi::Dtype dtype, mpi::ReduceOp op) {
   check_args(comm, my, data, count, dtype);
   co_await prim::Planner::run(
-      comm, my, hw::BufView{}, data,
-      prim::reduce_scatter_ring(comm.size(), count, dtype, op));
+      comm, my, hw::BufView{}, data, [&comm, count, dtype, op] {
+        return prim::reduce_scatter_ring(comm.size(), count, dtype, op);
+      });
 }
 
 sim::Task<void> reduce_scatter_halving(mpi::Comm& comm, int my,
@@ -35,8 +36,9 @@ sim::Task<void> reduce_scatter_halving(mpi::Comm& comm, int my,
                                        mpi::Dtype dtype, mpi::ReduceOp op) {
   check_args(comm, my, data, count, dtype);
   co_await prim::Planner::run(
-      comm, my, hw::BufView{}, data,
-      prim::reduce_scatter_rh(comm.size(), count, dtype, op));
+      comm, my, hw::BufView{}, data, [&comm, count, dtype, op] {
+        return prim::reduce_scatter_rh(comm.size(), count, dtype, op);
+      });
 }
 
 }  // namespace hmca::coll

@@ -41,17 +41,19 @@ sim::Task<void> ring_mha_allreduce(mpi::Comm& comm, int my, hw::BufView data,
 // reduce-scatter + shard-unshard allgather over the top leaders /
 // multicast-down, at whatever depth the hierarchy resolves to
 // (HMCA_HIERARCHY honored, topology-derived otherwise). The n-level
-// generalization of ring_mha_allreduce.
+// generalization of ring_mha_allreduce. The hierarchy is resolved inside
+// the build, so once per call.
 sim::Task<void> rs_ag_allreduce(mpi::Comm& comm, int my, hw::BufView data,
                                 std::size_t count, mpi::Dtype dtype,
                                 mpi::ReduceOp op) {
-  const auto& spec = comm.cluster().spec();
-  HierarchySpec hs =
-      hierarchy_from_env(spec).value_or(HierarchySpec::derive(spec, 0));
-  const Hierarchy h(std::move(hs), comm.cluster());
   co_await coll::prim::Planner::run(
-      comm, my, hw::BufView{}, data,
-      coll::prim::allreduce_rs_ag(plan_levels(h), count, dtype, op));
+      comm, my, hw::BufView{}, data, [&comm, count, dtype, op] {
+        const auto& spec = comm.cluster().spec();
+        HierarchySpec hs =
+            hierarchy_from_env(spec).value_or(HierarchySpec::derive(spec, 0));
+        const Hierarchy h(std::move(hs), comm.cluster());
+        return coll::prim::allreduce_rs_ag(plan_levels(h), count, dtype, op);
+      });
 }
 
 // Hierarchical leader-exchange alltoall: node groups from the resolved
@@ -59,12 +61,12 @@ sim::Task<void> rs_ag_allreduce(mpi::Comm& comm, int my, hw::BufView data,
 // carries ppn^2 blocks per node pair in one transfer set.
 sim::Task<void> hier_leader_alltoall(mpi::Comm& comm, int my, hw::BufView send,
                                      hw::BufView recv, std::size_t msg) {
-  const Hierarchy h(HierarchySpec::derive(comm.cluster().spec(), 2),
-                    comm.cluster());
-  const auto levels = plan_levels(h);
-  co_await coll::prim::Planner::run(
-      comm, my, send, recv,
-      coll::prim::alltoall_hier(levels.front().groups, comm.size(), msg));
+  co_await coll::prim::Planner::run(comm, my, send, recv, [&comm, msg] {
+    const Hierarchy h(HierarchySpec::derive(comm.cluster().spec(), 2),
+                      comm.cluster());
+    return coll::prim::alltoall_hier(plan_levels(h).front().groups,
+                                     comm.size(), msg);
+  });
 }
 
 void register_core_impl(coll::Registry& reg) {

@@ -1,5 +1,6 @@
 #include "hw/spec.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <utility>
 
@@ -17,12 +18,15 @@ int positive_int(const std::string& what, const std::string& value) {
   return static_cast<int>(v);
 }
 
-double positive_double(const std::string& what, const std::string& value) {
+double bandwidth(const std::string& what, const std::string& value) {
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || !(v > 0)) {
-    throw SpecError(what + ": expected a positive number, got '" + value +
-                    "'");
+  if (end == value.c_str() || *end != '\0' || !std::isfinite(v) ||
+      !(v >= kMinTopoBandwidth)) {
+    throw SpecError(
+        what + ": expected a finite bandwidth of at least " +
+        std::to_string(static_cast<long long>(kMinTopoBandwidth)) +
+        " bytes/s, got '" + value + "'");
   }
   return v;
 }
@@ -114,9 +118,9 @@ ClusterSpec apply_topo(ClusterSpec base, const std::string& topo) {
     } else if (key == "sockets") {
       b.sockets(positive_int("--topo sockets", value));
     } else if (key == "hca_bw") {
-      b.hca_bw(positive_double("--topo hca_bw", value));
+      b.hca_bw(bandwidth("--topo hca_bw", value));
     } else if (key == "upi_bw") {
-      b.upi_bw(positive_double("--topo upi_bw", value));
+      b.upi_bw(bandwidth("--topo upi_bw", value));
     } else {
       throw SpecError(
           "--topo: unknown key '" + key +

@@ -193,10 +193,17 @@ class ClusterSpecBuilder {
   double node_copy_bw_;  // node-total copy-engine capacity
 };
 
+/// Lowest bandwidth `--topo` accepts for hca_bw and upi_bw, in bytes/s.
+/// Far below it, transfer completion times grow so large that adding the
+/// fluid solver's minimum completion step no longer advances virtual time,
+/// and a run never finishes.
+inline constexpr double kMinTopoBandwidth = 1e6;
+
 /// Apply `--topo` key=value overrides onto `base` and validate the result.
 /// Grammar: comma-separated `key=value` with keys
 ///   nodes, ppn, hcas, sockets     (positive integers)
-///   hca_bw, upi_bw                (bytes/s, e.g. 12.5e9)
+///   hca_bw, upi_bw                (finite bytes/s >= kMinTopoBandwidth,
+///                                  e.g. 12.5e9)
 /// Empty `topo` returns `base` unchanged. Throws SpecError naming the bad
 /// key or value. `sockets=` uses the builder's total-preserving split.
 ClusterSpec apply_topo(ClusterSpec base, const std::string& topo);

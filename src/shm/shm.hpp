@@ -9,7 +9,8 @@
 //
 // `NodeShare` is the rendezvous registry through which the SPMD ranks of a
 // node obtain the per-operation shared object (region, counters): the first
-// arrival constructs it, the last detaches it.
+// arrival constructs it, the last detaches it. Node -1 keys objects shared
+// by a whole communicator, such as the planner's per-call plan.
 #pragma once
 
 #include <cstdint>
@@ -121,7 +122,10 @@ class NodeShare {
   /// All `parties` ranks of `node` calling with the same `key` receive the
   /// same object; the first caller's `factory` constructs it. The entry is
   /// dropped from the registry after `parties` takes (the shared_ptr keeps
-  /// the object alive for holders).
+  /// the object alive for holders). A factory that throws inserts nothing,
+  /// so the next caller runs it again. `node` -1 is comm-wide: the key
+  /// then names an object every rank of one communicator shares, and
+  /// `parties` is the communicator's size.
   template <class T>
   std::shared_ptr<T> acquire(int node, std::uint64_t key, int parties,
                              const std::function<std::shared_ptr<T>()>& factory) {

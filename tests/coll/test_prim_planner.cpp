@@ -1,17 +1,22 @@
 // Planner lowering unit tests: each primitive in isolation on small
 // carry-data worlds, program-order dependency semantics (RAW/WAR/WAW over
-// byte ranges), fences, scratch, and the multi-chunk paths (payloads past
+// byte ranges), fences, scratch, the multi-chunk paths (payloads past
 // the 64 KiB single-chunk ceiling split element-aligned on both the send
-// and the deferred-recv side).
+// and the deferred-recv side), and the shared per-call plan (one build
+// per call, distinct plans for successive calls, the wire-tag budget).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "coll/alltoall.hpp"
 #include "coll/graph.hpp"
+#include "coll/prim/builders.hpp"
 #include "coll/prim/planner.hpp"
 #include "coll/prim/program.hpp"
+#include "coll/reduce_scatter.hpp"
 #include "hw/buffer.hpp"
 #include "hw/spec.hpp"
 #include "mpi/comm.hpp"
@@ -47,7 +52,7 @@ RankBufs run_program(int nodes, int ppn, const Program& prog, Seed seed) {
     eng.spawn(Planner::run(comm, r,
                            bufs.send[static_cast<std::size_t>(r)].view(),
                            bufs.recv[static_cast<std::size_t>(r)].view(),
-                           prog));
+                           [&prog] { return prog; }));
   }
   eng.run();
   return bufs;
@@ -337,6 +342,158 @@ TEST(PrimPlanner, ZeroLengthTransfersAreNoops) {
       EXPECT_EQ(bufs.recv[static_cast<std::size_t>(r)].bytes()[i], pat(r, i));
     }
   }
+}
+
+// ---- one plan per call: the first rank to arrive builds, validates and
+// numbers the program; every rank takes that plan and lowers its share ----
+
+TEST(PrimPlanner, BuilderRunsOncePerCall) {
+  constexpr std::size_t kMsg = 24;
+  auto spec = hw::ClusterSpec::thor(2, 3);
+  spec.carry_data = true;
+  sim::Engine eng;
+  mpi::World world(eng, spec);
+  auto& comm = world.comm_world();
+  const int p = comm.size();
+  const std::size_t bytes = kMsg * static_cast<std::size_t>(p);
+
+  std::vector<hw::Buffer> sends, recvs;
+  for (int r = 0; r < p; ++r) {
+    sends.push_back(hw::Buffer::data(bytes));
+    recvs.push_back(hw::Buffer::data(bytes));
+    for (std::size_t i = 0; i < bytes; ++i) {
+      sends.back().bytes()[i] = pat(r, i);
+    }
+  }
+  int builds = 0;
+  for (int r = 0; r < p; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    eng.spawn(Planner::run(comm, r, sends[i].view(), recvs[i].view(),
+                           [&builds, p] {
+                             ++builds;
+                             return alltoall_direct(p, kMsg);
+                           }));
+  }
+  eng.run();
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(comm.share().pending_entries(), 0u);
+  for (int r = 0; r < p; ++r) {
+    for (int src = 0; src < p; ++src) {
+      for (std::size_t i = 0; i < kMsg; ++i) {
+        const std::size_t at = static_cast<std::size_t>(src) * kMsg + i;
+        ASSERT_EQ(recvs[static_cast<std::size_t>(r)].bytes()[at],
+                  pat(src, static_cast<std::size_t>(r) * kMsg + i))
+            << "rank " << r << " block " << src << " byte " << i;
+      }
+    }
+  }
+}
+
+// Rank 0 has no part in the first program, so it finishes that call at
+// once and reaches the alltoall while the other ranks have not yet taken
+// the first plan: each call must key its own plan.
+sim::Task<void> three_calls(mpi::Comm& comm, int r, const Program& relay,
+                            hw::BufView send, hw::BufView recv,
+                            std::size_t msg, hw::BufView data,
+                            std::size_t count) {
+  co_await Planner::run(comm, r, send, recv, [&relay] { return relay; });
+  co_await coll::alltoall_direct(comm, r, send, recv, msg);
+  co_await coll::reduce_scatter_ring_any(comm, r, data, count,
+                                         mpi::Dtype::kInt64,
+                                         mpi::ReduceOp::kSum);
+}
+
+TEST(PrimPlanner, SuccessiveCallsGetDistinctPlans) {
+  constexpr std::size_t kMsg = 40;
+  constexpr std::size_t kCount = 100;
+  auto spec = hw::ClusterSpec::thor(2, 3);
+  spec.carry_data = true;
+  sim::Engine eng;
+  mpi::World world(eng, spec);
+  auto& comm = world.comm_world();
+  const int p = comm.size();
+  const std::size_t bytes = kMsg * static_cast<std::size_t>(p);
+
+  // Rank 1's first byte lands at byte 0 of rank 2's receive buffer; the
+  // alltoall that follows overwrites it.
+  Program relay;
+  relay.nranks = p;
+  relay.send_bytes = relay.recv_bytes = bytes;
+  relay.multicast(1, {2}, Space::kSend, {0, 1}, Space::kRecv, 0);
+
+  std::vector<hw::Buffer> sends, recvs, data;
+  for (int r = 0; r < p; ++r) {
+    sends.push_back(hw::Buffer::data(bytes));
+    recvs.push_back(hw::Buffer::data(bytes));
+    data.push_back(hw::Buffer::data(kCount * 8));
+    for (std::size_t i = 0; i < bytes; ++i) {
+      sends.back().bytes()[i] = pat(r, i);
+    }
+    for (std::size_t e = 0; e < kCount; ++e) {
+      data.back().as<std::int64_t>()[e] =
+          r + 1 + static_cast<std::int64_t>(e);
+    }
+  }
+  for (int r = 0; r < p; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    eng.spawn(three_calls(comm, r, relay, sends[i].view(), recvs[i].view(),
+                          kMsg, data[i].view(), kCount));
+  }
+  eng.run();
+  EXPECT_EQ(comm.share().pending_entries(), 0u);
+  for (int r = 0; r < p; ++r) {
+    for (int src = 0; src < p; ++src) {
+      for (std::size_t i = 0; i < kMsg; ++i) {
+        const std::size_t at = static_cast<std::size_t>(src) * kMsg + i;
+        ASSERT_EQ(recvs[static_cast<std::size_t>(r)].bytes()[at],
+                  pat(src, static_cast<std::size_t>(r) * kMsg + i))
+            << "alltoall: rank " << r << " block " << src << " byte " << i;
+      }
+    }
+    const auto [off, len] = chunk_range(kCount, p, r);
+    for (std::size_t e = off; e < off + len; ++e) {
+      // Sum over ranks q of (q + 1 + e).
+      const std::int64_t want =
+          p * (p + 1) / 2 + p * static_cast<std::int64_t>(e);
+      ASSERT_EQ(data[static_cast<std::size_t>(r)].as<std::int64_t>()[e], want)
+          << "reduce_scatter: rank " << r << " elem " << e;
+    }
+  }
+}
+
+// ---- the wire-tag budget is per ordered rank pair and checked at plan
+// time ----
+
+TEST(PrimPlanner, TagBudgetOverrunThrowsBeforeAnyByteMoves) {
+  // One single-chunk transfer per tag 0..kMaxUserTag fits; one more does
+  // not.
+  Program prog;
+  prog.nranks = 2;
+  prog.send_bytes = prog.recv_bytes = 1;
+  for (int i = 0; i < mpi::kMaxUserTag + 2; ++i) {
+    prog.multicast(0, {1}, Space::kSend, {0, 1}, Space::kRecv, 0);
+  }
+  auto spec = hw::ClusterSpec::thor(2, 1);
+  sim::Engine eng;
+  mpi::World world(eng, spec);
+  auto& comm = world.comm_world();
+  auto send = hw::Buffer::make(1, false);
+  auto recv = hw::Buffer::make(1, false);
+  for (int r = 0; r < 2; ++r) {
+    eng.spawn(Planner::run(comm, r, send.view(), recv.view(),
+                           [&prog] { return prog; }));
+  }
+  std::string what;
+  try {
+    eng.run();
+  } catch (const PlanError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("tag budget exceeded between ranks 0 and 1"),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(eng.now(), 0.0);
+  EXPECT_EQ(comm.share().pending_entries(), 0u);
 }
 
 }  // namespace

@@ -203,7 +203,8 @@ TEST(PrimProgram, PlannerValidatesBeforeLowering) {
   }
   for (int r = 0; r < 4; ++r) {
     eng.spawn(Planner::run(comm, r, sends[static_cast<std::size_t>(r)].view(),
-                           recvs[static_cast<std::size_t>(r)].view(), p));
+                           recvs[static_cast<std::size_t>(r)].view(),
+                           [&p] { return p; }));
   }
   EXPECT_THROW(eng.run(), PlanError);
 }

@@ -103,6 +103,29 @@ TEST(ApplyTopoTest, RejectsMalformedInput) {
   EXPECT_THROW(apply_topo(base, "ppn=1,sockets=2"), SpecError);  // cross-field
 }
 
+// Bandwidths must be finite and at least kMinTopoBandwidth: an infinite
+// rail or one so slow that completions stop advancing virtual time would
+// otherwise run (or hang) silently. The error names the key.
+TEST(ApplyTopoTest, RejectsNonFiniteAndTinyBandwidths) {
+  const auto base = ClusterSpec::thor(2, 4);
+  for (const char* topo : {"hca_bw=inf", "hca_bw=1e400", "upi_bw=inf",
+                           "hca_bw=nan", "hca_bw=1e-3", "upi_bw=1e-20",
+                           "hca_bw=999999"}) {
+    const std::string key = std::string(topo).substr(0, 6);
+    try {
+      apply_topo(base, topo);
+      ADD_FAILURE() << topo << " accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("--topo " + key),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const auto floor = apply_topo(base, "hca_bw=1e6,upi_bw=1e6");
+  EXPECT_EQ(floor.hca_bw, kMinTopoBandwidth);
+  EXPECT_EQ(floor.upi_bw, kMinTopoBandwidth);
+}
+
 // ---- Block-distribution audit (uneven ppn / hcas over sockets) ----
 
 /// socket_first_local must be the exact inverse of socket_of_local:
