@@ -116,6 +116,58 @@ TEST(SelectorAllreduce, ThresholdsMatchPaperDefaults) {
   auto large = select_ar(2, 4, 131072);
   EXPECT_EQ(large.name(), "ring_mha");
   EXPECT_EQ(large.reason, "allreduce:threshold:large");
+  // One divisible step past the cutoff: 8200 floats = 32800 B.
+  auto edge = select_ar(2, 4, 8200);
+  EXPECT_EQ(edge.name(), "ring_mha");
+  EXPECT_EQ(edge.reason, "allreduce:threshold:large");
+}
+
+TEST(SelectorAlltoall, ThresholdsMatchDefaults) {
+  const auto pick = [](int nodes, int ppn, std::size_t msg) {
+    sim::Engine eng;
+    mpi::World world(eng, hw::ClusterSpec::thor(nodes, ppn));
+    return default_selector().select_alltoall(world.comm_world(), 0, msg);
+  };
+  // The 16 KiB hierarchical cutoff is inclusive.
+  const auto small = pick(2, 4, 16384);
+  EXPECT_EQ(small.name(), "hier_leader");
+  EXPECT_EQ(small.reason, "alltoall:threshold:hier-small");
+  const auto large = pick(2, 4, 16385);
+  EXPECT_EQ(large.name(), "direct");
+  EXPECT_EQ(large.reason, "alltoall:threshold:direct");
+  // No leader exchange without several nodes of several ranks.
+  const auto one_per_node = pick(4, 1, 64);
+  EXPECT_EQ(one_per_node.name(), "direct");
+  EXPECT_EQ(one_per_node.reason, "alltoall:threshold:direct");
+
+  sim::Engine eng;
+  mpi::World world(eng, hw::ClusterSpec::thor(2, 4));
+  const auto node =
+      default_selector().select_alltoall(world.node_comm(0), 0, 64);
+  EXPECT_EQ(node.name(), "direct");
+  EXPECT_EQ(node.reason, "alltoall:threshold:direct");
+}
+
+TEST(SelectorReduceScatter, ThresholdsMatchDefaults) {
+  const auto pick = [](int nodes, int ppn, std::size_t count) {
+    sim::Engine eng;
+    mpi::World world(eng, hw::ClusterSpec::thor(nodes, ppn));
+    return default_selector().select_reduce_scatter(
+        world.comm_world(), 0, count, mpi::Dtype::kFloat);
+  };
+  // 8192 floats = 32 KiB, the inclusive halving cutoff, on 8 ranks.
+  const auto small = pick(2, 4, 8192);
+  EXPECT_EQ(small.name(), "rh");
+  EXPECT_EQ(small.reason, "reduce_scatter:threshold:rh-small");
+  // Past the cutoff, an indivisible count, a non-power-of-two world.
+  for (const auto& [nodes, ppn, count] :
+       {std::tuple{2, 4, std::size_t{8200}}, std::tuple{2, 4, std::size_t{12}},
+        std::tuple{3, 2, std::size_t{12}}}) {
+    const auto sel = pick(nodes, ppn, count);
+    EXPECT_EQ(sel.name(), "ring")
+        << nodes << "x" << ppn << " count=" << count;
+    EXPECT_EQ(sel.reason, "reduce_scatter:threshold:ring");
+  }
 }
 
 // ---- Environment overrides ----
