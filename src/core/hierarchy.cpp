@@ -8,8 +8,10 @@
 #include <utility>
 
 #include "coll/bcast.hpp"
+#include "coll/phase_span.hpp"
 #include "core/hier_detail.hpp"
 #include "core/mha_rooted.hpp"
+#include "obs/names.hpp"
 #include "osu/env.hpp"
 #include "perf/json.hpp"
 #include "shm/shm.hpp"
@@ -394,24 +396,29 @@ sim::Task<void> bcast_hierarchy(mpi::Comm& comm, int my, int root,
   const bool leader = (local == 0);
   const int grank = comm.to_global(my);
 
-  // Steps 0 + 1 are the mha_bcast preamble: root -> node-leader handoff,
-  // then the inter-node broadcast among node leaders.
-  if (my == root && root_local != 0) {
-    co_await comm.send(my, root - root_local, 9, data);
-  }
-  if (leader && node == root_node && root_local != 0) {
-    co_await comm.recv(my, root, 9, data);
-  }
-  if (leader && cl.nodes() > 1) {
-    auto& lcomm = comm.world().leader_comm();
-    if (data.len % static_cast<std::size_t>(cl.nodes()) == 0 &&
-        data.len >= static_cast<std::size_t>(cl.nodes())) {
-      co_await coll::bcast_scatter_allgather(lcomm, node, root_node, data);
-    } else {
-      co_await coll::bcast_binomial(lcomm, node, root_node, data);
+  {
+    // Steps 0 + 1 are the mha_bcast preamble, attributed as phase 2 as
+    // there: root -> node-leader handoff, then the inter-node broadcast
+    // among node leaders.
+    coll::PhaseSpan p2(comm, my, obs::names::kPhase2);
+    if (my == root && root_local != 0) {
+      co_await comm.send(my, root - root_local, 9, data);
+    }
+    if (leader && node == root_node && root_local != 0) {
+      co_await comm.recv(my, root, 9, data);
+    }
+    if (leader && cl.nodes() > 1) {
+      auto& lcomm = comm.world().leader_comm();
+      if (data.len % static_cast<std::size_t>(cl.nodes()) == 0 &&
+          data.len >= static_cast<std::size_t>(cl.nodes())) {
+        co_await coll::bcast_scatter_allgather(lcomm, node, root_node, data);
+      } else {
+        co_await coll::bcast_binomial(lcomm, node, root_node, data);
+      }
     }
   }
   if (l == 1) co_return;
+  coll::PhaseSpan p3(comm, my, obs::names::kPhase3);
 
   // Step 2: top-down cascade through the intra-node levels. Stage by
   // stage (outermost first), each group leader republishes the payload

@@ -16,6 +16,7 @@
 #include "core/hierarchy.hpp"
 #include "core/selector.hpp"
 #include "obs/critical_path.hpp"
+#include "obs/names.hpp"
 #include "obs/sink.hpp"
 #include "osu/env.hpp"
 #include "osu/harness.hpp"
@@ -452,6 +453,35 @@ TEST(HierarchyBcast, CustomDepth4CascadeDelivers) {
                level(LevelKind::kCustom, LevelTransport::kAuto, {0, 4}),
                level(LevelKind::kNode), level(LevelKind::kCluster)};
   check_bcast(hw::ClusterSpec::thor(2, 8), hs, 12000, 4096);
+}
+
+TEST(HierarchyBcast, Depth3CascadeAttributesPhasesOnEveryRank) {
+  // The same phases mha_bcast records: handoff + leader bcast as phase 2,
+  // the shared-memory cascade as phase 3 — on members too, not only on
+  // the leaders that drive the inter-node stage.
+  const auto spec = hw::ClusterSpec::thor_numa(2, 4);
+  trace::Tracer tracer;
+  sim::Engine eng;
+  mpi::World world(eng, spec, &tracer);
+  auto& comm = world.comm_world();
+  auto buf = hw::Buffer::phantom(64 * 1024);
+  for (int r = 0; r < comm.size(); ++r) {
+    eng.spawn(bc_rank(comm, r, buf.view(), HierarchySpec::derive(spec, 0),
+                      256 * 1024));
+  }
+  eng.run();
+  std::vector<int> p2(static_cast<std::size_t>(comm.size()));
+  std::vector<int> p3(p2.size());
+  for (const auto& s : tracer.spans()) {
+    if (s.kind != trace::Kind::kPhase) continue;
+    const auto r = static_cast<std::size_t>(s.rank);
+    if (s.label == obs::names::kPhase2) ++p2[r];
+    if (s.label == obs::names::kPhase3) ++p3[r];
+  }
+  for (int r = 0; r < comm.size(); ++r) {
+    EXPECT_EQ(p2[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    EXPECT_EQ(p3[static_cast<std::size_t>(r)], 1) << "rank " << r;
+  }
 }
 
 // ---- Selector depth routing and the env override ----
