@@ -28,10 +28,10 @@ namespace {
 // non-coroutine (returning the task keeps captures out of coroutine frames).
 sim::Task<void> ring_mha_allreduce(mpi::Comm& comm, int my, hw::BufView data,
                                    std::size_t count, mpi::Dtype dtype,
-                                   mpi::ReduceOp op, MhaTuning tuning) {
-  coll::AllgatherFn ag = [tuning](mpi::Comm& c, int r, hw::BufView s,
-                                  hw::BufView rv, std::size_t m, bool ip) {
-    return mha_allgather(c, r, s, rv, m, ip, tuning);
+                                   mpi::ReduceOp op) {
+  coll::AllgatherFn ag = [](mpi::Comm& c, int r, hw::BufView s,
+                            hw::BufView rv, std::size_t m, bool ip) {
+    return mha_allgather(c, r, s, rv, m, ip);
   };
   co_await coll::allreduce_ring(comm, my, data, count, dtype, op,
                                 std::move(ag));
@@ -199,7 +199,7 @@ void register_core_impl(coll::Registry& reg) {
        "ring reduce-scatter + MHA Allgather of the chunks (Sec. 5.4)",
        [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
           mpi::ReduceOp op) {
-         return ring_mha_allreduce(c, my, d, n, t, op, MhaTuning{});
+         return ring_mha_allreduce(c, my, d, n, t, op);
        },
        [](const coll::CommShape& s, std::size_t count, std::size_t) {
          return count % static_cast<std::size_t>(s.comm_size) == 0;
@@ -382,8 +382,7 @@ void register_core_algorithms() {
 }
 
 AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
-                                              std::size_t msg,
-                                              const MhaTuning& tuning) const {
+                                              std::size_t msg) const {
   register_core_algorithms();
   auto& reg = coll::Registry::instance();
   const auto shape = coll::CommShape::of(comm);
@@ -402,7 +401,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
     return *std::move(pinned);
   }
 
-  // 1.5. Hierarchy override: HMCA_HIERARCHY pins the leader-hierarchy depth
+  // 2. Hierarchy override: HMCA_HIERARCHY pins the leader-hierarchy depth
   // (or a JSON spec file) while leaving the rest of the policy alone. Only
   // meaningful on multi-node world communicators — the hierarchical engine
   // needs the node-major world layout.
@@ -418,38 +417,6 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
             return allgather_hierarchy(c, r, s, rv, m, ip, hspec);
           },
           std::string("env:") + osu::Env::kHierarchy);
-    }
-  }
-
-  // 2. Tuning table, when it was generated for this cluster shape.
-  if (table_ && shape.world && table_->nodes() == shape.nodes &&
-      table_->ppn() == shape.ppn) {
-    if (shape.nodes > 1 && !table_->inter_entries().empty()) {
-      HierOptions opts = table_->options_for(msg);
-      const Phase2Algo p2 =
-          resolve_phase2(spec, shape.nodes, shape.ppn, msg, opts.phase2);
-      opts.phase2 = p2;
-      const auto& a = reg.get_allgather(
-          p2 == Phase2Algo::kRing ? "mha_inter_ring" : "mha_inter_rd");
-      return chain.finish(
-          a,
-          [opts](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
-                 std::size_t m, bool ip) {
-            return allgather_hierarchical(c, r, s, rv, m, ip, opts);
-          },
-          "tuning-table");
-    }
-    if (shape.nodes == 1 && msg >= tuning.intra_small_threshold &&
-        !table_->intra_entries().empty()) {
-      const double offload = table_->offload_for(msg);
-      const auto& a = reg.get_allgather("mha_intra");
-      return chain.finish(
-          a,
-          [offload](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
-                    std::size_t m, bool ip) {
-            return allgather_mha_intra(c, r, s, rv, m, ip, offload);
-          },
-          "tuning-table");
     }
   }
 
@@ -473,7 +440,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
            std::to_string(shape.hcas);
   };
   if (shape.nodes == 1) {
-    if (msg < tuning.intra_small_threshold) {
+    if (msg < kIntraSmallThreshold) {
       const auto& a = reg.get_allgather("rd_or_bruck");
       return chain.finish(a, "threshold:intra-small");
     }
@@ -528,8 +495,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
 
 AllreduceSelection Selector::select_allreduce(mpi::Comm& comm, int my,
                                               std::size_t count,
-                                              mpi::Dtype dtype,
-                                              const MhaTuning& tuning) const {
+                                              mpi::Dtype dtype) const {
   register_core_algorithms();
   auto& reg = coll::Registry::instance();
   const auto shape = coll::CommShape::of(comm);
@@ -549,7 +515,7 @@ AllreduceSelection Selector::select_allreduce(mpi::Comm& comm, int my,
     return *std::move(pinned);
   }
 
-  // 2. Cost model.
+  // 3. Cost model.
   if (use_cost_model_) {
     const auto params = model::ModelParams::from_spec(comm.cluster().spec());
     if (auto best = chain.cheapest(reg.allreduces(), params)) {
@@ -557,26 +523,19 @@ AllreduceSelection Selector::select_allreduce(mpi::Comm& comm, int my,
     }
   }
 
-  // 3. Static thresholds (Sec. 5.4): RD for small vectors or when the count
+  // 4. Static thresholds (Sec. 5.4): RD for small vectors or when the count
   // does not split evenly over the ranks; Ring + MHA Allgather otherwise.
-  if (bytes <= tuning.allreduce_rd_threshold ||
+  if (bytes <= kAllreduceRdThreshold ||
       count % static_cast<std::size_t>(shape.comm_size) != 0) {
     const auto& a = reg.get_allreduce("rd");
     return chain.finish(a, "threshold:small-or-indivisible");
   }
   const auto& a = reg.get_allreduce("ring_mha");
-  return chain.finish(
-      a,
-      [tuning](mpi::Comm& c, int r, hw::BufView d, std::size_t n,
-               mpi::Dtype t, mpi::ReduceOp op) {
-        return ring_mha_allreduce(c, r, d, n, t, op, tuning);
-      },
-      "threshold:large");
+  return chain.finish(a, "threshold:large");
 }
 
 AlltoallSelection Selector::select_alltoall(mpi::Comm& comm, int my,
-                                            std::size_t msg,
-                                            const MhaTuning& tuning) const {
+                                            std::size_t msg) const {
   register_core_algorithms();
   auto& reg = coll::Registry::instance();
   const auto shape = coll::CommShape::of(comm);
@@ -594,7 +553,7 @@ AlltoallSelection Selector::select_alltoall(mpi::Comm& comm, int my,
     return *std::move(pinned);
   }
 
-  // 2. Cost model.
+  // 3. Cost model.
   if (use_cost_model_) {
     const auto params = model::ModelParams::from_spec(comm.cluster().spec());
     if (auto best = chain.cheapest(reg.alltoalls(), params)) {
@@ -602,11 +561,11 @@ AlltoallSelection Selector::select_alltoall(mpi::Comm& comm, int my,
     }
   }
 
-  // 3. Static thresholds: small blocks on multi-node worlds are
+  // 4. Static thresholds: small blocks on multi-node worlds are
   // alpha-dominated — bundling per node through the leader exchange wins;
   // large blocks go direct so the payload path stays copy-free.
   if (shape.world && shape.nodes > 1 && shape.ppn > 1 &&
-      msg <= tuning.alltoall_hier_threshold) {
+      msg <= kAlltoallHierThreshold) {
     const auto& a = reg.get_alltoall("hier_leader");
     return chain.finish(a, "threshold:hier-small");
   }
@@ -615,8 +574,7 @@ AlltoallSelection Selector::select_alltoall(mpi::Comm& comm, int my,
 }
 
 ReduceScatterSelection Selector::select_reduce_scatter(
-    mpi::Comm& comm, int my, std::size_t count, mpi::Dtype dtype,
-    const MhaTuning& tuning) const {
+    mpi::Comm& comm, int my, std::size_t count, mpi::Dtype dtype) const {
   register_core_algorithms();
   auto& reg = coll::Registry::instance();
   const auto shape = coll::CommShape::of(comm);
@@ -637,7 +595,7 @@ ReduceScatterSelection Selector::select_reduce_scatter(
     return *std::move(pinned);
   }
 
-  // 2. Cost model.
+  // 3. Cost model.
   if (use_cost_model_) {
     const auto params = model::ModelParams::from_spec(comm.cluster().spec());
     if (auto best = chain.cheapest(reg.reduce_scatters(), params)) {
@@ -645,10 +603,10 @@ ReduceScatterSelection Selector::select_reduce_scatter(
     }
   }
 
-  // 3. Static thresholds: recursive halving's log2(n) startups win for
+  // 4. Static thresholds: recursive halving's log2(n) startups win for
   // small vectors when the shape allows it; the ring's bandwidth-optimal
   // chunk steps win otherwise (and handle every count).
-  if (bytes <= tuning.reduce_scatter_rh_threshold &&
+  if (bytes <= kReduceScatterRhThreshold &&
       coll::is_power_of_two(shape.comm_size) &&
       count % static_cast<std::size_t>(shape.comm_size) == 0) {
     const auto& a = reg.get_reduce_scatter("rh");

@@ -7,32 +7,28 @@
 //      HMCA_ALLTOALL_ALGO / HMCA_REDUCE_SCATTER_ALGO) — pins any registry
 //      entry by name for experiments; unknown or inapplicable names fail
 //      loudly,
-//   1.5. hierarchy override (HMCA_HIERARCHY, allgather only) — pins the
+//   2. hierarchy override (HMCA_HIERARCHY, allgather only) — pins the
 //      leader-hierarchy depth or a JSON HierarchySpec on multi-node world
 //      communicators (core/hierarchy.hpp),
-//   2. installed tuning table (MVAPICH-style, core/tuning_table.hpp) when it
-//      matches the cluster shape: tuned offload + measured RD/Ring winner,
 //   3. cost model (opt-in): rank every applicable registry entry by its
 //      model/cost.hpp hook and take the cheapest,
-//   4. static thresholds — the paper's defaults (MhaTuning small-message
-//      cutoffs, the Fig. 8 RD/Ring crossover) on flat nodes; multi-socket
-//      worlds route to the depth-3 hierarchy the topology supports
-//      (CommShape::natural_depth).
+//   4. static thresholds — the paper's defaults (the core/mha.hpp
+//      small-message cutoffs, the Fig. 8 RD/Ring crossover) on flat nodes;
+//      multi-socket worlds route to the depth-3 hierarchy the topology
+//      supports (CommShape::natural_depth).
 //
 // Steps 1 and 3 and the decision record are written once and shared by the
-// four families; each family keeps only its own steps (allgather's 1.5 and
-// 2, and every family's step-4 thresholds). Every decision is recorded as a
+// four families; each family keeps only its own steps (allgather's step 2,
+// and every family's step-4 thresholds). Every decision is recorded as a
 // trace::Kind::kPhase span (algorithm name + reason) when the communicator
 // carries a tracer, so benches can show *why* a path was taken.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 
 #include "coll/registry.hpp"
 #include "core/mha.hpp"
-#include "core/tuning_table.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/datatype.hpp"
 #include "osu/env.hpp"
@@ -54,9 +50,9 @@ inline constexpr const char* kReduceScatterAlgoEnv =
 void register_core_algorithms();
 
 /// A resolved decision for one collective family. `fn` is the callable to
-/// run — usually the registry entry's, but some steps bind tuned options
-/// into a wrapper (the tuning table's offload and phase-2 algorithm, the
-/// hierarchy override's spec, the allreduce threshold's MhaTuning).
+/// run — usually the registry entry's, but two steps bind options into a
+/// wrapper (the hierarchy override's spec, the CPU-only offload of an
+/// intra-node allgather with every loopback rail down).
 template <class A>
 struct Selection {
   const A* algo = nullptr;
@@ -75,35 +71,28 @@ class Selector {
  public:
   Selector() = default;
 
-  /// Install a persistent tuning table; consulted (before the cost model
-  /// and thresholds) whenever the communicator matches its cluster shape.
-  void set_table(TuningTable table) { table_ = std::move(table); }
-  void clear_table() { table_.reset(); }
-  bool has_table() const noexcept { return table_.has_value(); }
-
   /// Rank applicable registry entries by their cost hooks instead of the
-  /// static thresholds (env override and tuning table still win).
+  /// static thresholds (the env and hierarchy overrides still win).
   void set_use_cost_model(bool on) noexcept { use_cost_model_ = on; }
   bool use_cost_model() const noexcept { return use_cost_model_; }
 
-  AllgatherSelection select_allgather(mpi::Comm& comm, int my, std::size_t msg,
-                                      const MhaTuning& tuning = {}) const;
+  AllgatherSelection select_allgather(mpi::Comm& comm, int my,
+                                      std::size_t msg) const;
   AllreduceSelection select_allreduce(mpi::Comm& comm, int my,
-                                      std::size_t count, mpi::Dtype dtype,
-                                      const MhaTuning& tuning = {}) const;
-  AlltoallSelection select_alltoall(mpi::Comm& comm, int my, std::size_t msg,
-                                    const MhaTuning& tuning = {}) const;
-  ReduceScatterSelection select_reduce_scatter(
-      mpi::Comm& comm, int my, std::size_t count, mpi::Dtype dtype,
-      const MhaTuning& tuning = {}) const;
+                                      std::size_t count,
+                                      mpi::Dtype dtype) const;
+  AlltoallSelection select_alltoall(mpi::Comm& comm, int my,
+                                    std::size_t msg) const;
+  ReduceScatterSelection select_reduce_scatter(mpi::Comm& comm, int my,
+                                               std::size_t count,
+                                               mpi::Dtype dtype) const;
 
  private:
-  std::optional<TuningTable> table_;
   bool use_cost_model_ = false;
 };
 
 /// The process-wide selector used by mha_allgather / mha_allreduce and the
-/// `mha` profile. Holds no tuning table by default (static thresholds).
+/// `mha` profile. Uses the static thresholds unless the cost model is on.
 Selector& default_selector();
 
 }  // namespace hmca::core

@@ -11,7 +11,7 @@
 //   HMCA_STATS             stats report format: text|json|csv (off|0 = none)
 //   HMCA_CHUNK_BYTES       dataflow chunk granularity in bytes (0 = auto)
 //   HMCA_HIERARCHY         leader-hierarchy depth override: auto|2|3|@file
-//                          (selector step 1.5; core::hierarchy_from_env)
+//                          (selector step 2; core::hierarchy_from_env)
 //   HMCA_GIT_SHA           source revision for provenance stamps (CI sets
 //                          it; falls back to `git rev-parse`)
 //

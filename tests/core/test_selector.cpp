@@ -1,8 +1,7 @@
 // The selection engine: threshold decisions must match the paper's defaults
-// (MhaTuning cutoffs, the Fig. 8 RD/Ring crossover), env overrides must pin
-// registry entries, tuning tables and the cost model must take precedence
-// in the documented order, and every decision must leave a kPhase trace
-// span naming the algorithm and the reason.
+// (the core/mha.hpp cutoffs, the Fig. 8 RD/Ring crossover), env overrides
+// must pin registry entries and win over the cost model, and every decision
+// must leave a kPhase trace span naming the algorithm and the reason.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -60,9 +59,9 @@ AllreduceSelection select_ar(int nodes, int ppn, std::size_t count,
 
 // ---- Table-driven threshold sweep: msg size x node count x ppn ----
 //
-// Expectations encode the paper's defaults: the MhaTuning 16 KB intra
-// cutoff, and the Fig. 8 RD/Ring crossover at a phase-2 chunk (msg * ppn)
-// of 16 KB with RD requiring a power-of-two node count.
+// Expectations encode the paper's defaults: the 16 KB intra cutoff
+// (kIntraSmallThreshold), and the Fig. 8 RD/Ring crossover at a phase-2
+// chunk (msg * ppn) of 16 KB with RD requiring a power-of-two node count.
 
 struct Case {
   int nodes;
@@ -268,27 +267,6 @@ TEST(SelectorTrace, RecordsPhaseSpanWithNameAndReason) {
     found = true;
   }
   EXPECT_TRUE(found) << "no selection span recorded";
-}
-
-// ---- Tuning-table mode ----
-
-TEST(SelectorTable, TableDecisionWinsOverThresholds) {
-  const auto spec = hw::ClusterSpec::thor(2, 4);
-  Selector sel;
-  sel.set_table(TuningTable::generate(spec));
-  ASSERT_TRUE(sel.has_table());
-
-  sim::Engine eng;
-  mpi::World world(eng, spec, nullptr);
-  const auto pick =
-      sel.select_allgather(world.comm_world(), 0, 65536);
-  EXPECT_EQ(pick.reason, "allgather:tuning-table");
-  EXPECT_TRUE(pick.name() == "mha_inter_rd" || pick.name() == "mha_inter_ring")
-      << pick.name();
-
-  // A mismatched shape must ignore the table and fall back to thresholds.
-  const auto other = select_ag(4, 2, 65536, nullptr, &sel);
-  EXPECT_NE(other.reason, "allgather:tuning-table");
 }
 
 // ---- Cost-model mode ----
