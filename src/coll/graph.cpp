@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "osu/env.hpp"
+
 namespace hmca::coll {
 
 const char* task_kind_name(TaskKind k) {
@@ -294,16 +296,13 @@ void set_chunk_bytes_override(long long bytes) { g_chunk_override = bytes; }
 
 std::size_t configured_chunk_bytes() {
   if (g_chunk_override >= 0) return static_cast<std::size_t>(g_chunk_override);
-  // Parsed here rather than through osu::Env: coll sits below osu in the
-  // layering.
-  const char* v = std::getenv("HMCA_CHUNK_BYTES");
-  if (v == nullptr || *v == '\0') return 0;
+  const auto v = osu::Env::raw(osu::Env::kChunkBytes);
+  if (!v) return 0;
   char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || (end != nullptr && *end != '\0')) {
+  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
+  if (end == v->c_str() || (end != nullptr && *end != '\0')) {
     throw std::invalid_argument(
-        "HMCA_CHUNK_BYTES: expected a byte count, got '" + std::string(v) +
-        "'");
+        "HMCA_CHUNK_BYTES: expected a byte count, got '" + *v + "'");
   }
   return static_cast<std::size_t>(parsed);
 }
