@@ -23,25 +23,11 @@ namespace hmca::core {
 
 namespace {
 
-// Ring-Allreduce with the MHA Allgather in the distribution phase
-// (Sec. 5.4). A named coroutine so registry/selector lambdas can stay
-// non-coroutine (returning the task keeps captures out of coroutine frames).
-sim::Task<void> ring_mha_allreduce(mpi::Comm& comm, int my, hw::BufView data,
-                                   std::size_t count, mpi::Dtype dtype,
-                                   mpi::ReduceOp op) {
-  coll::AllgatherFn ag = [](mpi::Comm& c, int r, hw::BufView s,
-                            hw::BufView rv, std::size_t m, bool ip) {
-    return mha_allgather(c, r, s, rv, m, ip);
-  };
-  co_await coll::allreduce_ring(comm, my, data, count, dtype, op,
-                                std::move(ag));
-}
-
 // Composed allreduce through the planner: reduce-up / ring
 // reduce-scatter + shard-unshard allgather over the top leaders /
 // multicast-down, at whatever depth the hierarchy resolves to
 // (HMCA_HIERARCHY honored, topology-derived otherwise). The n-level
-// generalization of ring_mha_allreduce. The hierarchy is resolved inside
+// generalization of ring_mha. The hierarchy is resolved inside
 // the build, so once per call.
 sim::Task<void> rs_ag_allreduce(mpi::Comm& comm, int my, hw::BufView data,
                                 std::size_t count, mpi::Dtype dtype,
@@ -199,7 +185,7 @@ void register_core_impl(coll::Registry& reg) {
        "ring reduce-scatter + MHA Allgather of the chunks (Sec. 5.4)",
        [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
           mpi::ReduceOp op) {
-         return ring_mha_allreduce(c, my, d, n, t, op);
+         return coll::allreduce_ring(c, my, d, n, t, op, mha_allgather);
        },
        [](const coll::CommShape& s, std::size_t count, std::size_t) {
          return count % static_cast<std::size_t>(s.comm_size) == 0;
