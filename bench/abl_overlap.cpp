@@ -3,7 +3,7 @@
 // multi-leader designs do; the overlap is where MHA-inter's win comes from.
 #include <iostream>
 
-#include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "osu/harness.hpp"
 
 using namespace hmca;
@@ -11,11 +11,10 @@ using namespace hmca;
 namespace {
 
 coll::AllgatherFn hier(bool overlap) {
-  core::HierOptions opts;
-  opts.overlap = overlap;
-  return [opts](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
-                std::size_t m, bool ip) {
-    return core::allgather_hierarchical(c, r, s, rv, m, ip, opts);
+  return [overlap](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+                   std::size_t m, bool ip) {
+    return core::allgather_hierarchy(c, r, s, rv, m, ip,
+                                     core::HierarchySpec::mha(), overlap);
   };
 }
 

@@ -2,20 +2,19 @@
 // direct spread (d = 0) vs the double-copy shm gather (Mamidala-style).
 #include <iostream>
 
-#include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "osu/harness.hpp"
 
 using namespace hmca;
 
 namespace {
 
-coll::AllgatherFn hier(core::Phase1Mode mode, double offload = -1.0) {
-  core::HierOptions opts;
-  opts.phase1 = mode;
-  opts.offload = offload;
-  return [opts](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+// The node transport of the depth-2 spec picks the phase-1 mode.
+coll::AllgatherFn hier(core::LevelTransport node) {
+  return [node](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                 std::size_t m, bool ip) {
-    return core::allgather_hierarchical(c, r, s, rv, m, ip, opts);
+    return core::allgather_hierarchy(c, r, s, rv, m, ip,
+                                     core::HierarchySpec::mha(node));
   };
 }
 
@@ -29,11 +28,11 @@ int main() {
                "mha_vs_shm", "mha_vs_cma"};
   for (std::size_t sz : osu::size_sweep(16 * 1024, 4u << 20)) {
     const double shm =
-        osu::measure_allgather(spec, hier(core::Phase1Mode::kShmGather), sz);
-    const double cma = osu::measure_allgather(
-        spec, hier(core::Phase1Mode::kMhaIntra, /*offload=*/0.0), sz);
-    const double mha =
-        osu::measure_allgather(spec, hier(core::Phase1Mode::kMhaIntra), sz);
+        osu::measure_allgather(spec, hier(core::LevelTransport::kShm), sz);
+    const double cma =
+        osu::measure_allgather(spec, hier(core::LevelTransport::kCma), sz);
+    const double mha = osu::measure_allgather(
+        spec, hier(core::LevelTransport::kMhaIntra), sz);
     t.add_row({osu::format_size(sz), osu::format_us(shm), osu::format_us(cma),
                osu::format_us(mha), osu::format_ratio(shm / mha),
                osu::format_ratio(cma / mha)});

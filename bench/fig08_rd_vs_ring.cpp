@@ -6,19 +6,20 @@
 // `--json` (osu::bench_main) emits the tables machine-readably.
 #include <string>
 
-#include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "osu/bench_main.hpp"
 
 using namespace hmca;
 
 namespace {
 
-coll::AllgatherFn hier(core::Phase2Algo algo) {
-  core::HierOptions opts;
-  opts.phase2 = algo;
-  return [opts](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
-                std::size_t m, bool ip) {
-    return core::allgather_hierarchical(c, r, s, rv, m, ip, opts);
+// The cluster transport of the depth-2 spec pins the phase-2 exchange.
+coll::AllgatherFn hier(core::LevelTransport cluster) {
+  return [cluster](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
+                   std::size_t m, bool ip) {
+    return core::allgather_hierarchy(
+        c, r, s, rv, m, ip,
+        core::HierarchySpec::mha(core::LevelTransport::kAuto, cluster));
   };
 }
 
@@ -31,9 +32,9 @@ void run(osu::BenchContext& ctx, int nodes, int ppn) {
   const auto spec = ctx.faulted(hw::ClusterSpec::thor(nodes, ppn));
   for (std::size_t sz : osu::size_sweep(64, 256 * 1024)) {
     const double rd =
-        osu::measure_allgather(spec, hier(core::Phase2Algo::kRD), sz);
+        osu::measure_allgather(spec, hier(core::LevelTransport::kRd), sz);
     const double ring =
-        osu::measure_allgather(spec, hier(core::Phase2Algo::kRing), sz);
+        osu::measure_allgather(spec, hier(core::LevelTransport::kRing), sz);
     t.add_row({osu::format_size(sz), osu::format_us(rd), osu::format_us(ring),
                rd < ring ? "RD" : "Ring"});
   }

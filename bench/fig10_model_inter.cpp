@@ -7,7 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "model/cost.hpp"
 #include "osu/bench_main.hpp"
 
@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
               spec,
               [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                  std::size_t m, bool ip) {
-                return core::allgather_hierarchical(c, r, s, rv, m, ip,
-                                                    core::HierOptions{});
+                return core::allgather_hierarchy(c, r, s, rv, m, ip,
+                                                 core::HierarchySpec::mha());
               },
               sz);
           const double predicted =

@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "coll/allgather.hpp"
-#include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "osu/harness.hpp"
 #include "trace/trace.hpp"
 
@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
         spec,
         [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
            bool ip) {
-          return core::allgather_hierarchical(c, r, s, rv, m, ip,
-                                              core::HierOptions{});
+          return core::allgather_hierarchy(c, r, s, rv, m, ip,
+                                           core::HierarchySpec::mha());
         },
         msg, &tracer);
     std::printf("MHA-inter, same topology: %.1f us\n", t * 1e6);

@@ -113,35 +113,6 @@ sim::Task<void> bcast_scatter_allgather(mpi::Comm& comm, int my, int root,
   }
 }
 
-sim::Task<void> reduce_binomial(mpi::Comm& comm, int my, int root,
-                                hw::BufView data, std::size_t count,
-                                mpi::Dtype dtype, mpi::ReduceOp op) {
-  check_rank_root(comm, my, root);
-  if (data.len != count * mpi::dtype_size(dtype)) {
-    throw std::invalid_argument("reduce_binomial: data size mismatch");
-  }
-  const int n = comm.size();
-  if (n == 1) co_return;
-  const int v = to_virtual(my, root, n);
-  auto temp = hw::Buffer::make(data.len, comm.cluster().spec().carry_data);
-
-  // Mirror of the binomial bcast: children push up, parents combine.
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if ((v & mask) != 0) {
-      const int vparent = v - mask;
-      co_await comm.send(my, to_real(vparent, root, n), 3, data);
-      co_return;  // contribution delivered
-    }
-    const int vchild = v + mask;
-    if (vchild < n) {
-      co_await comm.recv(my, to_real(vchild, root, n), 3, temp.view());
-      co_await comm.cluster().cpu_reduce_by(comm.to_global(my),
-                                            static_cast<double>(data.len));
-      mpi::apply_reduce(op, dtype, data, temp.view(), count);
-    }
-  }
-}
-
 sim::Task<void> gather_linear(mpi::Comm& comm, int my, int root,
                               hw::BufView send, hw::BufView recv,
                               std::size_t msg) {

@@ -1,14 +1,13 @@
-// Broadcast, Reduce, Gather and Scatter — the rooted collectives, with
+// Broadcast, Gather and Scatter — the rooted collectives, with
 // conventional flat algorithms (Sec. 7: "we plan to address other
-// collectives"). The multi-HCA aware hierarchical variants live in
-// core/mha_rooted.hpp.
+// collectives"). The multi-HCA aware hierarchical bcast is
+// core::bcast_hierarchy (core/hierarchy.hpp).
 #pragma once
 
 #include <cstddef>
 
 #include "hw/buffer.hpp"
 #include "mpi/comm.hpp"
-#include "mpi/datatype.hpp"
 #include "sim/task.hpp"
 
 namespace hmca::coll {
@@ -25,12 +24,6 @@ sim::Task<void> bcast_binomial(mpi::Comm& comm, int my, int root,
 /// data.len divisible by comm.size().
 sim::Task<void> bcast_scatter_allgather(mpi::Comm& comm, int my, int root,
                                         hw::BufView data);
-
-/// Binomial-tree reduction to `root`: `data` is the contribution (in/out;
-/// at root it ends holding the reduction). `count` elements of `dtype`.
-sim::Task<void> reduce_binomial(mpi::Comm& comm, int my, int root,
-                                hw::BufView data, std::size_t count,
-                                mpi::Dtype dtype, mpi::ReduceOp op);
 
 /// Linear gather to `root`: every rank sends its `msg`-byte block; root's
 /// `recv` (msg * N bytes) collects them in rank order. Non-roots may pass

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "coll/allgather.hpp"
 #include "coll/graph.hpp"
 #include "core/hier_detail.hpp"
+#include "core/hierarchy.hpp"
 #include "core/mha_intra.hpp"
 #include "shm/shm.hpp"
 
@@ -18,6 +20,12 @@ namespace {
 
 using detail::group_of;
 using detail::KeyAlloc;
+
+// MHA-intra offload count of phase 1: a `cma` node transport turns the
+// HCA offload off; every other transport keeps Eq. 1 (-1).
+double offload_of(LevelTransport inner) {
+  return inner == LevelTransport::kCma ? 0.0 : -1.0;
+}
 
 // Number of chunks the leader publishes in phase 3 (legacy path: one per
 // ring step / RD step).
@@ -226,7 +234,8 @@ sim::Task<void> leader_rd(mpi::Comm& lcomm, int node, hw::BufView recv,
 // baseline and the overlap-ablation vehicle.
 sim::Task<void> hier_barrier(mpi::Comm& comm, int my, hw::BufView send,
                              hw::BufView recv, std::size_t msg, bool in_place,
-                             HierOptions opts, Phase2Algo algo) {
+                             LevelTransport inner, const NodePlan* plan,
+                             Phase2Algo algo) {
   auto& cl = comm.cluster();
   const int l = cl.ppn();
   const int n = cl.nodes();
@@ -246,21 +255,15 @@ sim::Task<void> hier_barrier(mpi::Comm& comm, int my, hw::BufView send,
   // analyzer's attribution and the phase-2/3 overlap-fraction report.
   auto p1 = sink.open(comm.to_global(my), trace::Kind::kPhase, eng.now(), -1,
                       msg, "phase1");
-  if (l > 1 && opts.plan != nullptr) {
+  if (l > 1 && plan != nullptr) {
     co_await plan_phase1(comm, my, send, node_slice, msg, in_place, node,
-                         local, l, *opts.plan, opts.offload);
+                         local, l, *plan, offload_of(inner));
+  } else if (l > 1 && inner == LevelTransport::kShm) {
+    co_await shm_gather_phase1(comm, my, send, node_slice, msg, in_place,
+                               node, local, l, seq);
   } else if (l > 1) {
-    auto& ncomm = comm.world().node_comm(node);
-    switch (opts.phase1) {
-      case Phase1Mode::kMhaIntra:
-        co_await allgather_mha_intra(ncomm, local, send, node_slice, msg,
-                                     in_place, opts.offload);
-        break;
-      case Phase1Mode::kShmGather:
-        co_await shm_gather_phase1(comm, my, send, node_slice, msg, in_place,
-                                   node, local, l, seq);
-        break;
-    }
+    co_await allgather_mha_intra(comm.world().node_comm(node), local, send,
+                                 node_slice, msg, in_place, offload_of(inner));
   } else {
     co_await coll::seed_own_block(comm, my, send, recv, msg, in_place);
   }
@@ -313,7 +316,8 @@ sim::Task<void> hier_barrier(mpi::Comm& comm, int my, hw::BufView send,
 // release them — all three phases stream chunk by chunk.
 sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
                            hw::BufView recv, std::size_t msg, bool in_place,
-                           HierOptions opts, Phase2Algo algo) {
+                           LevelTransport inner, const NodePlan* plan,
+                           Phase2Algo algo) {
   auto& cl = comm.cluster();
   const int l = cl.ppn();
   const int n = cl.nodes();
@@ -333,11 +337,10 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
   coll::RangeProducers prod;
 
   // ---- Phase 1 tasks ----
-  if (l > 1 && opts.plan != nullptr) {
+  if (l > 1 && plan != nullptr) {
     // The staged intra-node exchange is data-driven, so it stays one macro
     // task; phase 2 streams against other leaders' finer-grained work.
-    const NodePlan* plan = opts.plan;
-    const double off = opts.offload;
+    const double off = offload_of(inner);
     const int t = g.add(
         coll::TaskKind::kWrapped, coll::Lane::kNone,
         [&comm, my, send, node_slice, msg, in_place, node, local, l, plan,
@@ -347,29 +350,22 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
         },
         coll::TaskOpts{"nlevel", "phase1", -1, chunk, -1, -1});
     prod.add(nbase, chunk, t);
+  } else if (l > 1 && inner == LevelTransport::kShm) {
+    // Publication order of the gather is data-driven, so it stays one
+    // macro task (faithful to the double-copy baseline it models); phase 2
+    // streams against *other* leaders' finer-grained work.
+    const int t = g.add(
+        coll::TaskKind::kWrapped, coll::Lane::kNone,
+        [&comm, my, send, node_slice, msg, in_place, node, local, l, seq] {
+          return shm_gather_phase1(comm, my, send, node_slice, msg, in_place,
+                                   node, local, l, seq);
+        },
+        coll::TaskOpts{"shm-gather", "phase1", -1, chunk, -1, -1});
+    prod.add(nbase, chunk, t);
   } else if (l > 1) {
-    auto& ncomm = comm.world().node_comm(node);
-    switch (opts.phase1) {
-      case Phase1Mode::kMhaIntra:
-        build_mha_intra_tasks(g, prod, nbase, ncomm, local, send, node_slice,
-                              msg, in_place, opts.offload, "phase1");
-        break;
-      case Phase1Mode::kShmGather: {
-        // Publication order of the gather is data-driven, so it stays one
-        // macro task (faithful to the double-copy baseline it models);
-        // phase 2 streams against *other* leaders' finer-grained work.
-        const int t = g.add(
-            coll::TaskKind::kWrapped, coll::Lane::kNone,
-            [&comm, my, send, node_slice, msg, in_place, node, local, l,
-             seq] {
-              return shm_gather_phase1(comm, my, send, node_slice, msg,
-                                       in_place, node, local, l, seq);
-            },
-            coll::TaskOpts{"shm-gather", "phase1", -1, chunk, -1, -1});
-        prod.add(nbase, chunk, t);
-        break;
-      }
-    }
+    build_mha_intra_tasks(g, prod, nbase, comm.world().node_comm(node), local,
+                          send, node_slice, msg, in_place, offload_of(inner),
+                          "phase1");
   } else if (!in_place && msg > 0) {
     const int t = g.add(
         coll::TaskKind::kCopy, coll::Lane::kCpu,
@@ -432,26 +428,37 @@ Phase2Algo resolve_phase2(const hw::ClusterSpec& spec, int nodes, int ppn,
   return chunk <= kRdRingCrossoverChunk ? Phase2Algo::kRD : Phase2Algo::kRing;
 }
 
-sim::Task<void> allgather_hierarchical(mpi::Comm& comm, int my,
-                                       hw::BufView send, hw::BufView recv,
-                                       std::size_t msg, bool in_place,
-                                       HierOptions opts) {
+sim::Task<void> allgather_hierarchy(mpi::Comm& comm, int my, hw::BufView send,
+                                    hw::BufView recv, std::size_t msg,
+                                    bool in_place, HierarchySpec spec,
+                                    bool overlap) {
   auto& cl = comm.cluster();
+  spec.validate();
+  const LevelTransport inner = spec.levels.front().transport;
+  const LevelTransport top = spec.levels.back().transport;  // pins phase 2
+  const Phase2Algo phase2 = top == LevelTransport::kRd     ? Phase2Algo::kRD
+                            : top == LevelTransport::kRing ? Phase2Algo::kRing
+                                                           : Phase2Algo::kAuto;
+  // Only depth >= 3 runs a NodePlan, so only it resolves the spec into a
+  // Hierarchy (which materializes every node's groups on every rank).
+  std::optional<NodePlan> plan;
+  if (spec.depth() > 2) plan = Hierarchy(std::move(spec), cl).node_plan();
   if (comm.size() != cl.world_size()) {
-    throw std::invalid_argument("allgather_hierarchical: world comm required");
+    throw std::invalid_argument("allgather_hierarchy: world comm required");
   }
   if (recv.len != msg * static_cast<std::size_t>(comm.size())) {
-    throw std::invalid_argument("allgather_hierarchical: bad recv size");
+    throw std::invalid_argument("allgather_hierarchy: bad recv size");
   }
   if (!in_place && send.len != msg) {
-    throw std::invalid_argument("allgather_hierarchical: bad send size");
+    throw std::invalid_argument("allgather_hierarchy: bad send size");
   }
   const Phase2Algo algo =
-      resolve_phase2(cl.spec(), cl.nodes(), cl.ppn(), msg, opts.phase2);
-  if (opts.overlap) {
-    co_await hier_graph(comm, my, send, recv, msg, in_place, opts, algo);
+      resolve_phase2(cl.spec(), cl.nodes(), cl.ppn(), msg, phase2);
+  const NodePlan* p = plan ? &*plan : nullptr;
+  if (overlap) {
+    co_await hier_graph(comm, my, send, recv, msg, in_place, inner, p, algo);
   } else {
-    co_await hier_barrier(comm, my, send, recv, msg, in_place, opts, algo);
+    co_await hier_barrier(comm, my, send, recv, msg, in_place, inner, p, algo);
   }
 }
 

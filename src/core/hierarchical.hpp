@@ -1,11 +1,14 @@
-// The hierarchical multi-HCA aware Allgather (paper Sec. 3.2).
+// The engine of the hierarchical multi-HCA aware Allgather (paper
+// Sec. 3.2); its entry point is allgather_hierarchy in core/hierarchy.hpp,
+// configured by a HierarchySpec.
 //
 // Three phases, with phases 2 and 3 overlapped through a shared-memory
 // region and per-chunk ready counters (Fig. 6):
-//   1. node-level aggregation: MHA-intra (plain CMA Direct Spread with
-//      offload 0), a shared-memory gather, or a staged NodePlan,
+//   1. node-level aggregation: MHA-intra (plain CMA Direct Spread with a
+//      `cma` node transport), a shared-memory gather (`shm`), or a staged
+//      NodePlan (depth >= 3),
 //   2. inter-leader exchange of M*L node blocks over all rails, using
-//      Recursive Doubling or Ring (Fig. 7),
+//      Recursive Doubling or Ring (Fig. 7; the cluster transport),
 //   3. node-level distribution: the leader copies each arriving chunk into
 //      shared memory and publishes it; members copy published chunks out
 //      while the next inter-node transfer is already in flight.
@@ -15,7 +18,7 @@
 // coll::build_rd_exchange with the leader's publish, and
 // coll::build_publish_drain on the members.
 //
-// The same engine, configured differently, reproduces the single-leader
+// The same engine, configured by other specs, reproduces the single-leader
 // prior design of Mamidala et al. [19] (shm gather + RD, overlap), the
 // Sec. 7 NUMA-aware design (a socket NodePlan) and the overlap ablation
 // (overlap = false: strictly sequential phases).
@@ -29,13 +32,6 @@
 #include "sim/task.hpp"
 
 namespace hmca::core {
-
-enum class Phase1Mode {
-  /// Sec. 3.1 design: CMA + HCA-offloaded direct spread. HierOptions::offload
-  /// = 0 turns the offload off, leaving plain CMA direct spread.
-  kMhaIntra,
-  kShmGather,  ///< double-copy shared-memory gather (Mamidala-style)
-};
 
 enum class Phase2Algo {
   kAuto,  ///< model-driven choice between RD and Ring (Sec. 4)
@@ -58,24 +54,6 @@ struct NodePlan {
   std::vector<std::vector<int>> stages;  ///< innermost -> outermost
 };
 
-struct HierOptions {
-  Phase1Mode phase1 = Phase1Mode::kMhaIntra;
-  Phase2Algo phase2 = Phase2Algo::kAuto;
-  /// Staged n-level phase 1; overrides `phase1` when non-null. Not owned:
-  /// the caller keeps it alive across the collective (core/hierarchy.hpp
-  /// owns it in the coroutine frame of allgather_hierarchy).
-  const NodePlan* plan = nullptr;
-  /// true (the paper's design): run as a chunk-granular task graph
-  /// (coll::GraphExecutor) — phase-2 sends start as soon as the phase-1
-  /// tasks producing their bytes land, and members drain phase-3 chunks
-  /// while later inter-node steps are in flight. false: strictly
-  /// sequential phases (Kandalla et al.), the overlap ablation and the
-  /// "barrier" baseline of the perf campaign's pipeline pair.
-  bool overlap = true;
-  /// MHA-intra offload count for phase 1; -1 = Eq. 1 analytic.
-  double offload = -1.0;
-};
-
 /// Node-chunk size (msg * PPN) at which the kAuto selector switches from
 /// RD to Ring in phase 2. This is the Fig. 8 crossover *measured on this
 /// substrate* (bench/fig08_rd_vs_ring): RD's fewer startups win below it,
@@ -87,12 +65,5 @@ inline constexpr std::size_t kRdRingCrossoverChunk = 16 * 1024;
 /// crossover; Ring whenever RD is inapplicable (non-power-of-two nodes).
 Phase2Algo resolve_phase2(const hw::ClusterSpec& spec, int nodes, int ppn,
                           std::size_t msg, Phase2Algo requested);
-
-/// Hierarchical Allgather over the world communicator (node-major rank
-/// order, equal PPN). `msg` bytes contributed per process.
-sim::Task<void> allgather_hierarchical(mpi::Comm& comm, int my,
-                                       hw::BufView send, hw::BufView recv,
-                                       std::size_t msg, bool in_place = false,
-                                       HierOptions opts = {});
 
 }  // namespace hmca::core

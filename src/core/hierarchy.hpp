@@ -13,9 +13,12 @@
 //   depth 3  (socket < node < cluster)   = the Sec. 7 NUMA design
 //   depth >= 3 with adapter-group/custom = the generalized n-level builder
 //
-// Depth-2 specs map onto allgather_hierarchical's Phase1Mode paths, so
-// adopting the API changes no metric; every deeper spec, the socket one
-// included, runs the staged NodePlan.
+// The spec is the only configuration of the hierarchical allgather and
+// bcast. At depth 2 the allgather's node transport picks phase 1 (auto or
+// mha-intra: MHA-intra with the Eq. 1 offload; cma: no offload; shm: the
+// double-copy gather) and the cluster transport picks phase 2 (auto, rd or
+// ring); no Hierarchy is built. Every deeper spec, the socket one
+// included, resolves into a Hierarchy and runs its staged NodePlan.
 // Specs come from three places: HierarchySpec::derive (topology-driven),
 // JSON (schemas/hierarchy.schema.json), or the HMCA_HIERARCHY environment
 // variable (hierarchy_from_env).
@@ -87,8 +90,10 @@ struct HierarchySpec {
   /// Throws HierarchyError.
   void validate() const;
 
-  /// The paper's depth-2 MHA hierarchy (node < cluster, all kAuto).
-  static HierarchySpec mha();
+  /// The paper's depth-2 MHA hierarchy (node < cluster) with the given
+  /// node and cluster transports; all kAuto is MHA-inter (Sec. 3.2).
+  static HierarchySpec mha(LevelTransport node = LevelTransport::kAuto,
+                           LevelTransport cluster = LevelTransport::kAuto);
 
   /// Topology-driven spec: depth 2 (node < cluster) or depth 3
   /// (socket < node < cluster). depth 0 picks 3 on multi-socket nodes and
@@ -149,22 +154,32 @@ class Hierarchy {
   int ppn_ = 1;
 };
 
-/// Allgather over the world communicator following `spec`, overlapped
-/// (allgather_hierarchical defaults). Depth-2 specs run MHA-inter with the
-/// phase-1 mode their node transport names; deeper specs build the
-/// resolved hierarchy's NodePlan and run it as phase 1. A `cma` innermost
-/// transport turns the MHA-intra offload off. The spec is taken by value:
-/// the coroutine owns its copy, so callers may pass temporaries (registry
-/// lambdas do).
+/// Allgather over the world communicator (node-major rank order, equal
+/// PPN) following `spec`; `msg` bytes contributed per process (engine:
+/// core/hierarchical.hpp). Depth-2 specs run MHA-inter with the phase-1
+/// path their node transport names; deeper specs build the resolved
+/// hierarchy's NodePlan and run it as phase 1. A `cma` innermost transport
+/// turns the MHA-intra offload off; an `rd`/`ring` cluster transport pins
+/// phase 2, `auto` resolves it with resolve_phase2. `overlap` true (the
+/// paper's design) runs a chunk-granular task graph: phase-2 sends start
+/// as soon as the phase-1 tasks producing their bytes land, and members
+/// drain phase-3 chunks while later inter-node steps are in flight; false
+/// runs strictly sequential phases (Kandalla et al.), the overlap ablation
+/// and the "barrier" baseline of the perf campaign's pipeline pair. The
+/// spec is taken by value: the coroutine owns its copy, so callers may
+/// pass temporaries (registry lambdas do).
 sim::Task<void> allgather_hierarchy(mpi::Comm& comm, int my, hw::BufView send,
                                     hw::BufView recv, std::size_t msg,
-                                    bool in_place, HierarchySpec spec);
+                                    bool in_place, HierarchySpec spec,
+                                    bool overlap = true);
 
 /// Broadcast following `spec`: root -> node-leader handoff, inter-node
-/// leader broadcast, then a top-down shared-memory cascade through the
-/// intra-node levels (each group leader republishes to its child-group
-/// leaders, pipelined in `pipeline_chunk` byte chunks). Depth-2 specs
-/// delegate to mha_bcast unchanged.
+/// leader broadcast striped over all rails (scatter-allgather, binomial
+/// when the payload does not split evenly), then a top-down shared-memory
+/// cascade through the intra-node levels. Each group leader republishes
+/// to its child-group leaders, pipelined in `pipeline_chunk` byte chunks;
+/// the last stage fans out to single ranks, so at depth 2 the cascade is
+/// one node-wide publish. Only depth >= 3 builds a Hierarchy.
 sim::Task<void> bcast_hierarchy(mpi::Comm& comm, int my, int root,
                                 hw::BufView data, HierarchySpec spec,
                                 std::size_t pipeline_chunk = 256 * 1024);

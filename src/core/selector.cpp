@@ -14,7 +14,6 @@
 #include "core/hierarchy.hpp"
 #include "core/mha_allgatherv.hpp"
 #include "core/mha_intra.hpp"
-#include "core/mha_rooted.hpp"
 #include "model/cost.hpp"
 #include "osu/env.hpp"
 #include "trace/trace.hpp"
@@ -79,9 +78,9 @@ void register_core_impl(coll::Registry& reg) {
        "Sec. 3.2 hierarchical, RD inter-leader phase, overlapped",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) {
-         HierOptions o;
-         o.phase2 = Phase2Algo::kRD;
-         return allgather_hierarchical(c, my, s, rv, m, ip, o);
+         return allgather_hierarchy(
+             c, my, s, rv, m, ip,
+             HierarchySpec::mha(LevelTransport::kAuto, LevelTransport::kRd));
        },
        [](const coll::CommShape& s, std::size_t) {
          return s.world && s.nodes > 1 && coll::is_power_of_two(s.nodes);
@@ -96,9 +95,9 @@ void register_core_impl(coll::Registry& reg) {
        "Sec. 3.2 hierarchical, Ring inter-leader phase, overlapped",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) {
-         HierOptions o;
-         o.phase2 = Phase2Algo::kRing;
-         return allgather_hierarchical(c, my, s, rv, m, ip, o);
+         return allgather_hierarchy(
+             c, my, s, rv, m, ip,
+             HierarchySpec::mha(LevelTransport::kAuto, LevelTransport::kRing));
        },
        world_multi_node,
        [](const model::ModelParams& p, const coll::CommShape& s,
@@ -111,7 +110,7 @@ void register_core_impl(coll::Registry& reg) {
        "Sec. 3.2 hierarchical, model-resolved RD/Ring phase 2 (Fig. 8)",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) {
-         return allgather_hierarchical(c, my, s, rv, m, ip, HierOptions{});
+         return allgather_hierarchy(c, my, s, rv, m, ip, HierarchySpec::mha());
        },
        world_multi_node,
        [](const model::ModelParams& p, const coll::CommShape& s,
@@ -125,9 +124,8 @@ void register_core_impl(coll::Registry& reg) {
        "Sec. 3.2 with strict phase barriers (dataflow-off baseline)",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) {
-         HierOptions o;
-         o.overlap = false;
-         return allgather_hierarchical(c, my, s, rv, m, ip, o);
+         return allgather_hierarchy(c, my, s, rv, m, ip, HierarchySpec::mha(),
+                                    /*overlap=*/false);
        },
        world_multi_node,
        {}});
@@ -136,25 +134,13 @@ void register_core_impl(coll::Registry& reg) {
        "Mamidala prior design: shm gather, RD exchange, overlapped",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) {
-         HierOptions o;
-         o.phase1 = Phase1Mode::kShmGather;
-         o.phase2 = coll::is_power_of_two(c.cluster().nodes())
-                        ? Phase2Algo::kRD
-                        : Phase2Algo::kRing;
-         return allgather_hierarchical(c, my, s, rv, m, ip, o);
+         return allgather_hierarchy(
+             c, my, s, rv, m, ip,
+             HierarchySpec::mha(LevelTransport::kShm,
+                                coll::is_power_of_two(c.cluster().nodes())
+                                    ? LevelTransport::kRd
+                                    : LevelTransport::kRing));
        },
-       [](const coll::CommShape& s, std::size_t) { return s.world; },
-       {}});
-  // numa3 is the historical name of the derived depth-3 hierarchy.
-  const auto depth3 = [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
-                         std::size_t m, bool ip) {
-    return allgather_hierarchy(c, my, s, rv, m, ip,
-                               HierarchySpec::derive(c.cluster().spec(), 3));
-  };
-  reg.add_allgather(
-      {"numa3",
-       "Sec. 7: 3-level NUMA-aware hierarchical (socket, node, cluster)",
-       depth3,
        [](const coll::CommShape& s, std::size_t) { return s.world; },
        {}});
   reg.add_allgather(
@@ -175,8 +161,12 @@ void register_core_impl(coll::Registry& reg) {
        }});
   reg.add_allgather(
       {"hier3",
-       "declarative depth-3 hierarchy (socket<node<cluster); == numa3",
-       depth3,
+       "Sec. 7: 3-level NUMA-aware hierarchy (socket<node<cluster)",
+       [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
+          bool ip) {
+         return allgather_hierarchy(
+             c, my, s, rv, m, ip, HierarchySpec::derive(c.cluster().spec(), 3));
+       },
        [](const coll::CommShape& s, std::size_t) { return s.world; },
        {}});
 
@@ -236,7 +226,8 @@ void register_core_impl(coll::Registry& reg) {
   reg.add_bcast({"mha",
                  "hierarchical: leader scatter-allgather + pipelined shm",
                  [](mpi::Comm& c, int my, int root, hw::BufView d) {
-                   return mha_bcast(c, my, root, d);
+                   return bcast_hierarchy(c, my, root, d,
+                                          HierarchySpec::mha());
                  },
                  [](const coll::CommShape& s, std::size_t) { return s.world; },
                  {}});

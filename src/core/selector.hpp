@@ -43,10 +43,11 @@ inline constexpr const char* kAlltoallAlgoEnv = osu::Env::kAlltoallAlgo;
 inline constexpr const char* kReduceScatterAlgoEnv =
     osu::Env::kReduceScatterAlgo;
 
-/// Register the MHA designs (mha_intra, mha_inter_{rd,ring}, single_leader,
-/// numa3, ring_mha + composed rs_ag allreduce, mha bcast/allgatherv,
-/// hier_leader alltoall) with the registry. Idempotent; invoked
-/// automatically by the selector and the profiles.
+/// Register the MHA designs (mha_intra, mha_inter{,_rd,_ring,_barrier},
+/// single_leader, the hier2/hier3 HierarchySpec depths, ring_mha + composed
+/// rs_ag allreduce, mha/hier bcast, mha allgatherv, hier_leader alltoall)
+/// with the registry. Idempotent; invoked automatically by the selector
+/// and the profiles.
 void register_core_algorithms();
 
 /// A resolved decision for one collective family. `fn` is the callable to

@@ -8,7 +8,7 @@
 
 #include "coll/allgather.hpp"
 #include "coll/graph.hpp"
-#include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "testing/coll_testing.hpp"
 
 namespace hmca::coll {
@@ -299,9 +299,10 @@ struct ChunkBytes {
 coll::AllgatherFn fn_mha_inter_ring() {
   return [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
             bool ip) {
-    core::HierOptions o;
-    o.phase2 = core::Phase2Algo::kRing;
-    return core::allgather_hierarchical(c, r, s, rv, m, ip, o);
+    return core::allgather_hierarchy(
+        c, r, s, rv, m, ip,
+        core::HierarchySpec::mha(core::LevelTransport::kAuto,
+                                 core::LevelTransport::kRing));
   };
 }
 
@@ -352,13 +353,15 @@ TEST(ExchangePin, MhaInterRing) {
 // These bodies run as plain coroutines under one phase span, so a change in
 // how they are dispatched shows up here first.
 
-coll::AllgatherFn fn_mha_inter_barrier(core::Phase2Algo phase2) {
+using core::LevelTransport;
+
+coll::AllgatherFn fn_mha_inter_barrier(LevelTransport phase2) {
   return [phase2](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                   std::size_t m, bool ip) {
-    core::HierOptions o;
-    o.phase2 = phase2;
-    o.overlap = false;
-    return core::allgather_hierarchical(c, r, s, rv, m, ip, o);
+    return core::allgather_hierarchy(
+        c, r, s, rv, m, ip,
+        core::HierarchySpec::mha(LevelTransport::kAuto, phase2),
+        /*overlap=*/false);
   };
 }
 
@@ -379,13 +382,13 @@ TEST(BaselinePin, MultiLeader) {
 }
 
 TEST(BaselinePin, MhaInterBarrier) {
-  expect_pin(run_pinned(fn_mha_inter_barrier(core::Phase2Algo::kRD), 4, 4,
+  expect_pin(run_pinned(fn_mha_inter_barrier(LevelTransport::kRd), 4, 4,
                         65536, false),
              0x1.ea5e2f170584bp-13, 844);
-  expect_pin(run_pinned(fn_mha_inter_barrier(core::Phase2Algo::kRing), 3, 4,
+  expect_pin(run_pinned(fn_mha_inter_barrier(LevelTransport::kRing), 3, 4,
                         200000, false),
              0x1.f68132a180defp-12, 632);
-  expect_pin(run_pinned(fn_mha_inter_barrier(core::Phase2Algo::kRing), 3, 4,
+  expect_pin(run_pinned(fn_mha_inter_barrier(LevelTransport::kRing), 3, 4,
                         4096, true),
              0x1.4e5efd60060b6p-16, 429);
 }

@@ -43,7 +43,8 @@ TEST(Registry, CoreAlgorithmsRegisterIdempotently) {
   auto& reg = Registry::instance();
   const auto names = reg.allgather_names();
   for (const char* name : {"mha_intra", "mha_inter_rd", "mha_inter_ring",
-                           "mha_inter", "single_leader", "numa3"}) {
+                           "mha_inter", "mha_inter_barrier", "single_leader",
+                           "hier2", "hier3"}) {
     EXPECT_TRUE(contains(names, name)) << name;
   }
   EXPECT_NE(reg.find_allreduce("ring_mha"), nullptr);

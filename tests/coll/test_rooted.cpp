@@ -1,4 +1,4 @@
-// Rooted collectives: broadcast, reduce, gather, scatter, alltoall.
+// Rooted collectives: broadcast, gather, scatter, alltoall.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -121,56 +121,6 @@ TEST(BcastShape, ScatterAllgatherBeatsBinomialForLargeMessages) {
   EXPECT_LT(measure(fn_scatter_ag(), big), measure(fn_binomial(), big));
   // And binomial wins for tiny payloads (fewer rounds than 2(N-1) steps).
   EXPECT_LT(measure(fn_binomial(), 64), measure(fn_scatter_ag(), 64));
-}
-
-// ---- Reduce ----
-
-sim::Task<void> reduce_rank(mpi::Comm& comm, int r, int root, hw::BufView d,
-                            std::size_t count, mpi::ReduceOp op) {
-  co_await reduce_binomial(comm, r, root, d, count, mpi::Dtype::kInt64, op);
-}
-
-void check_reduce(int nodes, int ppn, std::size_t count, int root,
-                  mpi::ReduceOp op) {
-  auto spec = hw::ClusterSpec::thor(nodes, ppn);
-  spec.carry_data = true;
-  sim::Engine eng;
-  mpi::World world(eng, spec);
-  auto& comm = world.comm_world();
-  const int p = comm.size();
-  auto init = [](int r, std::size_t e) {
-    return static_cast<std::int64_t>((r + 2) * ((e % 5) + 1));
-  };
-  std::vector<hw::Buffer> bufs;
-  for (int r = 0; r < p; ++r) {
-    auto b = hw::Buffer::data(count * 8);
-    for (std::size_t e = 0; e < count; ++e) b.as<std::int64_t>()[e] = init(r, e);
-    bufs.push_back(std::move(b));
-  }
-  for (int r = 0; r < p; ++r) {
-    eng.spawn(reduce_rank(comm, r, root,
-                          bufs[static_cast<std::size_t>(r)].view(), count, op));
-  }
-  eng.run();
-  for (std::size_t e = 0; e < count; ++e) {
-    std::int64_t want = init(0, e);
-    for (int r = 1; r < p; ++r) {
-      want = op == mpi::ReduceOp::kSum ? want + init(r, e)
-                                       : std::max(want, init(r, e));
-    }
-    ASSERT_EQ(bufs[static_cast<std::size_t>(root)].as<std::int64_t>()[e], want)
-        << "elem " << e;
-  }
-}
-
-TEST(ReduceBinomial, SumAcrossTopologies) {
-  check_reduce(1, 4, 16, 0, mpi::ReduceOp::kSum);
-  check_reduce(2, 3, 9, 2, mpi::ReduceOp::kSum);
-  check_reduce(3, 2, 7, 5, mpi::ReduceOp::kSum);
-}
-
-TEST(ReduceBinomial, MaxNonZeroRoot) {
-  check_reduce(2, 2, 12, 3, mpi::ReduceOp::kMax);
 }
 
 // ---- Gather / Scatter ----

@@ -1,11 +1,12 @@
-// The hierarchical (MHA-inter) Allgather: correctness across phase-1 modes,
-// phase-2 algorithms and overlap settings, plus the paper's structural
-// claims (overlap helps; Ring overlaps better than RD for large chunks).
+// The hierarchical (MHA-inter) Allgather configured by depth-2 specs:
+// correctness across node transports (phase 1), cluster transports
+// (phase 2) and overlap settings, plus the paper's structural claims
+// (overlap helps; Ring overlaps better than RD for large chunks).
 #include <gtest/gtest.h>
 
 #include <tuple>
 
-#include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "osu/harness.hpp"
 #include "testing/coll_testing.hpp"
 
@@ -14,28 +15,38 @@ namespace {
 
 using hmca::testing::check_allgather;
 
-coll::AllgatherFn fn_hier(HierOptions opts) {
-  return [opts](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
-                std::size_t m, bool ip) {
-    return allgather_hierarchical(c, r, s, rv, m, ip, opts);
+// Node transports pick phase 1: MHA-intra, plain CMA direct spread
+// (MHA-intra with the offload off) or the double-copy shm gather. Cluster
+// transports pick phase 2: RD, Ring or the Fig. 8 resolution (auto).
+using enum LevelTransport;
+
+coll::AllgatherFn fn_hier(LevelTransport node = kAuto,
+                          LevelTransport cluster = kAuto,
+                          bool overlap = true) {
+  return [node, cluster, overlap](mpi::Comm& c, int r, hw::BufView s,
+                                  hw::BufView rv, std::size_t m, bool ip) {
+    return allgather_hierarchy(c, r, s, rv, m, ip,
+                               HierarchySpec::mha(node, cluster), overlap);
   };
 }
 
-// Phase-1 variants: MHA-intra, plain CMA direct spread (MHA-intra with
-// the offload off) and the double-copy shm gather.
-enum class Phase1 { kMha, kCma, kShm };
-using enum Phase1;
+// ---- Correctness sweep: phase-1 x phase-2 x overlap x topology ----
 
-HierOptions make_opts(Phase1 p1, Phase2Algo p2, bool overlap) {
-  HierOptions o;
-  o.phase1 = p1 == kShm ? Phase1Mode::kShmGather : Phase1Mode::kMhaIntra;
-  o.offload = p1 == kCma ? 0.0 : -1.0;
-  o.phase2 = p2;
-  o.overlap = overlap;
-  return o;
+// The sweep's phase-1 axis. Its values (and Phase2Algo's) appear in the
+// generated test names, so they keep their own small enum.
+enum class Phase1 { kMha, kCma, kShm };
+
+LevelTransport node_transport(Phase1 p1) {
+  return p1 == Phase1::kShm   ? kShm
+         : p1 == Phase1::kCma ? kCma
+                              : kMhaIntra;
 }
 
-// ---- Correctness sweep: phase-1 x phase-2 x overlap x topology ----
+LevelTransport cluster_transport(Phase2Algo p2) {
+  return p2 == Phase2Algo::kRD     ? kRd
+         : p2 == Phase2Algo::kRing ? kRing
+                                   : kAuto;
+}
 
 using Case = std::tuple<Phase1, Phase2Algo, bool, int, int, std::size_t>;
 
@@ -43,13 +54,14 @@ class HierSweep : public ::testing::TestWithParam<Case> {};
 
 TEST_P(HierSweep, GathersCorrectly) {
   auto [p1, p2, overlap, nodes, ppn, msg] = GetParam();
-  check_allgather(fn_hier(make_opts(p1, p2, overlap)), nodes, ppn, msg);
+  check_allgather(fn_hier(node_transport(p1), cluster_transport(p2), overlap),
+                  nodes, ppn, msg);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Ring, HierSweep,
     ::testing::Combine(
-        ::testing::Values(kMha, kCma, kShm),
+        ::testing::Values(Phase1::kMha, Phase1::kCma, Phase1::kShm),
         ::testing::Values(Phase2Algo::kRing),
         ::testing::Values(true, false),
         ::testing::Values(2, 3),    // incl. non-power-of-two nodes
@@ -59,7 +71,7 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     Rd, HierSweep,
     ::testing::Combine(
-        ::testing::Values(kMha, kShm),
+        ::testing::Values(Phase1::kMha, Phase1::kShm),
         ::testing::Values(Phase2Algo::kRD),
         ::testing::Values(true, false),
         ::testing::Values(2, 4),
@@ -68,7 +80,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     Auto, HierSweep,
-    ::testing::Combine(::testing::Values(kMha),
+    ::testing::Combine(::testing::Values(Phase1::kMha),
                        ::testing::Values(Phase2Algo::kAuto),
                        ::testing::Values(true),
                        ::testing::Values(2, 4, 5),
@@ -77,23 +89,20 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{262144})));
 
 TEST(Hier, InPlace) {
-  check_allgather(fn_hier(make_opts(kMha, Phase2Algo::kRing, true)), 2, 2,
-                  4096, true);
+  check_allgather(fn_hier(kMhaIntra, kRing), 2, 2, 4096, true);
 }
 
 TEST(Hier, SingleNodeDegeneratesToPhase1) {
-  check_allgather(fn_hier({}), 1, 4, 2048);
+  check_allgather(fn_hier(), 1, 4, 2048);
 }
 
 TEST(Hier, NamedEntryPoints) {
-  // The historical named designs as HierOptions points: MHA-inter is the
-  // all-defaults options, single-leader is shm gather + RD (Ring on
+  // The historical named designs as depth-2 specs: MHA-inter is the
+  // all-auto spec, single-leader is shm gather + RD (Ring on
   // non-power-of-two node counts).
-  check_allgather(fn_hier({}), 2, 2, 8192);
-  check_allgather(fn_hier(make_opts(kShm, Phase2Algo::kRD, true)), 2, 2,
-                  8192);
-  check_allgather(fn_hier(make_opts(kShm, Phase2Algo::kRing, true)), 3, 2,
-                  8192);  // non-p2 nodes -> Ring
+  check_allgather(fn_hier(), 2, 2, 8192);
+  check_allgather(fn_hier(kShm, kRd), 2, 2, 8192);
+  check_allgather(fn_hier(kShm, kRing), 3, 2, 8192);  // non-p2 nodes -> Ring
 }
 
 TEST(Hier, ResolvePhase2) {
@@ -119,16 +128,16 @@ TEST(Hier, ResolvePhase2) {
 
 // ---- Performance/structure properties ----
 
-double hier_latency(int nodes, int ppn, std::size_t msg, HierOptions opts) {
-  return osu::measure_allgather(hw::ClusterSpec::thor(nodes, ppn),
-                                fn_hier(opts), msg);
+double hier_latency(int nodes, int ppn, std::size_t msg,
+                    const coll::AllgatherFn& fn) {
+  return osu::measure_allgather(hw::ClusterSpec::thor(nodes, ppn), fn, msg);
 }
 
 TEST(HierPerf, OverlapBeatsStrictPhases) {
   // The paper's core Sec. 3.2 claim: overlapping phase 3 with phase 2 wins
   // for bandwidth-bound configurations.
-  const auto on = make_opts(kMha, Phase2Algo::kRing, true);
-  const auto off = make_opts(kMha, Phase2Algo::kRing, false);
+  const auto on = fn_hier(kMhaIntra, kRing, true);
+  const auto off = fn_hier(kMhaIntra, kRing, false);
   const double t_on = hier_latency(8, 8, 65536, on);
   const double t_off = hier_latency(8, 8, 65536, off);
   EXPECT_LT(t_on, 0.9 * t_off);
@@ -136,8 +145,8 @@ TEST(HierPerf, OverlapBeatsStrictPhases) {
 
 TEST(HierPerf, RingOverlapsBetterThanRdForLargeChunks) {
   // Fig. 8: Ring wins for large per-process messages, RD for small.
-  const auto ring = make_opts(kMha, Phase2Algo::kRing, true);
-  const auto rd = make_opts(kMha, Phase2Algo::kRD, true);
+  const auto ring = fn_hier(kMhaIntra, kRing);
+  const auto rd = fn_hier(kMhaIntra, kRd);
   const double t_ring_large = hier_latency(16, 8, 262144, ring);
   const double t_rd_large = hier_latency(16, 8, 262144, rd);
   EXPECT_LT(t_ring_large, t_rd_large);
@@ -148,8 +157,8 @@ TEST(HierPerf, RingOverlapsBetterThanRdForLargeChunks) {
 }
 
 TEST(HierPerf, MhaIntraPhase1BeatsShmGather) {
-  const auto mha = make_opts(kMha, Phase2Algo::kRing, true);
-  const auto shm = make_opts(kShm, Phase2Algo::kRing, true);
+  const auto mha = fn_hier(kMhaIntra, kRing);
+  const auto shm = fn_hier(kShm, kRing);
   const double t_mha = hier_latency(2, 4, 1u << 20, mha);
   const double t_shm = hier_latency(2, 4, 1u << 20, shm);
   EXPECT_LT(t_mha, t_shm);

@@ -6,7 +6,6 @@
 #include <tuple>
 #include <utility>
 
-#include "core/hierarchical.hpp"
 #include "core/hierarchy.hpp"
 #include "osu/harness.hpp"
 #include "testing/coll_testing.hpp"
@@ -203,7 +202,7 @@ TEST(Numa3Perf, BeatsSocketObliviousDesignWhenUpiBinds) {
       spec,
       [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
          bool ip) {
-        return allgather_hierarchical(c, r, s, rv, m, ip, HierOptions{});
+        return allgather_hierarchy(c, r, s, rv, m, ip, HierarchySpec::mha());
       },
       msg);
   const double t_numa = osu::measure_allgather(spec, fn_numa3(), msg);
@@ -218,9 +217,8 @@ TEST(Numa3Perf, BeatsSocketObliviousDesignWhenUpiBinds) {
   // reads, the 3-level design roughly once per remote byte.
   auto flat_cma = [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                      std::size_t m, bool ip) {
-    HierOptions o;
-    o.offload = 0.0;
-    return allgather_hierarchical(c, r, s, rv, m, ip, o);
+    return allgather_hierarchy(c, r, s, rv, m, ip,
+                               HierarchySpec::mha(LevelTransport::kCma));
   };
   auto numa_cma = [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                      std::size_t m, bool ip) {

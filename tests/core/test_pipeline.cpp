@@ -11,7 +11,7 @@
 
 #include "coll/graph.hpp"
 #include "coll/registry.hpp"
-#include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "core/selector.hpp"
 #include "hw/spec.hpp"
 #include "obs/critical_path.hpp"
@@ -27,16 +27,15 @@ namespace {
 coll::AllgatherFn fn_graph() {
   return [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
             bool ip) {
-    return allgather_hierarchical(c, r, s, rv, m, ip, HierOptions{});
+    return allgather_hierarchy(c, r, s, rv, m, ip, HierarchySpec::mha());
   };
 }
 
 coll::AllgatherFn fn_barrier() {
   return [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
             bool ip) {
-    HierOptions o;
-    o.overlap = false;
-    return allgather_hierarchical(c, r, s, rv, m, ip, o);
+    return allgather_hierarchy(c, r, s, rv, m, ip, HierarchySpec::mha(),
+                               /*overlap=*/false);
   };
 }
 

@@ -11,8 +11,8 @@
 #include "coll/allreduce.hpp"
 #include "coll/barrier.hpp"
 #include "coll/bcast.hpp"
+#include "core/hierarchy.hpp"
 #include "core/mha.hpp"
-#include "core/mha_rooted.hpp"
 #include "mpi/comm.hpp"
 #include "sim/engine.hpp"
 
@@ -26,7 +26,8 @@ sim::Task<void> solver_rank(mpi::Comm& comm, int r, hw::Buffer* params,
                             hw::Buffer* residual, std::size_t msg) {
   const std::size_t count = residual->size() / 8;
   for (int iter = 0; iter < 2; ++iter) {
-    co_await core::mha_bcast(comm, r, 0, params->view());
+    co_await core::bcast_hierarchy(comm, r, 0, params->view(),
+                                   core::HierarchySpec::mha());
     co_await core::mha_allgather(comm, r, halo_send->view(),
                                  halo_recv->view(), msg);
     co_await core::mha_allreduce(comm, r, residual->view(), count,

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "core/tuner.hpp"
 #include "model/cost.hpp"
 #include "model/params.hpp"
@@ -134,8 +134,8 @@ TEST(Validation, MhaInterModelTracksSimulator) {
         spec,
         [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
            bool ip) {
-          return core::allgather_hierarchical(c, r, s, rv, m, ip,
-                                              core::HierOptions{});
+          return core::allgather_hierarchy(c, r, s, rv, m, ip,
+                                           core::HierarchySpec::mha());
         },
         msg);
     const double predicted =

@@ -5,7 +5,7 @@
 
 #include <cstring>
 
-#include "core/hierarchical.hpp"
+#include "core/hierarchy.hpp"
 #include "hw/buffer.hpp"
 #include "mpi/comm.hpp"
 #include "net/net.hpp"
@@ -138,8 +138,8 @@ TEST(Protocols, Fig6OverlapIsObservableInTheTrace) {
       spec,
       [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
          bool ip) {
-        return core::allgather_hierarchical(c, r, s, rv, m, ip,
-                                            core::HierOptions{});
+        return core::allgather_hierarchy(c, r, s, rv, m, ip,
+                                         core::HierarchySpec::mha());
       },
       262144, &tracer);
   // Leader of node 0 is rank 0; its members are ranks 1..3.
@@ -151,13 +151,13 @@ TEST(Protocols, Fig6OverlapIsObservableInTheTrace) {
   EXPECT_GT(overlap, 0.0);
   // And with the overlap disabled, there is none.
   trace::Tracer flat;
-  core::HierOptions opts;
-  opts.overlap = false;
   osu::measure_allgather(
       spec,
-      [opts](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
-             bool ip) {
-        return core::allgather_hierarchical(c, r, s, rv, m, ip, opts);
+      [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
+         bool ip) {
+        return core::allgather_hierarchy(c, r, s, rv, m, ip,
+                                         core::HierarchySpec::mha(),
+                                         /*overlap=*/false);
       },
       262144, &flat);
   double none = 0.0;
