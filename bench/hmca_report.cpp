@@ -96,7 +96,7 @@ obs::Labels parse_labels(const perf::Json& j) {
 
 obs::Timeline parse_timeline(const perf::Json& j) {
   obs::Timeline tl;
-  tl.buckets = static_cast<int>(j.number_at("buckets"));
+  tl.buckets = j.integer_at<int>("buckets");
   tl.bucket_seconds = j.number_at("bucket_us") * 1e-6;
   tl.wall = j.number_at("wall_us") * 1e-6;
   for (const auto& t : j.at("tracks").array()) {
@@ -121,7 +121,7 @@ obs::Utilization parse_utilization(const perf::Json& j) {
   u.nic_finish = j.number_at("nic_finish_us") * 1e-6;
   for (const auto& r : j.at("ranks").array()) {
     obs::Utilization::RankBreakdown rb;
-    rb.rank = static_cast<int>(r.number_at("rank"));
+    rb.rank = r.integer_at<int>("rank");
     rb.compute = r.number_at("compute_us") * 1e-6;
     rb.nic = r.number_at("nic_us") * 1e-6;
     rb.shm = r.number_at("shm_us") * 1e-6;
@@ -131,8 +131,8 @@ obs::Utilization parse_utilization(const perf::Json& j) {
   }
   for (const auto& r : j.at("rails").array()) {
     obs::Utilization::RailUse ru;
-    ru.node = static_cast<int>(r.number_at("node"));
-    ru.rail = static_cast<int>(r.number_at("rail"));
+    ru.node = r.integer_at<int>("node");
+    ru.rail = r.integer_at<int>("rail");
     ru.busy_frac = r.number_at("busy_frac");
     ru.bytes = r.number_at("bytes");
     u.rails.push_back(ru);
@@ -175,7 +175,7 @@ void load_trace(obs::ReportData& data, const std::string& path) {
       continue;
     }
     obs::ReportData::TraceEvent e;
-    e.rank = static_cast<int>(ev.number_at("tid"));
+    e.rank = ev.integer_at<int>("tid");
     e.ts_us = ev.number_at("ts");
     e.dur_us = ev.number_at("dur");
     e.name = ev.string_at("cat");

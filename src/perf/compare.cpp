@@ -47,7 +47,7 @@ std::map<std::string, const Json*> index_scenarios(const Json& doc,
 std::map<std::size_t, const Json*> index_points(const Json& scenario) {
   std::map<std::size_t, const Json*> out;
   for (const Json& pt : scenario.at("points").array()) {
-    out.emplace(static_cast<std::size_t>(pt.number_at("x")), &pt);
+    out.emplace(pt.integer_at<std::size_t>("x"), &pt);
   }
   return out;
 }

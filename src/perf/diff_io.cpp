@@ -40,6 +40,12 @@ double number_or(const Json& obj, const char* key, double fallback) {
   return v != nullptr && v->is_number() ? v->number() : fallback;
 }
 
+template <class T>
+T integer_or(const Json& obj, const char* key, T fallback) {
+  const Json* v = obj.find(key);
+  return v != nullptr && v->is_number() ? v->integer<T>() : fallback;
+}
+
 std::string string_or(const Json& obj, const char* key) {
   const Json* v = obj.find(key);
   return v != nullptr && v->is_string() ? v->string() : std::string{};
@@ -212,9 +218,9 @@ LoadedRun load_bench_run(const Json& doc, std::string path) {
     // Reconstruct the scenario's world exactly as Scenario::spec() builds
     // it, so a bench point and a stats invocation of the same shape carry
     // identical fingerprint strings (faults never enter the fingerprint).
-    const int nodes = static_cast<int>(sc.number_at("nodes"));
-    const int ppn = static_cast<int>(sc.number_at("ppn"));
-    const int hcas = static_cast<int>(sc.number_at("hcas"));
+    const int nodes = sc.integer_at<int>("nodes");
+    const int ppn = sc.integer_at<int>("ppn");
+    const int hcas = sc.integer_at<int>("hcas");
     hw::ClusterSpec spec = hcas > 0 ? hw::ClusterSpec::multi_rail(nodes, ppn,
                                                                   hcas)
                                     : hw::ClusterSpec::thor(nodes, ppn);
@@ -255,12 +261,12 @@ LoadedRun load_trace_run(const Json& doc, std::string path) {
     const Json* args = ev.find("args");
     if (args == nullptr) continue;
     trace::Span s;
-    s.rank = static_cast<int>(number_or(ev, "tid", 0));
+    s.rank = integer_or<int>(ev, "tid", 0);
     s.kind = kind_of_name(args->string_at("kind"));
     s.t0 = sim::from_us(ev.number_at("ts"));
     s.t1 = s.t0 + sim::from_us(number_or(ev, "dur", 0));
-    s.peer = static_cast<int>(number_or(*args, "peer", -1));
-    s.bytes = static_cast<std::size_t>(number_or(*args, "bytes", 0));
+    s.peer = integer_or<int>(*args, "peer", -1);
+    s.bytes = integer_or<std::size_t>(*args, "bytes", 0);
     s.label = string_or(*args, "label");
     end = std::max(end, s.t1);
     spans.push_back(std::move(s));

@@ -1,6 +1,9 @@
 #include "perf/json.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -190,6 +193,20 @@ bool Json::boolean() const {
 double Json::number() const {
   if (type_ != Type::kNumber) type_mismatch("number", type_);
   return num_;
+}
+
+double Json::integral_in(double lo, double hi) const {
+  const double v = number();
+  if (!(v >= lo && v < hi) || std::trunc(v) != v) {
+    char val[32];
+    *std::to_chars(val, val + sizeof val - 1, v).ptr = '\0';
+    char msg[128];
+    std::snprintf(msg, sizeof msg,
+                  "json: expected an integer in [%.0f, %.0f), got %s", lo, hi,
+                  val);
+    throw JsonError(msg);
+  }
+  return v;
 }
 
 const std::string& Json::string() const {

@@ -13,10 +13,13 @@
 // hmca-report --stats), so nesting is bounded by kMaxJsonDepth.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -60,9 +63,27 @@ class Json {
   /// Object member access; throws JsonError("missing key '...'") if absent.
   const Json& at(std::string_view key) const;
 
-  /// Convenience: `at(key).string()` / `at(key).number()`.
+  /// The number as an integer of type T. Throws JsonError naming the
+  /// value when it is not a number, has a fractional part or lies outside
+  /// T's range (a plain cast would turn 2.5 into 2, and 1e300 into
+  /// undefined behaviour).
+  template <class T>
+  T integer() const {
+    static_assert(std::is_integral_v<T>);
+    // Bounds are exact powers of two, so every double in [lo, hi)
+    // converts to T exactly.
+    const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    return static_cast<T>(integral_in(std::is_signed_v<T> ? -hi : 0.0, hi));
+  }
+
+  /// Convenience: `at(key).string()` / `at(key).number()` /
+  /// `at(key).integer<T>()`.
   const std::string& string_at(std::string_view key) const;
   double number_at(std::string_view key) const;
+  template <class T>
+  T integer_at(std::string_view key) const {
+    return at(key).integer<T>();
+  }
 
   // Construction (tests build expected values by hand).
   Json() = default;
@@ -74,6 +95,9 @@ class Json {
   static Json make_object(Object o);
 
  private:
+  /// number(), checked to be integral and within [lo, hi).
+  double integral_in(double lo, double hi) const;
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double num_ = 0;

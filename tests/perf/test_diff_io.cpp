@@ -196,6 +196,15 @@ TEST(DiffIo, DiffArtifactsFlagsWorldMismatch) {
   EXPECT_TRUE(rep.has_world_mismatch());
 }
 
+TEST(DiffIo, OutOfRangeShapeIsAJsonError) {
+  // A node count no int holds must be rejected, not cast (undefined
+  // behaviour) into a world fingerprint.
+  std::string doc = kBenchDoc;
+  const std::string nodes = R"("nodes": 2)";
+  doc.replace(doc.find(nodes), nodes.size(), R"("nodes": 1e300)");
+  EXPECT_THROW(load_bench_run(Json::parse(doc), "bench.json"), JsonError);
+}
+
 TEST(DiffIo, IdenticalArtifactsDiffToNoAttributions) {
   const std::string a = write_temp("diffio_same_a.json", kStatsDoc);
   const std::string b = write_temp("diffio_same_b.json", kStatsDoc);

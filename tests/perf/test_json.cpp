@@ -65,6 +65,28 @@ TEST(PerfJson, TypedReadsThrowOnMismatch) {
   EXPECT_THROW(v.at("n").boolean(), JsonError);
 }
 
+TEST(PerfJson, IntegerReadsRejectFractionsAndOutOfRange) {
+  const Json v = Json::parse(
+      R"({"i": 7, "neg": -2147483648, "max": 2147483647, "over": 2147483648,
+          "frac": 2.5, "huge": 1e300, "minus": -1, "s": "7"})");
+  EXPECT_EQ(v.integer_at<int>("i"), 7);
+  EXPECT_EQ(v.integer_at<int>("neg"), -2147483648);
+  EXPECT_EQ(v.integer_at<int>("max"), 2147483647);
+  EXPECT_EQ(v.integer_at<std::size_t>("over"), 2147483648u);
+  EXPECT_THROW(v.integer_at<int>("over"), JsonError);
+  EXPECT_THROW(v.integer_at<int>("frac"), JsonError);
+  EXPECT_THROW(v.integer_at<std::size_t>("huge"), JsonError);
+  EXPECT_THROW(v.integer_at<std::size_t>("minus"), JsonError);
+  EXPECT_THROW(v.integer_at<int>("s"), JsonError);
+  try {
+    v.integer_at<int>("huge");
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("got 1e+300"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(PerfJson, RejectsMalformedDocuments) {
   EXPECT_THROW(Json::parse(""), JsonError);
   EXPECT_THROW(Json::parse("{"), JsonError);
