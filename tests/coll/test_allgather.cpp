@@ -346,6 +346,13 @@ TEST(ExchangePin, MhaInterRing) {
              0x1.2586bfaab8e86p-16, 509);
 }
 
+TEST(ExchangePin, Direct) {
+  expect_pin(run_pinned(fn_direct(), 2, 4, 65536, false),
+             0x1.8e24191451cp-14, 1438);
+  expect_pin(run_pinned(fn_direct(), 3, 2, 1000, true),
+             0x1.0c7f1844bd87cp-18, 407);
+}
+
 // ---- Exact pins: the paper's baselines ----
 //
 // Bruck on a non-power-of-two world, the Kandalla multi-leader design and

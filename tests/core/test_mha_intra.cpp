@@ -3,6 +3,8 @@
 // the benefit shrinks as PPN grows — Sec. 5.2).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
 #include <tuple>
 
 #include "core/mha_intra.hpp"
@@ -53,6 +55,30 @@ TEST(MhaIntra, SingleProcessIsTrivial) {
 TEST(MhaIntra, RejectsMultiNodeCommunicator) {
   EXPECT_THROW(check_allgather(fn_mha_intra(0), 2, 2, 512),
                std::invalid_argument);
+}
+
+// ---- Exact pins: the Eq. 1 split and the plain CMA baseline ----
+//
+// Latency (hex float) and dispatched events on one 8-process node at
+// 64 KiB: the analytic offload is fractional there, so the boundary block
+// splits into a CMA and an HCA share; offload 0 is pure CMA Direct Spread.
+
+TEST(MhaIntraPin, FractionalAnalyticOffload) {
+  const double d = analytic_offload(hw::ClusterSpec::thor(1, 8), 8, 65536);
+  EXPECT_NE(d, static_cast<double>(static_cast<int>(d)));
+  std::uint64_t events = 0;
+  const double t =
+      check_allgather(fn_mha_intra(-1), 1, 8, 65536, false, &events);
+  EXPECT_EQ(t, 0x1.da333f0dbcd0bp-14) << std::hexfloat << t;
+  EXPECT_EQ(events, 881u);
+}
+
+TEST(MhaIntraPin, NoOffload) {
+  std::uint64_t events = 0;
+  const double t =
+      check_allgather(fn_mha_intra(0), 1, 8, 65536, false, &events);
+  EXPECT_EQ(t, 0x1.326a47d1261b5p-13) << std::hexfloat << t;
+  EXPECT_EQ(events, 519u);
 }
 
 // ---- Performance properties ----
