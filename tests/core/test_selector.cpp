@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -70,6 +71,13 @@ struct Case {
   const char* algo;
   const char* reason;
 };
+
+// gtest_discover_tests names each case by its printed value. The default
+// printer dumps the struct's raw bytes, pointers included, which changed
+// the ctest names with every build; print the shape instead.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "n" << c.nodes << "_ppn" << c.ppn << "_m" << c.msg;
+}
 
 class ThresholdSweep : public ::testing::TestWithParam<Case> {};
 
