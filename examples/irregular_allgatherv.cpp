@@ -1,8 +1,9 @@
 // Example: irregular (variable-block) Allgatherv — the shape real
 // applications produce (graph partitions, particle migration, BPMF factor
-// exchanges). Verifies the distributed result with real data, then
-// compares the flat ring against the hierarchical MHA variant on a skewed
-// layout.
+// exchanges). Verifies the distributed result with real data, then prints
+// the latency of the flat chunked ring and of the hierarchical MHA variant
+// on a skewed layout, with their ratio. Which one is faster depends on the
+// layout and the topology; the example makes no claim either way.
 //
 //   $ ./irregular_allgatherv [nodes] [ppn]
 #include <cstdio>

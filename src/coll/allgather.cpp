@@ -89,6 +89,14 @@ RingChunks ring_chunks(const VarLayout& blocks) {
   return rc;
 }
 
+// One CPU copy of the caller's contribution into its recv block.
+sim::Task<void> copy_own_block(mpi::Comm& comm, int my, hw::BufView send,
+                               hw::BufView own) {
+  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
+                                      static_cast<double>(own.len));
+  hw::copy_payload(own, send);
+}
+
 // The leader's publish of the chunk `t_recv` landed at recv[off, off+len),
 // when `opts` asks for one.
 void add_publish(TaskGraph& g, const ExchangeOpts& opts, int rank,
@@ -104,28 +112,23 @@ void add_publish(TaskGraph& g, const ExchangeOpts& opts, int rank,
   g.depend(t, t_recv);
 }
 
-// Seed task shared by the graph-native flat algorithms. Returns -1 when no
-// task is needed (in place / zero bytes).
-int add_seed_task(TaskGraph& g, mpi::Comm& comm, int my, hw::BufView send,
-                  hw::BufView recv, std::size_t msg, bool in_place) {
-  if (in_place || msg == 0) return -1;
-  return g.add(
-      TaskKind::kCopy, Lane::kCpu,
-      [&comm, my, send, recv, msg, in_place] {
-        return seed_own_block(comm, my, send, recv, msg, in_place);
-      },
-      TaskOpts{"seed", obs::names::kPhaseExchange, -1, msg, -1, -1});
-}
-
 }  // namespace
 
 sim::Task<void> seed_own_block(mpi::Comm& comm, int my, hw::BufView send,
                                hw::BufView recv, std::size_t msg,
                                bool in_place) {
   if (in_place || msg == 0) co_return;
-  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
-                                      static_cast<double>(msg));
-  hw::copy_payload(recv.sub(static_cast<std::size_t>(my) * msg, msg), send);
+  co_await copy_own_block(
+      comm, my, send, recv.sub(static_cast<std::size_t>(my) * msg, msg));
+}
+
+int add_seed_task(TaskGraph& g, mpi::Comm& comm, int my, hw::BufView send,
+                  hw::BufView own, bool in_place, const std::string& phase) {
+  if (in_place || own.len == 0) return -1;
+  return g.add(
+      TaskKind::kCopy, Lane::kCpu,
+      [&comm, my, send, own] { return copy_own_block(comm, my, send, own); },
+      TaskOpts{"seed", phase, -1, own.len, -1, -1});
 }
 
 int add_recv_stub(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm, int my,
@@ -279,20 +282,8 @@ sim::Task<void> allgather_ring(mpi::Comm& comm, int my, hw::BufView send,
                                hw::BufView recv, std::size_t msg,
                                bool in_place) {
   check_args(comm, my, send, recv, msg, in_place);
-  const int n = comm.size();
-  if (n == 1) {
-    co_await seed_own_block(comm, my, send, recv, msg, in_place);
-    co_return;
-  }
-
-  GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
-  TaskGraph g;
-  const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
-  build_ring_exchange(g, exec, comm, my, recv,
-                      VarLayout::from_counts(std::vector<std::size_t>(
-                          static_cast<std::size_t>(n), msg)),
-                      {}, seed, ExchangeOpts{});
-  co_await exec.run(g);
+  const auto layout = VarLayout::uniform(comm.size(), msg);
+  co_await allgatherv_ring(comm, my, send, recv, layout, in_place);
 }
 
 sim::Task<void> allgather_rd(mpi::Comm& comm, int my, hw::BufView send,
@@ -313,8 +304,10 @@ sim::Task<void> allgather_rd(mpi::Comm& comm, int my, hw::BufView send,
   GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
   TaskGraph g;
   RangeProducers prod;
-  const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
-  if (seed >= 0) prod.add(static_cast<std::size_t>(my) * msg, msg, seed);
+  const std::size_t own_off = static_cast<std::size_t>(my) * msg;
+  const int seed = add_seed_task(g, comm, my, send, recv.sub(own_off, msg),
+                                 in_place, obs::names::kPhaseExchange);
+  if (seed >= 0) prod.add(own_off, msg, seed);
   build_rd_exchange(g, exec, comm, my, recv, msg, prod, ExchangeOpts{});
   co_await exec.run(g);
 }
@@ -362,37 +355,8 @@ sim::Task<void> allgather_direct(mpi::Comm& comm, int my, hw::BufView send,
                                  hw::BufView recv, std::size_t msg,
                                  bool in_place) {
   check_args(comm, my, send, recv, msg, in_place);
-  const int n = comm.size();
-  if (n == 1) {
-    co_await seed_own_block(comm, my, send, recv, msg, in_place);
-    co_return;
-  }
-
-  GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
-  TaskGraph g;
-  const int seed = add_seed_task(g, comm, my, send, recv, msg, in_place);
-  const hw::BufView own = recv.sub(static_cast<std::size_t>(my) * msg, msg);
-
-  // All receives posted up front (MPI_Irecv before MPI_Isend, as in the
-  // coroutine original); each completion releases its stub so the drain is
-  // completion-ordered, not post-ordered.
-  for (int i = 1; i < n; ++i) {
-    const int src = (my - i + n) % n;
-    add_recv_stub(g, exec, comm, my, src, i,
-                  recv.sub(static_cast<std::size_t>(src) * msg, msg),
-                  TaskOpts{"recv", obs::names::kPhaseExchange, -1, msg, -1,
-                           comm.to_global(src)});
-  }
-  for (int i = 1; i < n; ++i) {
-    const int dst = (my + i) % n;
-    const int t_send = g.add(
-        TaskKind::kSend, Lane::kNic,
-        [&comm, my, dst, i, own] { return comm.send(my, dst, i, own); },
-        TaskOpts{"send", obs::names::kPhaseExchange, -1, msg, -1,
-                 comm.to_global(dst)});
-    if (seed >= 0) g.depend(t_send, seed);
-  }
-  co_await exec.run(g);
+  const auto layout = VarLayout::uniform(comm.size(), msg);
+  co_await allgatherv_direct(comm, my, send, recv, layout, in_place);
 }
 
 sim::Task<void> allgather_rd_or_bruck(mpi::Comm& comm, int my,

@@ -58,6 +58,12 @@ struct ExchangeOpts {
   std::shared_ptr<shm::ShmRegion> region;
 };
 
+/// Seed task: one CPU copy of the caller's `send` into `own`, its block of
+/// the recv buffer, labelled "seed" in `phase`. Adds nothing and returns -1
+/// when in place or `own` is empty.
+int add_seed_task(TaskGraph& g, mpi::Comm& comm, int my, hw::BufView send,
+                  hw::BufView own, bool in_place, const std::string& phase);
+
 /// Recv stub: posts the irecv of `dst` now; the task is released when it
 /// completes.
 int add_recv_stub(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm, int my,
@@ -95,6 +101,7 @@ void build_publish_drain(TaskGraph& g, GraphExecutor& exec,
 
 /// Ring: N-1 nearest-neighbour steps, each forwarding the block received in
 /// the previous step (Sec. 2.2(2)). Bandwidth-optimal, latency O(N).
+/// allgatherv_ring on a uniform layout.
 sim::Task<void> allgather_ring(mpi::Comm& comm, int my, hw::BufView send,
                                hw::BufView recv, std::size_t msg,
                                bool in_place = false);
@@ -115,6 +122,7 @@ sim::Task<void> allgather_bruck(mpi::Comm& comm, int my, hw::BufView send,
 /// Direct Spread (dissemination): in step i, receive block (my-i) mod N
 /// directly from its owner and send the own block to (my+i) mod N
 /// (Sec. 2.2(3)). All transfers are posted nonblocking up front.
+/// allgatherv_direct on a uniform layout.
 sim::Task<void> allgather_direct(mpi::Comm& comm, int my, hw::BufView send,
                                  hw::BufView recv, std::size_t msg,
                                  bool in_place = false);

@@ -1,10 +1,12 @@
 #include "coll/allgatherv.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "coll/allgather.hpp"
 #include "coll/graph.hpp"
-#include "coll/phase_span.hpp"
 #include "obs/names.hpp"
 #include "mpi/comm.hpp"
 
@@ -24,11 +26,15 @@ VarLayout VarLayout::from_counts(std::vector<std::size_t> counts) {
   return l;
 }
 
-namespace {
+VarLayout VarLayout::uniform(int n, std::size_t count) {
+  return from_counts(
+      std::vector<std::size_t>(static_cast<std::size_t>(std::max(n, 0)),
+                               count));
+}
 
-void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
-                const hw::BufView& recv, const VarLayout& layout,
-                bool in_place) {
+void check_allgatherv_args(const mpi::Comm& comm, int my,
+                           const hw::BufView& send, const hw::BufView& recv,
+                           const VarLayout& layout, bool in_place) {
   if (my < 0 || my >= comm.size()) {
     throw std::invalid_argument("allgatherv: bad rank");
   }
@@ -43,70 +49,45 @@ void check_args(const mpi::Comm& comm, int my, const hw::BufView& send,
   }
 }
 
-}  // namespace
-
-sim::Task<void> seed_own_block(mpi::Comm& comm, int my, hw::BufView send,
-                               hw::BufView recv, const VarLayout& layout,
-                               bool in_place) {
-  if (in_place || layout.count(my) == 0) co_return;
-  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
-                                      static_cast<double>(layout.count(my)));
-  hw::copy_payload(recv.sub(layout.offset(my), layout.count(my)), send);
-}
-
 sim::Task<void> allgatherv_ring(mpi::Comm& comm, int my, hw::BufView send,
                                 hw::BufView recv, const VarLayout& layout,
                                 bool in_place) {
-  check_args(comm, my, send, recv, layout, in_place);
-  // Block lengths differ per step, so the pipeline structure is the
-  // per-step sendrecv chain of one coroutine.
-  PhaseSpan phase(comm, my);
+  check_allgatherv_args(comm, my, send, recv, layout, in_place);
   const int n = comm.size();
-  co_await seed_own_block(comm, my, send, recv, layout, in_place);
-  if (n == 1) co_return;
-
-  const int right = (my + 1) % n;
-  const int left = (my - 1 + n) % n;
-  int cur = my;
-  for (int step = 0; step < n - 1; ++step) {
-    const int incoming = (cur - 1 + n) % n;
-    // Zero-byte blocks still synchronize the ring step (the transfer is
-    // immediate but ordering is preserved).
-    co_await comm.sendrecv(my, right, step,
-                           recv.sub(layout.offset(cur), layout.count(cur)),
-                           left, step,
-                           recv.sub(layout.offset(incoming),
-                                    layout.count(incoming)));
-    cur = incoming;
+  if (n == 1) {  // my == 0: the own block is the whole buffer
+    co_await seed_own_block(comm, my, send, recv, layout.total, in_place);
+    co_return;
   }
+
+  GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
+  TaskGraph g;
+  const int seed = add_seed_task(
+      g, comm, my, send, recv.sub(layout.offset(my), layout.count(my)),
+      in_place, obs::names::kPhaseExchange);
+  build_ring_exchange(g, exec, comm, my, recv, layout, {}, seed,
+                      ExchangeOpts{});
+  co_await exec.run(g);
 }
 
 sim::Task<void> allgatherv_direct(mpi::Comm& comm, int my, hw::BufView send,
                                   hw::BufView recv, const VarLayout& layout,
                                   bool in_place) {
-  check_args(comm, my, send, recv, layout, in_place);
+  check_allgatherv_args(comm, my, send, recv, layout, in_place);
   const int n = comm.size();
-  if (n == 1) {
-    co_await seed_own_block(comm, my, send, recv, layout, in_place);
+  if (n == 1) {  // my == 0: the own block is the whole buffer
+    co_await seed_own_block(comm, my, send, recv, layout.total, in_place);
     co_return;
   }
 
-  // Graph-native: the seed gates the sends; every posted receive releases
-  // a stub on completion, so the drain is completion-ordered exactly like
-  // the MPI_Waitall original.
+  // The seed gates the sends. All receives are posted up front (MPI_Irecv
+  // before MPI_Isend); each completion releases its stub, so the drain is
+  // completion-ordered exactly like the MPI_Waitall original.
   GraphExecutor exec(comm.engine(), comm.sink(), comm.to_global(my));
   TaskGraph g;
-  int seed = -1;
-  if (!in_place && layout.count(my) > 0) {
-    seed = g.add(
-        TaskKind::kCopy, Lane::kCpu,
-        [&comm, my, send, recv, &layout, in_place] {
-          return seed_own_block(comm, my, send, recv, layout, in_place);
-        },
-        TaskOpts{"seed", obs::names::kPhaseExchange, -1, layout.count(my), -1,
-                 -1});
-  }
   const hw::BufView own = recv.sub(layout.offset(my), layout.count(my));
+  const int seed =
+      add_seed_task(g, comm, my, send, own, in_place,
+                    obs::names::kPhaseExchange);
   for (int i = 1; i < n; ++i) {
     const int src = (my - i + n) % n;
     add_recv_stub(g, exec, comm, my, src, i,

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "coll/phase_span.hpp"
 #include "coll/prim/builders.hpp"
@@ -84,8 +85,10 @@ AlltoallvLayout AlltoallvLayout::from_counts(int nranks,
 sim::Task<void> alltoall_direct(mpi::Comm& comm, int my, hw::BufView send,
                                 hw::BufView recv, std::size_t msg) {
   check_args(comm, my, send, recv, msg);
-  co_await prim::Planner::run(comm, my, send, recv, [&comm, msg] {
-    return prim::alltoall_direct(comm.size(), msg);
+  const int n = comm.size();
+  co_await prim::Planner::run(comm, my, send, recv, [n, msg] {
+    const std::size_t blocks = static_cast<std::size_t>(n) * n;
+    return prim::alltoallv_direct(n, std::vector<std::size_t>(blocks, msg));
   });
 }
 

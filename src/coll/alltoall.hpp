@@ -73,9 +73,10 @@ using AlltoallvFn = std::function<sim::Task<void>(
     mpi::Comm&, int my, hw::BufView send, hw::BufView recv,
     const AlltoallvLayout&)>;
 
-/// Planner-backed full-mesh exchange (prim::alltoall_direct): all n-1
-/// peer transfers in flight at once, chunk-striped by the dataflow
-/// engine. Latency-optimal; n*(n-1) concurrent transfers.
+/// Planner-backed full-mesh exchange: prim::alltoallv_direct on a uniform
+/// count matrix. All n-1 peer transfers are in flight at once,
+/// chunk-striped by the dataflow engine. Latency-optimal; n*(n-1)
+/// concurrent transfers.
 sim::Task<void> alltoall_direct(mpi::Comm& comm, int my, hw::BufView send,
                                 hw::BufView recv, std::size_t msg);
 

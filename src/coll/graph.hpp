@@ -25,8 +25,8 @@
 // without retry.
 //
 // Store-and-forward baselines (Bruck, the multi-leader and strict-barrier
-// allgathers, the allgatherv Ring, pairwise alltoall(v)) are not task
-// graphs: they run as plain coroutines under a `coll::PhaseSpan`.
+// allgathers, pairwise alltoall(v)) are not task graphs: they run as plain
+// coroutines under a `coll::PhaseSpan`.
 #pragma once
 
 #include <cstddef>

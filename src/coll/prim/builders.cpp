@@ -39,22 +39,6 @@ void ring_rs_prims(Program& prog, const std::vector<int>& members,
 
 }  // namespace
 
-Program alltoall_direct(int nranks, std::size_t msg) {
-  Program prog;
-  prog.nranks = nranks;
-  prog.send_bytes = prog.recv_bytes = static_cast<std::size_t>(nranks) * msg;
-  for (int i = 0; i < nranks; ++i) {
-    for (int j = 0; j < nranks; ++j) {
-      Prim& p = prog.multicast(i, {j}, Space::kSend,
-                               {static_cast<std::size_t>(j) * msg, msg},
-                               Space::kRecv, static_cast<std::size_t>(i) * msg);
-      p.label = "a2a-direct";
-      p.phase = "exchange";
-    }
-  }
-  return prog;
-}
-
 Program alltoallv_direct(int nranks, const std::vector<std::size_t>& counts) {
   const std::size_t n = static_cast<std::size_t>(nranks);
   Program prog;

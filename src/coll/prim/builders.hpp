@@ -6,8 +6,8 @@
 // Buffer contracts (matching the collective function signatures that call
 // them):
 //
-//   alltoall_direct / alltoallv_direct   send space holds this rank's
-//       outgoing blocks, recv space receives one block per source rank.
+//   alltoallv_direct   send space holds this rank's outgoing blocks,
+//       recv space receives one block per source rank.
 //   reduce_scatter_ring / reduce_scatter_rh   in-place over the recv
 //       space; on return rank r owns the fully-reduced element range
 //       `chunk_range(count, nranks, r)` (ring) or block r (rh).
@@ -28,11 +28,8 @@
 
 namespace hmca::coll::prim {
 
-/// Full-mesh alltoall: n*(n-1) pairwise transfers plus n local copies,
-/// `msg` bytes per (src, dst) block.
-Program alltoall_direct(int nranks, std::size_t msg);
-
-/// Full-mesh alltoallv. `counts[i * nranks + j]` is the byte count rank i
+/// Full-mesh alltoallv: one transfer per nonempty (src, dst) block, local
+/// copies included. `counts[i * nranks + j]` is the byte count rank i
 /// sends to rank j; send/recv offsets are the standard prefix sums. The
 /// program's space extents are the maxima over ranks — every rank's own
 /// transfers stay inside its actual buffer extents.

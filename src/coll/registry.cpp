@@ -287,7 +287,7 @@ void register_flat(Registry& r) {
                 (n - 1) / n * static_cast<double>(bytes) / step_bw(p, s);
        }});
 
-  r.add_allgatherv({"ring", "ring forwarding of variable-size blocks",
+  r.add_allgatherv({"ring", "chunked ring over variable-size blocks",
                     [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
                        const VarLayout& l, bool ip) {
                       return allgatherv_ring(c, my, s, rv, l, ip);

@@ -11,6 +11,7 @@
 #include "coll/graph.hpp"
 #include "core/hier_detail.hpp"
 #include "core/hierarchy.hpp"
+#include "core/mha_allgatherv.hpp"
 #include "core/mha_intra.hpp"
 #include "shm/shm.hpp"
 
@@ -314,8 +315,15 @@ sim::Task<void> hier_barrier(mpi::Comm& comm, int my, hw::BufView send,
 // publish task of the landed chunk through external-dependency callbacks;
 // members drain publication slots as the leader's publish callbacks
 // release them — all three phases stream chunk by chunk.
+//
+// `nodes` holds one block per node and `local` this node's per-rank
+// blocks, so the MHA-intra phase 1 and the Ring phase 2 take variable
+// blocks. The shm gather, the NodePlan and RD need equal blocks of `msg`
+// bytes; allgatherv_mha uses none of them.
 sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
-                           hw::BufView recv, std::size_t msg, bool in_place,
+                           hw::BufView recv, const coll::VarLayout& nodes,
+                           const coll::VarLayout& local_layout,
+                           std::size_t msg, bool in_place,
                            LevelTransport inner, const NodePlan* plan,
                            Phase2Algo algo) {
   auto& cl = comm.cluster();
@@ -325,9 +333,8 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
   const int local = comm.node_local_rank(my);
   const bool leader = (local == 0);
   const std::uint64_t seq = comm.next_op_seq(my);
-  const std::size_t chunk = static_cast<std::size_t>(l) * msg;
-  const std::size_t nbase = static_cast<std::size_t>(node) * chunk;
-  const hw::BufView node_slice = recv.sub(nbase, chunk);
+  const std::size_t nbase = nodes.offset(node);
+  const hw::BufView node_slice = recv.sub(nbase, nodes.count(node));
   auto& eng = comm.engine();
   obs::Sink& sink = comm.sink();
   const int grank = comm.to_global(my);
@@ -348,8 +355,8 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
           return plan_phase1(comm, my, send, node_slice, msg, in_place, node,
                              local, l, *plan, off);
         },
-        coll::TaskOpts{"nlevel", "phase1", -1, chunk, -1, -1});
-    prod.add(nbase, chunk, t);
+        coll::TaskOpts{"nlevel", "phase1", -1, node_slice.len, -1, -1});
+    prod.add(nbase, node_slice.len, t);
   } else if (l > 1 && inner == LevelTransport::kShm) {
     // Publication order of the gather is data-driven, so it stays one
     // macro task (faithful to the double-copy baseline it models); phase 2
@@ -360,20 +367,16 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
           return shm_gather_phase1(comm, my, send, node_slice, msg, in_place,
                                    node, local, l, seq);
         },
-        coll::TaskOpts{"shm-gather", "phase1", -1, chunk, -1, -1});
-    prod.add(nbase, chunk, t);
+        coll::TaskOpts{"shm-gather", "phase1", -1, node_slice.len, -1, -1});
+    prod.add(nbase, node_slice.len, t);
   } else if (l > 1) {
     build_mha_intra_tasks(g, prod, nbase, comm.world().node_comm(node), local,
-                          send, node_slice, msg, in_place, offload_of(inner),
-                          "phase1");
-  } else if (!in_place && msg > 0) {
-    const int t = g.add(
-        coll::TaskKind::kCopy, coll::Lane::kCpu,
-        [&comm, my, send, recv, msg, in_place] {
-          return coll::seed_own_block(comm, my, send, recv, msg, in_place);
-        },
-        coll::TaskOpts{"seed", "phase1", -1, msg, -1, -1});
-    prod.add(nbase, msg, t);
+                          send, node_slice, local_layout, in_place,
+                          offload_of(inner), "phase1");
+  } else {
+    const int t = coll::add_seed_task(g, comm, my, send, node_slice, in_place,
+                                      "phase1");
+    if (t >= 0) prod.add(nbase, node_slice.len, t);
   }
 
   if (n == 1) {
@@ -392,20 +395,19 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
 
   // Phase 2 with the phase-3 publish on the leader; members drain every
   // publication slot the leader's exchange produces.
-  const auto blocks = coll::VarLayout::from_counts(
-      std::vector<std::size_t>(static_cast<std::size_t>(n), chunk));
+  const std::size_t chunk = static_cast<std::size_t>(l) * msg;
   if (leader) {
     auto& lcomm = comm.world().leader_comm();
     const coll::ExchangeOpts x{"p2 ", "phase2", region};
     if (algo == Phase2Algo::kRing) {
-      coll::build_ring_exchange(g, exec, lcomm, node, recv, blocks, prod, -1,
+      coll::build_ring_exchange(g, exec, lcomm, node, recv, nodes, prod, -1,
                                 x);
     } else {
       coll::build_rd_exchange(g, exec, lcomm, node, recv, chunk, prod, x);
     }
   } else {
     const int slots = algo == Phase2Algo::kRing
-                          ? coll::ring_exchange_publishes(blocks, node)
+                          ? coll::ring_exchange_publishes(nodes, node)
                           : coll::rd_exchange_publishes(n, chunk);
     coll::build_publish_drain(g, exec, region, grank, recv, slots, "p3 out");
   }
@@ -415,14 +417,13 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
 
 }  // namespace
 
-Phase2Algo resolve_phase2(const hw::ClusterSpec& spec, int nodes, int ppn,
-                          std::size_t msg, Phase2Algo requested) {
+Phase2Algo resolve_phase2(int nodes, int ppn, std::size_t msg,
+                          Phase2Algo requested) {
   if (requested != Phase2Algo::kAuto) return requested;
   if (!coll::is_power_of_two(nodes)) return Phase2Algo::kRing;
   // Fig. 8 tuning: RD wins while the per-step node chunk (M * L) is small
   // enough that startup costs dominate; Ring wins once the exchange is
   // bandwidth-bound and its finer-grained distribution overlaps better.
-  (void)spec;
   const std::size_t chunk =
       msg * static_cast<std::size_t>(std::max(1, ppn));
   return chunk <= kRdRingCrossoverChunk ? Phase2Algo::kRD : Phase2Algo::kRing;
@@ -452,14 +453,40 @@ sim::Task<void> allgather_hierarchy(mpi::Comm& comm, int my, hw::BufView send,
   if (!in_place && send.len != msg) {
     throw std::invalid_argument("allgather_hierarchy: bad send size");
   }
-  const Phase2Algo algo =
-      resolve_phase2(cl.spec(), cl.nodes(), cl.ppn(), msg, phase2);
+  const Phase2Algo algo = resolve_phase2(cl.nodes(), cl.ppn(), msg, phase2);
   const NodePlan* p = plan ? &*plan : nullptr;
   if (overlap) {
-    co_await hier_graph(comm, my, send, recv, msg, in_place, inner, p, algo);
+    const auto nodes = coll::VarLayout::uniform(
+        cl.nodes(), static_cast<std::size_t>(cl.ppn()) * msg);
+    const auto local = coll::VarLayout::uniform(cl.ppn(), msg);
+    co_await hier_graph(comm, my, send, recv, nodes, local, msg, in_place,
+                        inner, p, algo);
   } else {
     co_await hier_barrier(comm, my, send, recv, msg, in_place, inner, p, algo);
   }
+}
+
+sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
+                               hw::BufView recv,
+                               const coll::VarLayout& layout, bool in_place) {
+  coll::check_allgatherv_args(comm, my, send, recv, layout, in_place);
+  auto& cl = comm.cluster();
+  if (comm.size() != cl.world_size()) {
+    throw std::invalid_argument("allgatherv_mha: world comm required");
+  }
+  // Ranks are node-major, so node k's block is its ranks' blocks in order.
+  const int l = cl.ppn();
+  std::vector<std::size_t> node_counts(static_cast<std::size_t>(cl.nodes()),
+                                       0);
+  for (int r = 0; r < comm.size(); ++r) {
+    node_counts[static_cast<std::size_t>(r / l)] += layout.count(r);
+  }
+  const auto nodes = coll::VarLayout::from_counts(std::move(node_counts));
+  const auto first = layout.counts.begin() + comm.node_of(my) * l;
+  const auto local = coll::VarLayout::from_counts(
+      std::vector<std::size_t>(first, first + l));
+  co_await hier_graph(comm, my, send, recv, nodes, local, /*msg=*/0, in_place,
+                      LevelTransport::kAuto, nullptr, Phase2Algo::kRing);
 }
 
 }  // namespace hmca::core

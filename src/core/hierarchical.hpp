@@ -21,7 +21,9 @@
 // The same engine, configured by other specs, reproduces the single-leader
 // prior design of Mamidala et al. [19] (shm gather + RD, overlap), the
 // Sec. 7 NUMA-aware design (a socket NodePlan) and the overlap ablation
-// (overlap = false: strictly sequential phases).
+// (overlap = false: strictly sequential phases). The overlapped path runs
+// over block layouts, so core::allgatherv_mha (core/mha_allgatherv.hpp) is
+// the same engine on variable blocks.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +65,7 @@ inline constexpr std::size_t kRdRingCrossoverChunk = 16 * 1024;
 /// Resolve kAuto for a given topology and per-process message size.
 /// RD while the node chunk is startup-dominated, Ring beyond the Fig. 8
 /// crossover; Ring whenever RD is inapplicable (non-power-of-two nodes).
-Phase2Algo resolve_phase2(const hw::ClusterSpec& spec, int nodes, int ppn,
-                          std::size_t msg, Phase2Algo requested);
+Phase2Algo resolve_phase2(int nodes, int ppn, std::size_t msg,
+                          Phase2Algo requested);
 
 }  // namespace hmca::core

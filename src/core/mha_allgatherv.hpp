@@ -1,8 +1,9 @@
 // Multi-HCA aware hierarchical Allgatherv: the paper's Sec. 3 designs
-// generalized to variable per-rank contributions (MPI_Allgatherv). The
-// same three phases as MHA-inter; node chunks become variable-size slices
-// of the receive buffer and the offload split works on a byte budget
-// rather than a block count.
+// generalized to variable per-rank contributions (MPI_Allgatherv). It runs
+// the engine of allgather_hierarchy on the real block layout: node blocks
+// become variable-size slices of the receive buffer, and MHA-intra's Eq. 1
+// offload d, evaluated at the node's mean block, counts whole blocks from
+// the far end of the schedule with the boundary block split byte-exactly.
 #pragma once
 
 #include "coll/allgatherv.hpp"
@@ -13,9 +14,10 @@
 namespace hmca::core {
 
 /// Hierarchical MHA Allgatherv over the world communicator: per-node
-/// aggregation (CMA direct spread with the far end of the schedule offloaded
-/// to the HCAs until the Eq. 1 byte budget is spent), variable-size
-/// inter-leader Ring over all rails, overlapped shared-memory distribution.
+/// MHA-intra aggregation (CMA direct spread, the d farthest blocks read by
+/// the HCAs), variable-size inter-leader Ring over all rails, overlapped
+/// shared-memory distribution. On a uniform layout it is the registry's
+/// `mha_inter_ring`, bit for bit.
 sim::Task<void> allgatherv_mha(mpi::Comm& comm, int my, hw::BufView send,
                                hw::BufView recv,
                                const coll::VarLayout& layout,

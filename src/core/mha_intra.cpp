@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "coll/allgather.hpp"
@@ -31,15 +32,18 @@ double analytic_offload_degraded(const hw::ClusterSpec& spec, int l,
 void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
                            std::size_t producer_base, mpi::Comm& node_comm,
                            int my, hw::BufView send, hw::BufView recv,
-                           std::size_t msg, bool in_place, double offload,
-                           const std::string& phase) {
+                           const coll::VarLayout& layout, bool in_place,
+                           double offload, const std::string& phase) {
   const int l = node_comm.size();
   if (my < 0 || my >= l) throw std::invalid_argument("mha_intra: bad rank");
-  if (recv.len != msg * static_cast<std::size_t>(l)) {
-    throw std::invalid_argument("mha_intra: recv size != msg * comm size");
+  if (layout.counts.size() != static_cast<std::size_t>(l)) {
+    throw std::invalid_argument("mha_intra: layout size != comm size");
   }
-  if (!in_place && send.len != msg) {
-    throw std::invalid_argument("mha_intra: send size != msg");
+  if (recv.len != layout.total) {
+    throw std::invalid_argument("mha_intra: recv size != layout total");
+  }
+  if (!in_place && send.len != layout.count(my)) {
+    throw std::invalid_argument("mha_intra: send size != my count");
   }
   const int node = node_comm.node_of(my);
   for (int r = 1; r < l; ++r) {
@@ -50,6 +54,8 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
   auto& cl = node_comm.cluster();
   auto& eng = node_comm.engine();
   const int grank = node_comm.to_global(my);
+  // Eq. 1 is evaluated at the mean block (exact for equal blocks).
+  const std::size_t msg = layout.total / static_cast<std::size_t>(l);
   // The offload split d is recomputed over the *surviving* loopback rails:
   // a dead HCA invalidates the Eq. 1 balance, and with no rail left the
   // design degenerates to the CPU-only CMA Direct Spread baseline.
@@ -68,23 +74,17 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
 
   // The own block: a local seed copy unless the caller gathers in place
   // (then the bytes are already in position and need no producer).
-  const std::size_t own_off = static_cast<std::size_t>(my) * msg;
-  if (!in_place && msg > 0) {
-    const int t_seed = g.add(
-        coll::TaskKind::kCopy, coll::Lane::kCpu,
-        [&node_comm, my, send, recv, msg, in_place] {
-          return coll::seed_own_block(node_comm, my, send, recv, msg,
-                                      in_place);
-        },
-        coll::TaskOpts{"seed", phase, -1, msg, -1, -1});
-    producers.add(producer_base + own_off, msg, t_seed);
+  const hw::BufView own = recv.sub(layout.offset(my), layout.count(my));
+  const int t_seed =
+      coll::add_seed_task(g, node_comm, my, send, own, in_place, phase);
+  if (t_seed >= 0) {
+    producers.add(producer_base + layout.offset(my), own.len, t_seed);
   }
   if (l == 1) return;
 
   // Publish the contribution address; peers read it one-sidedly. Every
   // read task depends on the board exchange.
-  const hw::BufView contribution =
-      in_place ? recv.sub(own_off, msg) : send;
+  const hw::BufView contribution = in_place ? own : send;
   const std::uint64_t seq = node_comm.next_op_seq(my);
   auto board = node_comm.share().acquire<AddressBoard>(
       node, shm::op_key(node_comm.ctx(), seq, 3), l,
@@ -97,88 +97,77 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
   // Workload split (Fig. 4b / Fig. 5): the d *farthest* distances go to the
   // adapters, byte-granular — `full` whole blocks plus a `frac_bytes` slice
   // of the boundary block. Task boundaries ARE the partition, so the graph
-  // executor streams each block to its consumers as it lands.
+  // executor streams each block to its consumers as it lands. Empty blocks
+  // get no task.
   const int full = static_cast<int>(std::floor(offload + 1e-9));
-  std::size_t frac_bytes = static_cast<std::size_t>(
-      std::llround((offload - full) * static_cast<double>(msg)));
-  frac_bytes = std::min(frac_bytes, msg);
   const int split_dist = l - 1 - full;  // boundary distance (0 = none left)
 
   auto block = [&](int distance) {
     const int src = (my - distance + l) % l;
     return std::pair<int, hw::BufView>(
-        src, recv.sub(static_cast<std::size_t>(src) * msg, msg));
+        src, recv.sub(layout.offset(src), layout.count(src)));
   };
   net::Net& net = node_comm.net();
+  // One read of `len` bytes at `off` into block `src`: a CMA copy on the
+  // CPU lane or a striped loopback RDMA read on the NIC lane.
+  auto add_get = [&](bool hca, int src, hw::BufView dst, std::size_t off,
+                     std::size_t len, const std::string& label) {
+    const int src_g = node_comm.to_global(src);
+    const int t =
+        hca ? g.add(
+                  coll::TaskKind::kRdma, coll::Lane::kNic,
+                  [&net, grank, board, src, dst, src_g, off, len] {
+                    return net.rdma_get(grank, src_g,
+                                        board->view(src).sub(off, len),
+                                        dst.sub(off, len), net::Net::kStripe);
+                  },
+                  coll::TaskOpts{label, phase, -1, len, -1, src_g})
+            : g.add(
+                  coll::TaskKind::kCma, coll::Lane::kCpu,
+                  [&net, grank, board, src, dst, src_g, off, len] {
+                    return net.cma_get(grank, board->view(src).sub(off, len),
+                                       dst.sub(off, len), src_g);
+                  },
+                  coll::TaskOpts{label, phase, -1, len, -1, src_g});
+    g.depend(t, t_board);
+    producers.add(producer_base + layout.offset(src) + off, len, t);
+  };
 
   // CPU tasks are created in the walk order (near distances first); the
   // single-slot CPU lane serializes them exactly like the sequential walk
   // they replace.
   for (int i = 1; i <= split_dist - 1; ++i) {
     const auto [src, dst] = block(i);
-    const int src_g = node_comm.to_global(src);
-    const int t = g.add(
-        coll::TaskKind::kCma, coll::Lane::kCpu,
-        [&net, grank, board, src, dst, src_g] {
-          return net.cma_get(grank, board->view(src), dst, src_g);
-        },
-        coll::TaskOpts{"get b" + std::to_string(src), phase, -1, msg, -1,
-                       src_g});
-    g.depend(t, t_board);
-    producers.add(producer_base + static_cast<std::size_t>(src) * msg, msg, t);
+    if (dst.len > 0) {
+      add_get(false, src, dst, 0, dst.len, "get b" + std::to_string(src));
+    }
   }
-  if (split_dist >= 1 && frac_bytes < msg) {
-    // CPU share of the boundary block: the leading msg - frac bytes.
+  // The boundary block splits byte-exactly: the CPU copies the leading
+  // len - frac bytes, the HCA reads the trailing frac.
+  std::size_t frac_bytes = 0;
+  if (split_dist >= 1) {
     const auto [src, dst] = block(split_dist);
-    const int src_g = node_comm.to_global(src);
-    const std::size_t cpu_part = msg - frac_bytes;
-    const int t = g.add(
-        coll::TaskKind::kCma, coll::Lane::kCpu,
-        [&net, grank, board, src, dst, src_g, cpu_part] {
-          return net.cma_get(grank, board->view(src).sub(0, cpu_part),
-                             dst.sub(0, cpu_part), src_g);
-        },
-        coll::TaskOpts{"get b" + std::to_string(src) + " cpu-part", phase, -1,
-                       cpu_part, -1, src_g});
-    g.depend(t, t_board);
-    producers.add(producer_base + static_cast<std::size_t>(src) * msg,
-                  cpu_part, t);
+    frac_bytes = std::min(
+        static_cast<std::size_t>(
+            std::llround((offload - full) * static_cast<double>(dst.len))),
+        dst.len);
+    if (frac_bytes < dst.len) {
+      add_get(false, src, dst, 0, dst.len - frac_bytes,
+              "get b" + std::to_string(src) + " cpu-part");
+    }
   }
   // HCA loopback reads: all become ready the moment the board completes,
   // so the adapters work concurrently with the CPU walk, as before.
   for (int i = l - full; i <= l - 1; ++i) {
     const auto [src, dst] = block(i);
-    const int src_g = node_comm.to_global(src);
-    const int t = g.add(
-        coll::TaskKind::kRdma, coll::Lane::kNic,
-        [&net, grank, board, src, dst, src_g] {
-          return net.rdma_get(grank, src_g, board->view(src), dst,
-                              net::Net::kStripe);
-        },
-        coll::TaskOpts{"hca b" + std::to_string(src), phase, -1, msg, -1,
-                       src_g});
-    g.depend(t, t_board);
-    producers.add(producer_base + static_cast<std::size_t>(src) * msg, msg, t);
+    if (dst.len > 0) {
+      add_get(true, src, dst, 0, dst.len, "hca b" + std::to_string(src));
+    }
   }
-  if (split_dist >= 1 && frac_bytes > 0) {
-    // HCA share of the boundary block: the trailing frac bytes.
+  if (frac_bytes > 0) {
     const auto [src, dst] = block(split_dist);
-    const int src_g = node_comm.to_global(src);
-    const std::size_t cpu_part = msg - frac_bytes;
-    const std::size_t frac = frac_bytes;
-    const int t = g.add(
-        coll::TaskKind::kRdma, coll::Lane::kNic,
-        [&net, grank, board, src, dst, src_g, cpu_part, frac] {
-          return net.rdma_get(grank, src_g,
-                              board->view(src).sub(cpu_part, frac),
-                              dst.sub(cpu_part, frac), net::Net::kStripe);
-        },
-        coll::TaskOpts{"hca b" + std::to_string(src) + " frac", phase, -1,
-                       frac, -1, src_g});
-    g.depend(t, t_board);
-    producers.add(
-        producer_base + static_cast<std::size_t>(src) * msg + cpu_part, frac,
-        t);
+    add_get(true, src, dst, dst.len - frac_bytes, frac_bytes,
+            "hca b" + std::to_string(src) + " frac");
   }
 }
 
@@ -186,9 +175,10 @@ sim::Task<void> allgather_mha_intra(mpi::Comm& node_comm, int my,
                                     hw::BufView send, hw::BufView recv,
                                     std::size_t msg, bool in_place,
                                     double offload) {
+  const auto layout = coll::VarLayout::uniform(node_comm.size(), msg);
   coll::TaskGraph g;
   coll::RangeProducers producers;
-  build_mha_intra_tasks(g, producers, 0, node_comm, my, send, recv, msg,
+  build_mha_intra_tasks(g, producers, 0, node_comm, my, send, recv, layout,
                         in_place, offload, /*phase=*/"");
   if (g.empty()) co_return;
   coll::GraphExecutor exec(node_comm.engine(), node_comm.sink(),

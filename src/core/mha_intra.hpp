@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "coll/allgatherv.hpp"
 #include "coll/graph.hpp"
 #include "hw/buffer.hpp"
 #include "mpi/comm.hpp"
@@ -59,23 +60,28 @@ sim::Task<void> allgather_mha_intra(mpi::Comm& node_comm, int my,
                                     std::size_t msg, bool in_place = false,
                                     double offload = -1.0);
 
-/// Graph-builder form of MHA-intra: appends one task per block transfer —
-/// the address-board exchange, the CPU seed, one CMA task per near block,
-/// one HCA loopback task per offloaded block, and the Eq. 1 fractional
-/// boundary block split byte-exact into a CMA + an RDMA task (the offload
-/// d *is* the chunk partition). Registers each produced byte range in
-/// `producers` at `producer_base` + block offset so downstream consumers
-/// (e.g. phase-2 sends) can depend on exactly the tasks covering their
-/// bytes. Tasks carry `phase` for span attribution.
+/// Graph-builder form of MHA-intra over the node's per-rank `layout` (one
+/// block per rank of `node_comm`; `recv` holds `layout.total` bytes).
+/// Appends one task per block transfer — the address-board exchange, the
+/// CPU seed, one CMA task per near block, one HCA loopback task per
+/// offloaded block, and the Eq. 1 fractional boundary block split
+/// byte-exact into a CMA + an RDMA task (the offload d *is* the chunk
+/// partition). d counts whole blocks; with `offload` < 0 it is Eq. 1 at the
+/// mean block `layout.total / comm.size()`. Empty blocks get no read task.
+/// Registers each produced byte range in `producers` at `producer_base` +
+/// block offset so downstream consumers (e.g. phase-2 sends) can depend on
+/// exactly the tasks covering their bytes. Tasks carry `phase` for span
+/// attribution.
 ///
-/// `allgather_mha_intra` is this builder plus a GraphExecutor run; the
-/// hierarchical designs splice the tasks into their own graphs so phase 2
+/// `allgather_mha_intra` is this builder on a uniform layout plus a
+/// GraphExecutor run; the hierarchical designs (allgather_hierarchy and
+/// allgatherv_mha) splice the tasks into their own graphs so phase 2
 /// streams against the phase-1 tail.
 void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
                            std::size_t producer_base, mpi::Comm& node_comm,
                            int my, hw::BufView send, hw::BufView recv,
-                           std::size_t msg, bool in_place, double offload,
-                           const std::string& phase);
+                           const coll::VarLayout& layout, bool in_place,
+                           double offload, const std::string& phase);
 
 /// The Eq. 1 analytic offload amount for a node-local communicator of
 /// size l (real-valued).

@@ -243,7 +243,8 @@ void register_core_impl(coll::Registry& reg) {
 
   reg.add_allgatherv(
       {"mha",
-       "hierarchical Allgatherv: byte-budget offload, overlapped phases",
+       "hierarchical Allgatherv: Eq. 1 offload at the mean block, Ring "
+       "phase 2, overlapped phases",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
           const coll::VarLayout& l, bool ip) {
          return allgatherv_mha(c, my, s, rv, l, ip);
@@ -455,7 +456,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
       return chain.finish(a, "depth:" + shape.level_structure());
     }
     const Phase2Algo p2 =
-        resolve_phase2(spec, shape.nodes, shape.ppn, msg, Phase2Algo::kAuto);
+        resolve_phase2(shape.nodes, shape.ppn, msg, Phase2Algo::kAuto);
     if (p2 == Phase2Algo::kRing) {
       const auto& a = reg.get_allgather("mha_inter_ring");
       return chain.finish(a, "threshold:fig8-ring");

@@ -8,11 +8,16 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <ios>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "coll/allgatherv.hpp"
 #include "coll/graph.hpp"
+#include "core/mha_allgatherv.hpp"
 #include "core/selector.hpp"
 #include "profiles/profiles.hpp"
 #include "sim/fault.hpp"
@@ -229,6 +234,122 @@ TEST_F(Conformance, AllgathervAllCategories) {
             << "allgatherv '" << algo.name << "' rank " << r;
       }
     }
+  }
+}
+
+// ---- Identity: every fixed-size allgather that has a v-variant is that
+// variant on a uniform layout, bit for bit in latency and engine events ----
+
+struct Timing {
+  double latency = 0;
+  std::uint64_t events = 0;
+};
+
+using RankCall = std::function<sim::Task<void>(mpi::Comm&, int, hw::BufView,
+                                               hw::BufView)>;
+
+sim::Task<void> timed_rank(mpi::Comm& comm, const RankCall& call, int r,
+                           hw::BufView send, hw::BufView recv) {
+  co_await call(comm, r, send, recv);
+}
+
+/// Runs `call` on a healthy world of the trial's shape with phantom
+/// buffers (timing only) and returns the completion time and event count.
+Timing time_allgather(const Trial& t, const RankCall& call) {
+  auto spec = testing::conf::spec_of(t);
+  spec.carry_data = false;
+  sim::Engine eng;
+  mpi::World world(eng, spec);
+  auto& comm = world.comm_world();
+  std::vector<hw::Buffer> sends, recvs;
+  for (int r = 0; r < t.procs(); ++r) {
+    sends.push_back(hw::Buffer::phantom(t.in_place ? 0 : t.msg));
+    recvs.push_back(hw::Buffer::phantom(
+        t.msg * static_cast<std::size_t>(t.procs())));
+  }
+  for (int r = 0; r < t.procs(); ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    eng.spawn(timed_rank(comm, call, r, sends[i].view(), recvs[i].view()));
+  }
+  eng.run();
+  return {eng.now(), eng.events_dispatched()};
+}
+
+void check_uniform_identity(const Trial& t) {
+  SCOPED_TRACE(t.context());
+  const auto layout = coll::VarLayout::uniform(t.procs(), t.msg);
+  const std::size_t msg = t.msg;
+  const bool ip = t.in_place;
+  auto fixed = [&](const coll::AllgatherFn& fn) -> RankCall {
+    return [&fn, msg, ip](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv) {
+      return fn(c, r, s, rv, msg, ip);
+    };
+  };
+  auto vvar = [&](const coll::AllgathervFn& fn) -> RankCall {
+    return [&fn, &layout, ip](mpi::Comm& c, int r, hw::BufView s,
+                              hw::BufView rv) {
+      return fn(c, r, s, rv, layout, ip);
+    };
+  };
+  const coll::AllgatherFn ring = coll::allgather_ring;
+  const coll::AllgatherFn direct = coll::allgather_direct;
+  const coll::AllgathervFn ring_v = coll::allgatherv_ring;
+  const coll::AllgathervFn direct_v = coll::allgatherv_direct;
+  const coll::AllgathervFn mha_v = core::allgatherv_mha;
+  const struct {
+    const char* name;
+    RankCall fixed;
+    RankCall v;
+  } pairs[] = {
+      {"ring", fixed(ring), vvar(ring_v)},
+      {"direct", fixed(direct), vvar(direct_v)},
+      {"mha_inter_ring",
+       fixed(coll::Registry::instance().get_allgather("mha_inter_ring").fn),
+       vvar(mha_v)},
+  };
+  for (const auto& pair : pairs) {
+    const Timing want = time_allgather(t, pair.fixed);
+    const Timing got = time_allgather(t, pair.v);
+    EXPECT_EQ(got.latency, want.latency)
+        << pair.name << ": v-variant latency " << std::hexfloat << got.latency
+        << " vs " << want.latency;
+    EXPECT_EQ(got.events, want.events) << pair.name << ": v-variant events";
+  }
+}
+
+TEST_F(Conformance, AllgathervUniformLayoutIsAllgather) {
+  const std::uint64_t seed = testing::conf::suite_seed();
+  // The shapes every seed covers: ppn 1, one node, in place, a one-byte
+  // block and a block that splits into several pipeline chunks.
+  struct Shape {
+    int nodes, ppn;
+    std::size_t msg;
+    bool in_place;
+  };
+  const Shape fixed_shapes[] = {
+      {3, 1, 4096, false}, {1, 4, 65536, false}, {2, 3, 1000, true},
+      {2, 2, 1, false},    {3, 4, 300000, false}, {4, 2, 300000, true},
+      {1, 1, 1, false},    {4, 1, 1, true},
+  };
+  int index = 0;
+  for (const Shape& sh : fixed_shapes) {
+    Trial t;
+    t.seed = seed;
+    t.index = index++;
+    t.nodes = sh.nodes;
+    t.ppn = sh.ppn;
+    t.hcas = 2;
+    t.msg = sh.msg;
+    t.in_place = sh.in_place;
+    check_uniform_identity(t);
+  }
+  // Seeded random shapes on top.
+  sim::Rng rng(rng_seed_for("uniform_identity", seed));
+  const std::size_t msgs[] = {1, 3, 100, 1000, 4096, 20000, 65536, 300000};
+  for (int i = 0; i < 12; ++i) {
+    Trial t = sample_trial(rng, seed, index++, Category::kNone);
+    t.msg = msgs[rng.next_below(std::size(msgs))];
+    check_uniform_identity(t);
   }
 }
 

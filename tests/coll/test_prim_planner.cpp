@@ -371,7 +371,10 @@ TEST(PrimPlanner, BuilderRunsOncePerCall) {
     eng.spawn(Planner::run(comm, r, sends[i].view(), recvs[i].view(),
                            [&builds, p] {
                              ++builds;
-                             return alltoall_direct(p, kMsg);
+                             return alltoallv_direct(
+                                 p, std::vector<std::size_t>(
+                                        static_cast<std::size_t>(p * p),
+                                        std::size_t{kMsg}));
                            }));
   }
   eng.run();

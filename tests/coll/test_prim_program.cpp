@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "coll/prim/builders.hpp"
 #include "coll/prim/planner.hpp"
@@ -212,7 +213,8 @@ TEST(PrimProgram, PlannerValidatesBeforeLowering) {
 // ---- the builders emit programs that validate ----
 
 TEST(PrimProgram, BuilderProgramsValidate) {
-  EXPECT_NO_THROW(alltoall_direct(8, 4096).validate());
+  EXPECT_NO_THROW(
+      alltoallv_direct(8, std::vector<std::size_t>(64, 4096)).validate());
   EXPECT_NO_THROW(reduce_scatter_ring(6, 1000, mpi::Dtype::kDouble,
                                       mpi::ReduceOp::kSum)
                       .validate());

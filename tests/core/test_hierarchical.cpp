@@ -106,23 +106,22 @@ TEST(Hier, NamedEntryPoints) {
 }
 
 TEST(Hier, ResolvePhase2) {
-  auto spec = hw::ClusterSpec::thor(8, 32);
   // Non-power-of-two node counts can never use RD.
-  EXPECT_EQ(resolve_phase2(spec, 5, 32, 4096, Phase2Algo::kAuto),
+  EXPECT_EQ(resolve_phase2(5, 32, 4096, Phase2Algo::kAuto),
             Phase2Algo::kRing);
   // Explicit requests pass through.
-  EXPECT_EQ(resolve_phase2(spec, 8, 32, 4096, Phase2Algo::kRD),
+  EXPECT_EQ(resolve_phase2(8, 32, 4096, Phase2Algo::kRD),
             Phase2Algo::kRD);
   // The Fig. 8 shape: RD below the node-chunk crossover, Ring above.
-  EXPECT_EQ(resolve_phase2(spec, 16, 32, 256, Phase2Algo::kAuto),
+  EXPECT_EQ(resolve_phase2(16, 32, 256, Phase2Algo::kAuto),
             Phase2Algo::kRD);
-  EXPECT_EQ(resolve_phase2(spec, 16, 32, 1u << 20, Phase2Algo::kAuto),
+  EXPECT_EQ(resolve_phase2(16, 32, 1u << 20, Phase2Algo::kAuto),
             Phase2Algo::kRing);
   // Crossover sits exactly at the documented chunk threshold.
   const auto msg_at = kRdRingCrossoverChunk / 32;
-  EXPECT_EQ(resolve_phase2(spec, 16, 32, msg_at, Phase2Algo::kAuto),
+  EXPECT_EQ(resolve_phase2(16, 32, msg_at, Phase2Algo::kAuto),
             Phase2Algo::kRD);
-  EXPECT_EQ(resolve_phase2(spec, 16, 32, msg_at * 2, Phase2Algo::kAuto),
+  EXPECT_EQ(resolve_phase2(16, 32, msg_at * 2, Phase2Algo::kAuto),
             Phase2Algo::kRing);
 }
 
