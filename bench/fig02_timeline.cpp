@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "coll/allgather.hpp"
+#include "obs/sink.hpp"
 #include "osu/bench_main.hpp"
 #include "trace/trace.hpp"
 
@@ -15,13 +16,14 @@ int main(int argc, char** argv) {
   return osu::bench_main(
       "fig02_timeline", argc, argv, [](osu::BenchContext& ctx) {
         trace::Tracer tracer;
+        obs::CollectSink sink(&tracer);
         const auto spec = ctx.faulted(hw::ClusterSpec::thor(2, 2));
         const double t = osu::measure_allgather(
             spec,
             [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv,
                std::size_t m,
                bool ip) { return coll::allgather_ring(c, r, s, rv, m, ip); },
-            1u << 20, &tracer);
+            1u << 20, sink);
 
         ctx.out.note(
             "Figure 2: flat Ring Allgather, 2 nodes x 2 PPN, 1 MB/process");

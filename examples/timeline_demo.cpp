@@ -9,6 +9,7 @@
 
 #include "coll/allgather.hpp"
 #include "core/hierarchy.hpp"
+#include "obs/sink.hpp"
 #include "osu/harness.hpp"
 #include "trace/trace.hpp"
 
@@ -21,11 +22,12 @@ int main(int argc, char** argv) {
 
   {
     trace::Tracer tracer;
+    obs::CollectSink sink(&tracer);
     const double t = osu::measure_allgather(
         spec,
         [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
            bool ip) { return coll::allgather_ring(c, r, s, rv, m, ip); },
-        msg, &tracer);
+        msg, sink);
     std::printf("flat Ring Allgather, 2 nodes x 2 PPN, %zu B/process: %.1f us\n",
                 msg, t * 1e6);
     tracer.render_ascii(std::cout, 100);
@@ -35,6 +37,7 @@ int main(int argc, char** argv) {
 
   {
     trace::Tracer tracer;
+    obs::CollectSink sink(&tracer);
     const double t = osu::measure_allgather(
         spec,
         [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -42,7 +45,7 @@ int main(int argc, char** argv) {
           return core::allgather_hierarchy(c, r, s, rv, m, ip,
                                            core::HierarchySpec::mha());
         },
-        msg, &tracer);
+        msg, sink);
     std::printf("MHA-inter, same topology: %.1f us\n", t * 1e6);
     tracer.render_ascii(std::cout, 100);
     std::printf("\nleader NIC time overlapping member copy-outs: %.1f us\n",

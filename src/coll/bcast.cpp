@@ -113,55 +113,4 @@ sim::Task<void> bcast_scatter_allgather(mpi::Comm& comm, int my, int root,
   }
 }
 
-sim::Task<void> gather_linear(mpi::Comm& comm, int my, int root,
-                              hw::BufView send, hw::BufView recv,
-                              std::size_t msg) {
-  check_rank_root(comm, my, root);
-  if (send.len != msg) throw std::invalid_argument("gather: bad send size");
-  const int n = comm.size();
-  if (my != root) {
-    co_await comm.send(my, root, 4, send);
-    co_return;
-  }
-  if (recv.len != msg * static_cast<std::size_t>(n)) {
-    throw std::invalid_argument("gather: bad recv size at root");
-  }
-  // Own block by local copy; the rest via posted receives.
-  std::vector<mpi::Request> reqs;
-  for (int r = 0; r < n; ++r) {
-    if (r == root) continue;
-    reqs.push_back(
-        comm.irecv(my, r, 4, recv.sub(static_cast<std::size_t>(r) * msg, msg)));
-  }
-  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
-                                      static_cast<double>(msg));
-  hw::copy_payload(recv.sub(static_cast<std::size_t>(root) * msg, msg), send);
-  co_await comm.wait_all(std::move(reqs));
-}
-
-sim::Task<void> scatter_linear(mpi::Comm& comm, int my, int root,
-                               hw::BufView send, hw::BufView recv,
-                               std::size_t msg) {
-  check_rank_root(comm, my, root);
-  if (recv.len != msg) throw std::invalid_argument("scatter: bad recv size");
-  const int n = comm.size();
-  if (my != root) {
-    co_await comm.recv(my, root, 5, recv);
-    co_return;
-  }
-  if (send.len != msg * static_cast<std::size_t>(n)) {
-    throw std::invalid_argument("scatter: bad send size at root");
-  }
-  std::vector<mpi::Request> reqs;
-  for (int r = 0; r < n; ++r) {
-    if (r == root) continue;
-    reqs.push_back(
-        comm.isend(my, r, 5, send.sub(static_cast<std::size_t>(r) * msg, msg)));
-  }
-  co_await comm.cluster().cpu_copy_by(comm.to_global(my),
-                                      static_cast<double>(msg));
-  hw::copy_payload(recv, send.sub(static_cast<std::size_t>(root) * msg, msg));
-  co_await comm.wait_all(std::move(reqs));
-}
-
 }  // namespace hmca::coll

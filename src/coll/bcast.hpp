@@ -1,7 +1,6 @@
-// Broadcast, Gather and Scatter — the rooted collectives, with
-// conventional flat algorithms (Sec. 7: "we plan to address other
-// collectives"). The multi-HCA aware hierarchical bcast is
-// core::bcast_hierarchy (core/hierarchy.hpp).
+// Broadcast, the rooted collective, with conventional flat algorithms
+// (Sec. 7: "we plan to address other collectives"). The multi-HCA aware
+// hierarchical bcast is core::bcast_hierarchy (core/hierarchy.hpp).
 #pragma once
 
 #include <cstddef>
@@ -24,18 +23,5 @@ sim::Task<void> bcast_binomial(mpi::Comm& comm, int my, int root,
 /// data.len divisible by comm.size().
 sim::Task<void> bcast_scatter_allgather(mpi::Comm& comm, int my, int root,
                                         hw::BufView data);
-
-/// Linear gather to `root`: every rank sends its `msg`-byte block; root's
-/// `recv` (msg * N bytes) collects them in rank order. Non-roots may pass
-/// an empty recv view.
-sim::Task<void> gather_linear(mpi::Comm& comm, int my, int root,
-                              hw::BufView send, hw::BufView recv,
-                              std::size_t msg);
-
-/// Linear scatter from `root`: block i of root's `send` (msg * N bytes)
-/// lands in rank i's `recv` (msg bytes). Non-roots may pass an empty send.
-sim::Task<void> scatter_linear(mpi::Comm& comm, int my, int root,
-                               hw::BufView send, hw::BufView recv,
-                               std::size_t msg);
 
 }  // namespace hmca::coll

@@ -125,27 +125,27 @@ bool power_of_two_comm(const CommShape& s, std::size_t) {
 }
 
 void register_flat(Registry& r) {
-  r.add_allgather(
+  r.allgather.add(
       {"ring", "flat Ring: N-1 neighbour steps, bandwidth-optimal",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_ring(c, my, s, rv, m, ip); },
        {}, cost_ring});
-  r.add_allgather(
+  r.allgather.add(
       {"rd", "Recursive Doubling: log2(N) exchanges, power-of-two sizes",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_rd(c, my, s, rv, m, ip); },
        power_of_two_comm, cost_rd});
-  r.add_allgather(
+  r.allgather.add(
       {"bruck", "Bruck: ceil(log2 N) store-and-forward steps, any N",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_bruck(c, my, s, rv, m, ip); },
        {}, cost_bruck});
-  r.add_allgather(
+  r.allgather.add(
       {"direct", "Direct Spread: all transfers posted nonblocking up front",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_direct(c, my, s, rv, m, ip); },
        {}, cost_direct});
-  r.add_allgather(
+  r.allgather.add(
       {"rd_or_bruck", "RD when N is a power of two, Bruck otherwise",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_rd_or_bruck(c, my, s, rv, m, ip); },
@@ -154,7 +154,7 @@ void register_flat(Registry& r) {
          return is_power_of_two(s.comm_size) ? cost_rd(p, s, m)
                                              : cost_bruck(p, s, m);
        }});
-  r.add_allgather(
+  r.allgather.add(
       {"multi_leader2",
        "Kandalla two-level, 2 leader groups/node, strict phases",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -163,14 +163,14 @@ void register_flat(Registry& r) {
          return s.world && s.ppn >= 2 && s.ppn % 2 == 0;
        },
        {}});
-  r.add_allgather(
+  r.allgather.add(
       {"multi_leader1",
        "Kandalla two-level, single leader/node, strict phases",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
           bool ip) { return allgather_multi_leader(c, my, s, rv, m, ip, 1); },
        [](const CommShape& s, std::size_t) { return s.world && s.ppn > 1; },
        {}});
-  r.add_allgather(
+  r.allgather.add(
       {"node_aware_bruck",
        "locality-aware: intra-node exchange, inter-node Bruck over leaders",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -178,13 +178,13 @@ void register_flat(Registry& r) {
        [](const CommShape& s, std::size_t) { return s.world; },
        cost_node_aware_bruck});
 
-  r.add_allreduce(
+  r.allreduce.add(
       {"rd",
        "recursive doubling on the full vector, non-power-of-two fold",
        [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
           mpi::ReduceOp op) { return allreduce_rd(c, my, d, n, t, op); },
        {}, cost_allreduce_rd});
-  r.add_allreduce(
+  r.allreduce.add(
       {"ring",
        "ring reduce-scatter + flat ring allgather (Patarasuk-Yuan)",
        [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
@@ -194,7 +194,7 @@ void register_flat(Registry& r) {
        },
        cost_allreduce_ring});
 
-  r.add_bcast({"binomial", "binomial tree, log2(N) rounds",
+  r.bcast.add({"binomial", "binomial tree, log2(N) rounds",
                [](mpi::Comm& c, int my, int root, hw::BufView d) {
                  return bcast_binomial(c, my, root, d);
                },
@@ -205,7 +205,7 @@ void register_flat(Registry& r) {
                         (step_alpha(p, s) +
                          static_cast<double>(m) / step_bw(p, s));
                }});
-  r.add_bcast({"scatter_allgather",
+  r.bcast.add({"scatter_allgather",
                "van de Geijn scatter + ring allgather, large messages",
                [](mpi::Comm& c, int my, int root, hw::BufView d) {
                  return bcast_scatter_allgather(c, my, root, d);
@@ -215,7 +215,7 @@ void register_flat(Registry& r) {
                },
                {}});
 
-  r.add_alltoall(
+  r.alltoall.add(
       {"direct",
        "planner full-mesh: every pairwise block in flight at once",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
@@ -226,7 +226,7 @@ void register_flat(Registry& r) {
          return (n - 1) * step_alpha(p, s) +
                 (n - 1) * static_cast<double>(m) / step_bw(p, s);
        }});
-  r.add_alltoall(
+  r.alltoall.add(
       {"pairwise", "classic pairwise exchange: n-1 sendrecv rounds",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
           std::size_t m) { return alltoall_pairwise(c, my, s, rv, m); },
@@ -237,7 +237,7 @@ void register_flat(Registry& r) {
                 (step_alpha(p, s) + static_cast<double>(m) / step_bw(p, s));
        }});
 
-  r.add_alltoallv(
+  r.alltoallv.add(
       {"direct",
        "planner full-mesh over the variable count matrix",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
@@ -246,7 +246,7 @@ void register_flat(Registry& r) {
        },
        {},
        {}});
-  r.add_alltoallv(
+  r.alltoallv.add(
       {"pairwise", "pairwise exchange rounds over variable blocks",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
           const AlltoallvLayout& l) {
@@ -255,7 +255,7 @@ void register_flat(Registry& r) {
        {},
        {}});
 
-  r.add_reduce_scatter(
+  r.reduce_scatter.add(
       {"ring",
        "planner ring over element chunks, uneven counts allowed",
        [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
@@ -269,7 +269,7 @@ void register_flat(Registry& r) {
          return (n - 1) * (step_alpha(p, s) +
                            static_cast<double>(bytes) / n / step_bw(p, s));
        }});
-  r.add_reduce_scatter(
+  r.reduce_scatter.add(
       {"rh",
        "planner recursive halving, power-of-two worlds, divisible counts",
        [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
@@ -287,14 +287,14 @@ void register_flat(Registry& r) {
                 (n - 1) / n * static_cast<double>(bytes) / step_bw(p, s);
        }});
 
-  r.add_allgatherv({"ring", "chunked ring over variable-size blocks",
+  r.allgatherv.add({"ring", "chunked ring over variable-size blocks",
                     [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
                        const VarLayout& l, bool ip) {
                       return allgatherv_ring(c, my, s, rv, l, ip);
                     },
                     {},
                     {}});
-  r.add_allgatherv({"direct", "all variable-size transfers posted up front",
+  r.allgatherv.add({"direct", "all variable-size transfers posted up front",
                     [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
                        const VarLayout& l, bool ip) {
                       return allgatherv_direct(c, my, s, rv, l, ip);

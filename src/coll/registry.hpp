@@ -14,10 +14,13 @@
 // graph, a planner program or a plain coroutine under a PhaseSpan) is the
 // algorithm's own business.
 //
-// The flat algorithms of this library register during `Registry::instance()`
-// bootstrap; the paper's MHA designs register via
-// `core::register_core_algorithms()` (called by the selection engine and the
-// profiles). Registration order is preserved for listings (`--algo list`).
+// Each family is one public AlgoTable member of the registry, used
+// directly: `reg.allgather.add(...)`, `reg.alltoall.get(name)`,
+// `reg.reduce_scatter.entries()`. The flat algorithms of this library
+// register during `Registry::instance()` bootstrap; the paper's MHA designs
+// register via `core::register_core_algorithms()` (called by the selection
+// engine and the profiles). Registration order is preserved for listings
+// (`--algo list`).
 #pragma once
 
 #include <cstddef>
@@ -179,111 +182,25 @@ class AlgoTable {
   std::deque<A> entries_;
 };
 
-/// Process-wide algorithm registry: one AlgoTable per collective family.
-/// Single-threaded (like the simulator); `add_*` throws
-/// std::invalid_argument on duplicate names. The per-family methods are
-/// kept as thin wrappers so callsites don't churn.
+/// Process-wide algorithm registry: one public AlgoTable per collective
+/// family, used directly (`reg.allgather.get("ring")`,
+/// `reg.alltoall.entries()`). Single-threaded (like the simulator); `add`
+/// throws std::invalid_argument on duplicate names.
 class Registry {
  public:
   /// The registry, with the flat `coll` algorithms already registered.
   static Registry& instance();
 
-  void add_allgather(AllgatherAlgo a) { ag_.add(std::move(a)); }
-  void add_allreduce(AllreduceAlgo a) { ar_.add(std::move(a)); }
-  void add_bcast(BcastAlgo a) { bc_.add(std::move(a)); }
-  void add_allgatherv(AllgathervAlgo a) { agv_.add(std::move(a)); }
-  void add_alltoall(AlltoallAlgo a) { a2a_.add(std::move(a)); }
-  void add_alltoallv(AlltoallvAlgo a) { a2av_.add(std::move(a)); }
-  void add_reduce_scatter(ReduceScatterAlgo a) { rs_.add(std::move(a)); }
-
-  /// Lookup by name; nullptr when absent.
-  const AllgatherAlgo* find_allgather(const std::string& name) const noexcept {
-    return ag_.find(name);
-  }
-  const AllreduceAlgo* find_allreduce(const std::string& name) const noexcept {
-    return ar_.find(name);
-  }
-  const BcastAlgo* find_bcast(const std::string& name) const noexcept {
-    return bc_.find(name);
-  }
-  const AllgathervAlgo* find_allgatherv(
-      const std::string& name) const noexcept {
-    return agv_.find(name);
-  }
-  const AlltoallAlgo* find_alltoall(const std::string& name) const noexcept {
-    return a2a_.find(name);
-  }
-  const AlltoallvAlgo* find_alltoallv(const std::string& name) const noexcept {
-    return a2av_.find(name);
-  }
-  const ReduceScatterAlgo* find_reduce_scatter(
-      const std::string& name) const noexcept {
-    return rs_.find(name);
-  }
-
-  /// Lookup by name; throws std::invalid_argument listing the known names.
-  const AllgatherAlgo& get_allgather(const std::string& name) const {
-    return ag_.get(name);
-  }
-  const AllreduceAlgo& get_allreduce(const std::string& name) const {
-    return ar_.get(name);
-  }
-  const BcastAlgo& get_bcast(const std::string& name) const {
-    return bc_.get(name);
-  }
-  const AllgathervAlgo& get_allgatherv(const std::string& name) const {
-    return agv_.get(name);
-  }
-  const AlltoallAlgo& get_alltoall(const std::string& name) const {
-    return a2a_.get(name);
-  }
-  const AlltoallvAlgo& get_alltoallv(const std::string& name) const {
-    return a2av_.get(name);
-  }
-  const ReduceScatterAlgo& get_reduce_scatter(const std::string& name) const {
-    return rs_.get(name);
-  }
-
-  std::vector<std::string> allgather_names() const { return ag_.names(); }
-  std::vector<std::string> allreduce_names() const { return ar_.names(); }
-  std::vector<std::string> bcast_names() const { return bc_.names(); }
-  std::vector<std::string> allgatherv_names() const { return agv_.names(); }
-  std::vector<std::string> alltoall_names() const { return a2a_.names(); }
-  std::vector<std::string> alltoallv_names() const { return a2av_.names(); }
-  std::vector<std::string> reduce_scatter_names() const {
-    return rs_.names();
-  }
-
-  /// Registration-order iteration (for listings and cost-model scans).
-  const std::deque<AllgatherAlgo>& allgathers() const noexcept {
-    return ag_.entries();
-  }
-  const std::deque<AllreduceAlgo>& allreduces() const noexcept {
-    return ar_.entries();
-  }
-  const std::deque<BcastAlgo>& bcasts() const noexcept { return bc_.entries(); }
-  const std::deque<AllgathervAlgo>& allgathervs() const noexcept {
-    return agv_.entries();
-  }
-  const std::deque<AlltoallAlgo>& alltoalls() const noexcept {
-    return a2a_.entries();
-  }
-  const std::deque<AlltoallvAlgo>& alltoallvs() const noexcept {
-    return a2av_.entries();
-  }
-  const std::deque<ReduceScatterAlgo>& reduce_scatters() const noexcept {
-    return rs_.entries();
-  }
+  AlgoTable<AllgatherAlgo> allgather{"allgather"};
+  AlgoTable<AllreduceAlgo> allreduce{"allreduce"};
+  AlgoTable<BcastAlgo> bcast{"bcast"};
+  AlgoTable<AllgathervAlgo> allgatherv{"allgatherv"};
+  AlgoTable<AlltoallAlgo> alltoall{"alltoall"};
+  AlgoTable<AlltoallvAlgo> alltoallv{"alltoallv"};
+  AlgoTable<ReduceScatterAlgo> reduce_scatter{"reduce_scatter"};
 
  private:
   Registry() = default;
-  AlgoTable<AllgatherAlgo> ag_{"allgather"};
-  AlgoTable<AllreduceAlgo> ar_{"allreduce"};
-  AlgoTable<BcastAlgo> bc_{"bcast"};
-  AlgoTable<AllgathervAlgo> agv_{"allgatherv"};
-  AlgoTable<AlltoallAlgo> a2a_{"alltoall"};
-  AlgoTable<AlltoallvAlgo> a2av_{"alltoallv"};
-  AlgoTable<ReduceScatterAlgo> rs_{"reduce_scatter"};
 };
 
 }  // namespace hmca::coll

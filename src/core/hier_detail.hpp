@@ -45,4 +45,37 @@ inline int group_of(const std::vector<int>& firsts, int local) {
          1;
 }
 
+/// End (exclusive) of group `g` of a stage partition over `l` node-local
+/// ranks.
+inline int group_end(const std::vector<int>& firsts, int g, int l) {
+  return g + 1 < static_cast<int>(firsts.size())
+             ? firsts[static_cast<std::size_t>(g) + 1]
+             : l;
+}
+
+/// Where node-local rank `local` sits under one stage pair of a nested
+/// partition of `l` ranks (`child` refines `parent`): its child group `cg`
+/// starting at `cf`, its parent group `pg` over [pf, pend), and the child
+/// groups [clo, chi) that parent group spans, `nsib` siblings. Boundaries
+/// nest, so pf and pend are child boundaries too.
+struct StageGroups {
+  int cg, cf, pg, pf, pend, clo, chi, nsib;
+};
+
+inline StageGroups stage_groups(const std::vector<int>& child,
+                                const std::vector<int>& parent, int local,
+                                int l) {
+  StageGroups s{};
+  s.cg = group_of(child, local);
+  s.cf = child[static_cast<std::size_t>(s.cg)];
+  s.pg = group_of(parent, local);
+  s.pf = parent[static_cast<std::size_t>(s.pg)];
+  s.pend = group_end(parent, s.pg, l);
+  s.clo = group_of(child, s.pf);
+  s.chi = s.pend >= l ? static_cast<int>(child.size())
+                      : group_of(child, s.pend);
+  s.nsib = s.chi - s.clo;
+  return s;
+}
+
 }  // namespace hmca::core::detail

@@ -19,8 +19,10 @@ namespace hmca::core {
 
 namespace {
 
+using detail::group_end;
 using detail::group_of;
 using detail::KeyAlloc;
+using detail::stage_groups;
 
 // MHA-intra offload count of phase 1: a `cma` node transport turns the
 // HCA offload off; every other transport keeps Eq. 1 (-1).
@@ -90,10 +92,7 @@ sim::Task<void> plan_phase1(mpi::Comm& comm, int my, hw::BufView send,
     const auto& firsts = plan.stages.front();
     const int g = group_of(firsts, local);
     const int f = firsts[static_cast<std::size_t>(g)];
-    const int end =
-        g + 1 < static_cast<int>(firsts.size())
-            ? firsts[static_cast<std::size_t>(g) + 1]
-            : l;
+    const int end = group_end(firsts, g, l);
     const int sz = end - f;
     if (sz > 1) {
       auto& gcomm = comm.world().span_comm(node, f, sz);
@@ -120,21 +119,9 @@ sim::Task<void> plan_phase1(mpi::Comm& comm, int my, hw::BufView send,
     // sequence numbers stay SPMD-consistent.
     KeyAlloc keys(comm, my, nparents + nchildren);
 
-    const int cg = group_of(child, local);
-    const int cf = child[static_cast<std::size_t>(cg)];
-    const int csz = (cg + 1 < nchildren
-                         ? child[static_cast<std::size_t>(cg) + 1]
-                         : l) -
-                    cf;
-    const int pg = group_of(parent, local);
-    const int pf = parent[static_cast<std::size_t>(pg)];
-    const int pend =
-        pg + 1 < nparents ? parent[static_cast<std::size_t>(pg) + 1] : l;
-    // The child groups spanned by my parent group (boundaries nest, so
-    // pf and pend are child boundaries too).
-    const int clo = group_of(child, pf);
-    const int chi = pend >= l ? nchildren : group_of(child, pend);
-    const int nsib = chi - clo;
+    const auto [cg, cf, pg, pf, pend, clo, chi, nsib] =
+        stage_groups(child, parent, local, l);
+    const int csz = group_end(child, cg, l) - cf;
     if (nsib <= 1) continue;  // parent adds no grouping here
 
     // Segment homed on my child group; all csz members acquire it.
@@ -153,10 +140,7 @@ sim::Task<void> plan_phase1(mpi::Comm& comm, int my, hw::BufView send,
       for (int o = 1; o < nsib; ++o) {
         const int other = clo + (cg - clo + o) % nsib;
         const int of = child[static_cast<std::size_t>(other)];
-        const int osz = (other + 1 < nchildren
-                             ? child[static_cast<std::size_t>(other) + 1]
-                             : l) -
-                        of;
+        const int osz = group_end(child, other, l) - of;
         const std::size_t off = static_cast<std::size_t>(of) * msg;
         const std::size_t len = static_cast<std::size_t>(osz) * msg;
         co_await region->copy_in_publish(grank,

@@ -20,8 +20,8 @@ namespace hmca::core {
 
 namespace {
 
-using detail::group_of;
 using detail::KeyAlloc;
+using detail::stage_groups;
 
 [[noreturn]] void fail(const std::string& msg) { throw HierarchyError(msg); }
 
@@ -409,20 +409,12 @@ sim::Task<void> bcast_hierarchy(mpi::Comm& comm, int my, int root,
   for (int st = static_cast<int>(stages.size()) - 1; st >= 1; --st) {
     const auto& child = stages[static_cast<std::size_t>(st) - 1];
     const auto& parent = stages[static_cast<std::size_t>(st)];
-    const int nchildren = static_cast<int>(child.size());
     const int nparents = static_cast<int>(parent.size());
     // One region key per parent group; constructed by every rank so the
     // consumed op sequence numbers stay SPMD-consistent.
     KeyAlloc keys(comm, my, nparents);
-    const int cg = group_of(child, local);
-    const int cf = child[static_cast<std::size_t>(cg)];
-    const int pg = group_of(parent, local);
-    const int pf = parent[static_cast<std::size_t>(pg)];
-    const int pend =
-        pg + 1 < nparents ? parent[static_cast<std::size_t>(pg) + 1] : l;
-    const int clo = group_of(child, pf);
-    const int chi = pend >= l ? nchildren : group_of(child, pend);
-    const int nsib = chi - clo;
+    const auto [cg, cf, pg, pf, pend, clo, chi, nsib] =
+        stage_groups(child, parent, local, l);
     if (local != cf || nsib <= 1) continue;  // only child leaders exchange
 
     auto region = comm.share().acquire<shm::ShmRegion>(

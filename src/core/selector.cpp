@@ -62,7 +62,7 @@ void register_core_impl(coll::Registry& reg) {
     return s.world && s.nodes > 1;
   };
 
-  reg.add_allgather(
+  reg.allgather.add(
       {"mha_intra",
        "Sec. 3.1: CMA direct spread + tuned HCA loopback offload (Eq. 1)",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -73,7 +73,7 @@ void register_core_impl(coll::Registry& reg) {
          return model::mha_intra_time(p, s.comm_size,
                                       static_cast<double>(m));
        }});
-  reg.add_allgather(
+  reg.allgather.add(
       {"mha_inter_rd",
        "Sec. 3.2 hierarchical, RD inter-leader phase, overlapped",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -90,7 +90,7 @@ void register_core_impl(coll::Registry& reg) {
          return model::mha_inter_time_rd(p, s.nodes, s.ppn,
                                          static_cast<double>(m));
        }});
-  reg.add_allgather(
+  reg.allgather.add(
       {"mha_inter_ring",
        "Sec. 3.2 hierarchical, Ring inter-leader phase, overlapped",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -105,7 +105,7 @@ void register_core_impl(coll::Registry& reg) {
          return model::mha_inter_time_ring(p, s.nodes, s.ppn,
                                            static_cast<double>(m));
        }});
-  reg.add_allgather(
+  reg.allgather.add(
       {"mha_inter",
        "Sec. 3.2 hierarchical, model-resolved RD/Ring phase 2 (Fig. 8)",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -119,7 +119,7 @@ void register_core_impl(coll::Registry& reg) {
          return std::min(model::mha_inter_time_rd(p, s.nodes, s.ppn, mm),
                          model::mha_inter_time_ring(p, s.nodes, s.ppn, mm));
        }});
-  reg.add_allgather(
+  reg.allgather.add(
       {"mha_inter_barrier",
        "Sec. 3.2 with strict phase barriers (dataflow-off baseline)",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -129,7 +129,7 @@ void register_core_impl(coll::Registry& reg) {
        },
        world_multi_node,
        {}});
-  reg.add_allgather(
+  reg.allgather.add(
       {"single_leader",
        "Mamidala prior design: shm gather, RD exchange, overlapped",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -143,7 +143,7 @@ void register_core_impl(coll::Registry& reg) {
        },
        [](const coll::CommShape& s, std::size_t) { return s.world; },
        {}});
-  reg.add_allgather(
+  reg.allgather.add(
       {"hier2",
        "declarative depth-2 hierarchy (node<cluster); == mha_inter",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -159,7 +159,7 @@ void register_core_impl(coll::Registry& reg) {
          return std::min(model::mha_inter_time_rd(p, s.nodes, s.ppn, mm),
                          model::mha_inter_time_ring(p, s.nodes, s.ppn, mm));
        }});
-  reg.add_allgather(
+  reg.allgather.add(
       {"hier3",
        "Sec. 7: 3-level NUMA-aware hierarchy (socket<node<cluster)",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -170,7 +170,7 @@ void register_core_impl(coll::Registry& reg) {
        [](const coll::CommShape& s, std::size_t) { return s.world; },
        {}});
 
-  reg.add_allreduce(
+  reg.allreduce.add(
       {"ring_mha",
        "ring reduce-scatter + MHA Allgather of the chunks (Sec. 5.4)",
        [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
@@ -182,7 +182,7 @@ void register_core_impl(coll::Registry& reg) {
        },
        {}});
 
-  reg.add_allreduce(
+  reg.allreduce.add(
       {"rs_ag",
        "composed: planner reduce-up + leader RS/AG + multicast-down",
        [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
@@ -205,7 +205,7 @@ void register_core_impl(coll::Registry& reg) {
          return t;
        }});
 
-  reg.add_alltoall(
+  reg.alltoall.add(
       {"hier_leader",
        "hierarchical leader exchange: gather, leader mesh, scatter",
        [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
@@ -223,7 +223,7 @@ void register_core_impl(coll::Registry& reg) {
          return t;
        }});
 
-  reg.add_bcast({"mha",
+  reg.bcast.add({"mha",
                  "hierarchical: leader scatter-allgather + pipelined shm",
                  [](mpi::Comm& c, int my, int root, hw::BufView d) {
                    return bcast_hierarchy(c, my, root, d,
@@ -231,7 +231,7 @@ void register_core_impl(coll::Registry& reg) {
                  },
                  [](const coll::CommShape& s, std::size_t) { return s.world; },
                  {}});
-  reg.add_bcast({"hier",
+  reg.bcast.add({"hier",
                  "declarative hierarchy bcast: leader bcast + shm cascade",
                  [](mpi::Comm& c, int my, int root, hw::BufView d) {
                    return bcast_hierarchy(
@@ -241,7 +241,7 @@ void register_core_impl(coll::Registry& reg) {
                  [](const coll::CommShape& s, std::size_t) { return s.world; },
                  {}});
 
-  reg.add_allgatherv(
+  reg.allgatherv.add(
       {"mha",
        "hierarchical Allgatherv: Eq. 1 offload at the mean block, Ring "
        "phase 2, overlapped phases",
@@ -297,10 +297,9 @@ class Chain {
   template <class Where>
   std::optional<Selection<A>> env_override(
       const std::optional<std::string>& name, const char* var,
-      const A& (coll::Registry::*get)(const std::string&) const,
-      Where where) const {
+      const coll::AlgoTable<A>& table, Where where) const {
     if (!name) return std::nullopt;
-    const A& a = (coll::Registry::instance().*get)(*name);
+    const A& a = table.get(*name);
     if (!applies_(a)) {
       throw std::invalid_argument(std::string("selector: ") + var + "=" +
                                   *name + " is not applicable" + where());
@@ -373,8 +372,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
 
   // 1. Environment override.
   if (auto pinned = chain.env_override(
-          osu::Env::allgather_algo(), kAllgatherAlgoEnv,
-          &coll::Registry::get_allgather,
+          osu::Env::allgather_algo(), kAllgatherAlgoEnv, reg.allgather,
           [&shape] { return on_communicator(shape); })) {
     return *std::move(pinned);
   }
@@ -386,7 +384,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
   if (shape.world && shape.nodes > 1) {
     if (auto hs = hierarchy_from_env(spec)) {
       const auto& a =
-          reg.get_allgather(hs->depth() >= 3 ? "hier3" : "hier2");
+          reg.allgather.get(hs->depth() >= 3 ? "hier3" : "hier2");
       HierarchySpec hspec = std::move(*hs);
       return chain.finish(
           a,
@@ -405,7 +403,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
     if (shape.degraded() && shape.healthy_hcas >= 1) {
       params.hcas = shape.healthy_hcas;
     }
-    if (auto best = chain.cheapest(reg.allgathers(), params)) {
+    if (auto best = chain.cheapest(reg.allgather.entries(), params)) {
       return *std::move(best);
     }
   }
@@ -419,10 +417,10 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
   };
   if (shape.nodes == 1) {
     if (msg < kIntraSmallThreshold) {
-      const auto& a = reg.get_allgather("rd_or_bruck");
+      const auto& a = reg.allgather.get("rd_or_bruck");
       return chain.finish(a, "threshold:intra-small");
     }
-    const auto& a = reg.get_allgather("mha_intra");
+    const auto& a = reg.allgather.get("mha_intra");
     if (shape.healthy_hcas == 0) {
       // Every loopback rail is down: pin the CPU-only CMA baseline rather
       // than relying on the in-algorithm fallback, so the decision is
@@ -444,7 +442,7 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
       // the full stripe width). Ring's single-chunk steps restripe over
       // the surviving rails every hop and keep per-post exposure minimal,
       // so degraded shapes pin the Ring phase-2 variant.
-      const auto& a = reg.get_allgather("mha_inter_ring");
+      const auto& a = reg.allgather.get("mha_inter_ring");
       return chain.finish(a, degraded_reason() + ":ring");
     }
     if (shape.sockets > 1) {
@@ -452,22 +450,22 @@ AllgatherSelection Selector::select_allgather(mpi::Comm& comm, int my,
       // leader hierarchy (socket < node < cluster), and the socket-staged
       // phase 1 keeps the gather NUMA-local. Flat nodes fall through to
       // the paper's depth-2 Fig. 8 thresholds unchanged.
-      const auto& a = reg.get_allgather("hier3");
+      const auto& a = reg.allgather.get("hier3");
       return chain.finish(a, "depth:" + shape.level_structure());
     }
     const Phase2Algo p2 =
         resolve_phase2(shape.nodes, shape.ppn, msg, Phase2Algo::kAuto);
     if (p2 == Phase2Algo::kRing) {
-      const auto& a = reg.get_allgather("mha_inter_ring");
+      const auto& a = reg.allgather.get("mha_inter_ring");
       return chain.finish(a, "threshold:fig8-ring");
     }
-    const auto& a = reg.get_allgather("mha_inter_rd");
+    const auto& a = reg.allgather.get("mha_inter_rd");
     return chain.finish(a, "threshold:fig8-rd");
   }
   // Multi-node subset communicator: the hierarchical engine needs the
   // node-major world layout, so fall back to a flat algorithm instead of
   // throwing (the historical dispatcher did the latter).
-  const auto& a = reg.get_allgather("rd_or_bruck");
+  const auto& a = reg.allgather.get("rd_or_bruck");
   return chain.finish(a, "threshold:flat-fallback");
 }
 
@@ -487,8 +485,7 @@ AllreduceSelection Selector::select_allreduce(mpi::Comm& comm, int my,
 
   // 1. Environment override.
   if (auto pinned = chain.env_override(
-          osu::Env::allreduce_algo(), kAllreduceAlgoEnv,
-          &coll::Registry::get_allreduce,
+          osu::Env::allreduce_algo(), kAllreduceAlgoEnv, reg.allreduce,
           [&] { return on_count(shape, count); })) {
     return *std::move(pinned);
   }
@@ -496,7 +493,7 @@ AllreduceSelection Selector::select_allreduce(mpi::Comm& comm, int my,
   // 3. Cost model.
   if (use_cost_model_) {
     const auto params = model::ModelParams::from_spec(comm.cluster().spec());
-    if (auto best = chain.cheapest(reg.allreduces(), params)) {
+    if (auto best = chain.cheapest(reg.allreduce.entries(), params)) {
       return *std::move(best);
     }
   }
@@ -505,10 +502,10 @@ AllreduceSelection Selector::select_allreduce(mpi::Comm& comm, int my,
   // does not split evenly over the ranks; Ring + MHA Allgather otherwise.
   if (bytes <= kAllreduceRdThreshold ||
       count % static_cast<std::size_t>(shape.comm_size) != 0) {
-    const auto& a = reg.get_allreduce("rd");
+    const auto& a = reg.allreduce.get("rd");
     return chain.finish(a, "threshold:small-or-indivisible");
   }
-  const auto& a = reg.get_allreduce("ring_mha");
+  const auto& a = reg.allreduce.get("ring_mha");
   return chain.finish(a, "threshold:large");
 }
 
@@ -525,8 +522,7 @@ AlltoallSelection Selector::select_alltoall(mpi::Comm& comm, int my,
 
   // 1. Environment override.
   if (auto pinned = chain.env_override(
-          osu::Env::alltoall_algo(), kAlltoallAlgoEnv,
-          &coll::Registry::get_alltoall,
+          osu::Env::alltoall_algo(), kAlltoallAlgoEnv, reg.alltoall,
           [&shape] { return on_communicator(shape); })) {
     return *std::move(pinned);
   }
@@ -534,7 +530,7 @@ AlltoallSelection Selector::select_alltoall(mpi::Comm& comm, int my,
   // 3. Cost model.
   if (use_cost_model_) {
     const auto params = model::ModelParams::from_spec(comm.cluster().spec());
-    if (auto best = chain.cheapest(reg.alltoalls(), params)) {
+    if (auto best = chain.cheapest(reg.alltoall.entries(), params)) {
       return *std::move(best);
     }
   }
@@ -544,10 +540,10 @@ AlltoallSelection Selector::select_alltoall(mpi::Comm& comm, int my,
   // large blocks go direct so the payload path stays copy-free.
   if (shape.world && shape.nodes > 1 && shape.ppn > 1 &&
       msg <= kAlltoallHierThreshold) {
-    const auto& a = reg.get_alltoall("hier_leader");
+    const auto& a = reg.alltoall.get("hier_leader");
     return chain.finish(a, "threshold:hier-small");
   }
-  const auto& a = reg.get_alltoall("direct");
+  const auto& a = reg.alltoall.get("direct");
   return chain.finish(a, "threshold:direct");
 }
 
@@ -568,7 +564,7 @@ ReduceScatterSelection Selector::select_reduce_scatter(
   // 1. Environment override.
   if (auto pinned = chain.env_override(
           osu::Env::reduce_scatter_algo(), kReduceScatterAlgoEnv,
-          &coll::Registry::get_reduce_scatter,
+          reg.reduce_scatter,
           [&] { return on_count(shape, count); })) {
     return *std::move(pinned);
   }
@@ -576,7 +572,7 @@ ReduceScatterSelection Selector::select_reduce_scatter(
   // 3. Cost model.
   if (use_cost_model_) {
     const auto params = model::ModelParams::from_spec(comm.cluster().spec());
-    if (auto best = chain.cheapest(reg.reduce_scatters(), params)) {
+    if (auto best = chain.cheapest(reg.reduce_scatter.entries(), params)) {
       return *std::move(best);
     }
   }
@@ -587,10 +583,10 @@ ReduceScatterSelection Selector::select_reduce_scatter(
   if (bytes <= kReduceScatterRhThreshold &&
       coll::is_power_of_two(shape.comm_size) &&
       count % static_cast<std::size_t>(shape.comm_size) == 0) {
-    const auto& a = reg.get_reduce_scatter("rh");
+    const auto& a = reg.reduce_scatter.get("rh");
     return chain.finish(a, "threshold:rh-small");
   }
-  const auto& a = reg.get_reduce_scatter("ring");
+  const auto& a = reg.reduce_scatter.get("ring");
   return chain.finish(a, "threshold:ring");
 }
 

@@ -143,24 +143,6 @@ sim::Task<void> Comm::barrier(int my) {
 
 World::World(sim::Engine& eng, hw::ClusterSpec spec, obs::Sink& sink)
     : eng_(&eng), cluster_(eng, spec), sink_(&sink), net_(cluster_, sink) {
-  init();
-}
-
-World::World(sim::Engine& eng, hw::ClusterSpec spec, trace::Tracer* tracer)
-    : eng_(&eng),
-      cluster_(eng, spec),
-      tracer_(tracer),
-      compat_sink_(tracer != nullptr ? std::make_unique<obs::CollectSink>(
-                                           tracer, &compat_metrics_)
-                                     : nullptr),
-      sink_(compat_sink_ != nullptr
-                ? static_cast<obs::Sink*>(compat_sink_.get())
-                : &obs::null_sink()),
-      net_(cluster_, *sink_) {
-  init();
-}
-
-void World::init() {
   // Fault events become zero-length kPhase spans on the affected node's
   // first rank (rank 0 for whole-cluster events), so degraded runs are
   // diagnosable from the ordinary trace; the metric channel additionally

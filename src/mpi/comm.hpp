@@ -5,7 +5,9 @@
 // comm-local rank explicitly (the simulation equivalent of "which process
 // am I"). Sub-communicators (node-local groups, the leader group) remap
 // local ranks to global ranks and isolate matching via a context id folded
-// into the wire tag, exactly like real MPI context ids.
+// into the wire tag, exactly like real MPI context ids. A World has one
+// observability channel, the obs::Sink it is built with; every
+// communicator's instrumentation goes there.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,6 @@
 #include "hw/buffer.hpp"
 #include "hw/cluster.hpp"
 #include "net/net.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "shm/shm.hpp"
 #include "sim/sync.hpp"
@@ -152,14 +153,11 @@ class Comm {
 /// Owns the simulated machine and the communicator registry.
 class World {
  public:
-  /// Primary constructor: all instrumentation (spans + metrics) flows into
-  /// `sink`, which must outlive the World. Defaults to the null sink.
+  /// All instrumentation (spans, metrics, timeline samples) flows into
+  /// `sink`, which must outlive the World. Defaults to the null sink;
+  /// tracer-based tools pass an obs::CollectSink over their tracer.
   World(sim::Engine& eng, hw::ClusterSpec spec,
         obs::Sink& sink = obs::null_sink());
-  /// Compatibility constructor for tracer-based tools: spans land in
-  /// `tracer` and metrics in an internally owned registry (see metrics()).
-  /// nullptr behaves exactly like the null sink.
-  World(sim::Engine& eng, hw::ClusterSpec spec, trace::Tracer* tracer);
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
@@ -168,13 +166,6 @@ class World {
   shm::NodeShare& share() noexcept { return share_; }
   sim::Engine& engine() noexcept { return *eng_; }
   obs::Sink& sink() noexcept { return *sink_; }
-  /// The tracer passed to the compatibility constructor, else nullptr.
-  trace::Tracer* tracer() noexcept { return tracer_; }
-  /// The owned metrics registry of the compatibility constructor, else
-  /// nullptr (the external sink decides where metrics go).
-  obs::Metrics* metrics() noexcept {
-    return compat_sink_ ? compat_sink_->metrics() : nullptr;
-  }
 
   Comm& comm_world() noexcept { return *comms_.front(); }
 
@@ -199,13 +190,8 @@ class World {
   Comm& span_comm(int node, int first_local, int count);
 
  private:
-  void init();
-
   sim::Engine* eng_;
   hw::Cluster cluster_;
-  trace::Tracer* tracer_ = nullptr;
-  obs::Metrics compat_metrics_;
-  std::unique_ptr<obs::CollectSink> compat_sink_;
   obs::Sink* sink_;
   net::Net net_;
   shm::NodeShare share_;

@@ -2,13 +2,16 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "coll/registry.hpp"
+#include "core/mha.hpp"
 #include "mpi/datatype.hpp"
+#include "profiles/profiles.hpp"
 #include "sim/fault.hpp"
 
 namespace hmca::osu {
@@ -112,69 +115,110 @@ void print_algo_list(std::ostream& os) {
       os << a.summary << '\n';
     }
   };
-  section("allgather", reg.allgathers());
-  section("allreduce", reg.allreduces());
-  section("alltoall", reg.alltoalls());
-  section("alltoallv", reg.alltoallvs());
-  section("reduce_scatter", reg.reduce_scatters());
-  section("bcast", reg.bcasts());
-  section("allgatherv", reg.allgathervs());
+  section("allgather", reg.allgather.entries());
+  section("allreduce", reg.allreduce.entries());
+  section("alltoall", reg.alltoall.entries());
+  section("alltoallv", reg.alltoallv.entries());
+  section("reduce_scatter", reg.reduce_scatter.entries());
+  section("bcast", reg.bcast.entries());
+  section("allgatherv", reg.allgatherv.entries());
 }
 
 namespace {
 
-[[noreturn]] void inapplicable(const char* what, const std::string& name,
-                               const coll::CommShape& s) {
+/// Throws unless the pinned registry entry `a` (a `what` algorithm) applies
+/// to `c`; `size` are its predicate's size arguments.
+template <class A, class... Size>
+void require_applicable(const A& a, const char* what, mpi::Comm& c,
+                        Size... size) {
+  if (!a.applies) return;
+  const auto s = coll::CommShape::of(c);
+  if (a.applies(s, size...)) return;
   throw std::invalid_argument(
-      std::string("--algo ") + name + ": " + what +
+      std::string("--algo ") + a.name + ": " + what +
       " is not applicable to this communicator (size=" +
       std::to_string(s.comm_size) + ", nodes=" + std::to_string(s.nodes) +
       ", ppn=" + std::to_string(s.ppn) + ")");
 }
 
+/// The registry name of an "algo:<name>" subject.
+std::optional<std::string> pinned_name(const std::string& subject) {
+  if (subject.rfind("algo:", 0) != 0) return std::nullopt;
+  return subject.substr(5);
+}
+
+/// Alltoall and reduce_scatter have no comparator profiles: their only
+/// profile subject is "mha", the selection engine.
+void require_mha(const char* what, const std::string& subject) {
+  if (subject != "mha") {
+    throw std::invalid_argument(std::string(what) + " subject '" + subject +
+                                "' (expected \"mha\" or \"algo:<name>\")");
+  }
+}
+
 }  // namespace
 
 coll::AllgatherFn pinned_allgather(const std::string& name) {
-  const auto& a = coll::Registry::instance().get_allgather(name);
-  return [&a, name](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
-                    std::size_t m, bool ip) {
-    if (a.applies && !a.applies(coll::CommShape::of(c), m)) {
-      inapplicable("allgather", name, coll::CommShape::of(c));
-    }
+  const auto& a = coll::Registry::instance().allgather.get(name);
+  return [&a](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
+              std::size_t m, bool ip) {
+    require_applicable(a, "allgather", c, m);
     return a.fn(c, my, s, rv, m, ip);
   };
 }
 
 coll::AllreduceFn pinned_allreduce(const std::string& name) {
-  const auto& a = coll::Registry::instance().get_allreduce(name);
-  return [&a, name](mpi::Comm& c, int my, hw::BufView d, std::size_t n,
-                    mpi::Dtype t, mpi::ReduceOp op) {
-    if (a.applies && !a.applies(coll::CommShape::of(c), n, mpi::dtype_size(t))) {
-      inapplicable("allreduce", name, coll::CommShape::of(c));
-    }
+  const auto& a = coll::Registry::instance().allreduce.get(name);
+  return [&a](mpi::Comm& c, int my, hw::BufView d, std::size_t n,
+              mpi::Dtype t, mpi::ReduceOp op) {
+    require_applicable(a, "allreduce", c, n, mpi::dtype_size(t));
     return a.fn(c, my, d, n, t, op);
   };
 }
 
 coll::AlltoallFn pinned_alltoall(const std::string& name) {
-  const auto& a = coll::Registry::instance().get_alltoall(name);
-  return [&a, name](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
-                    std::size_t m) {
-    if (a.applies && !a.applies(coll::CommShape::of(c), m)) {
-      inapplicable("alltoall", name, coll::CommShape::of(c));
-    }
+  const auto& a = coll::Registry::instance().alltoall.get(name);
+  return [&a](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
+              std::size_t m) {
+    require_applicable(a, "alltoall", c, m);
     return a.fn(c, my, s, rv, m);
   };
 }
 
 coll::ReduceScatterFn pinned_reduce_scatter(const std::string& name) {
-  const auto& a = coll::Registry::instance().get_reduce_scatter(name);
-  return [&a, name](mpi::Comm& c, int my, hw::BufView d, std::size_t n,
-                    mpi::Dtype t, mpi::ReduceOp op) {
-    if (a.applies && !a.applies(coll::CommShape::of(c), n, mpi::dtype_size(t))) {
-      inapplicable("reduce_scatter", name, coll::CommShape::of(c));
-    }
+  const auto& a = coll::Registry::instance().reduce_scatter.get(name);
+  return [&a](mpi::Comm& c, int my, hw::BufView d, std::size_t n,
+              mpi::Dtype t, mpi::ReduceOp op) {
+    require_applicable(a, "reduce_scatter", c, n, mpi::dtype_size(t));
     return a.fn(c, my, d, n, t, op);
+  };
+}
+
+coll::AllgatherFn subject_allgather(const std::string& subject) {
+  if (const auto name = pinned_name(subject)) return pinned_allgather(*name);
+  return profiles::by_name(subject).allgather;
+}
+
+coll::AllreduceFn subject_allreduce(const std::string& subject) {
+  if (const auto name = pinned_name(subject)) return pinned_allreduce(*name);
+  return profiles::by_name(subject).allreduce;
+}
+
+coll::AlltoallFn subject_alltoall(const std::string& subject) {
+  if (const auto name = pinned_name(subject)) return pinned_alltoall(*name);
+  require_mha("alltoall", subject);
+  return [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
+            std::size_t m) { return core::mha_alltoall(c, my, s, rv, m); };
+}
+
+coll::ReduceScatterFn subject_reduce_scatter(const std::string& subject) {
+  if (const auto name = pinned_name(subject)) {
+    return pinned_reduce_scatter(*name);
+  }
+  require_mha("reduce_scatter", subject);
+  return [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
+            mpi::ReduceOp op) {
+    return core::mha_reduce_scatter(c, my, d, n, t, op);
   };
 }
 

@@ -84,4 +84,14 @@ coll::AllreduceFn pinned_allreduce(const std::string& name);
 coll::AlltoallFn pinned_alltoall(const std::string& name);
 coll::ReduceScatterFn pinned_reduce_scatter(const std::string& name);
 
+/// The function a measured subject names: "algo:<name>" pins that registry
+/// entry (as pinned_*), any other subject is a profile name
+/// (profiles::by_name). Alltoall and reduce_scatter have no comparator
+/// profiles, so their only profile subject is "mha" (the selection engine);
+/// other names throw std::invalid_argument.
+coll::AllgatherFn subject_allgather(const std::string& subject);
+coll::AllreduceFn subject_allreduce(const std::string& subject);
+coll::AlltoallFn subject_alltoall(const std::string& subject);
+coll::ReduceScatterFn subject_reduce_scatter(const std::string& subject);
+
 }  // namespace hmca::osu

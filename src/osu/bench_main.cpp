@@ -4,13 +4,21 @@
 #include <ostream>
 #include <utility>
 
-#include "core/mha.hpp"
 #include "core/selector.hpp"
 #include "obs/metrics.hpp"
-#include "profiles/profiles.hpp"
 #include "sim/fault.hpp"
 
 namespace hmca::osu {
+
+namespace {
+
+/// The osu::subject_* name of the measured subject: the --algo-pinned
+/// registry entry, else the MHA profile.
+std::string measured(const AlgoFlag& flag) {
+  return flag.name.empty() ? "mha" : "algo:" + flag.name;
+}
+
+}  // namespace
 
 void BenchOutput::table(const Table& t) {
   if (json_) {
@@ -75,27 +83,19 @@ hw::ClusterSpec BenchContext::faulted(hw::ClusterSpec spec) const {
 }
 
 coll::AllgatherFn BenchContext::subject_allgather() const {
-  return flag.name.empty() ? profiles::mha().allgather
-                           : pinned_allgather(flag.name);
+  return osu::subject_allgather(measured(flag));
 }
 
 coll::AllreduceFn BenchContext::subject_allreduce() const {
-  return flag.name.empty() ? profiles::mha().allreduce
-                           : pinned_allreduce(flag.name);
+  return osu::subject_allreduce(measured(flag));
 }
 
 coll::AlltoallFn BenchContext::subject_alltoall() const {
-  if (!flag.name.empty()) return pinned_alltoall(flag.name);
-  return [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
-            std::size_t m) { return core::mha_alltoall(c, my, s, rv, m); };
+  return osu::subject_alltoall(measured(flag));
 }
 
 coll::ReduceScatterFn BenchContext::subject_reduce_scatter() const {
-  if (!flag.name.empty()) return pinned_reduce_scatter(flag.name);
-  return [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
-            mpi::ReduceOp op) {
-    return core::mha_reduce_scatter(c, my, d, n, t, op);
-  };
+  return osu::subject_reduce_scatter(measured(flag));
 }
 
 int bench_main(const std::string& bench, int argc, char** argv,

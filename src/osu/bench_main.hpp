@@ -71,13 +71,12 @@ struct BenchContext {
   /// plan attached.
   hw::ClusterSpec faulted(hw::ClusterSpec spec) const;
 
-  /// The measured subject: --algo-pinned registry entry, else the MHA
-  /// profile. Resolution throws on unknown names (bench_main reports it).
+  /// The measured subject, resolved by osu::subject_*: the --algo-pinned
+  /// registry entry, else "mha" (the MHA profile; the selection engine for
+  /// alltoall and reduce-scatter). Resolution throws on unknown names
+  /// (bench_main reports it).
   coll::AllgatherFn subject_allgather() const;
   coll::AllreduceFn subject_allreduce() const;
-  /// Alltoall / reduce-scatter subjects route through the selection engine
-  /// (core::mha_alltoall / core::mha_reduce_scatter) unless --algo pins a
-  /// registry entry.
   coll::AlltoallFn subject_alltoall() const;
   coll::ReduceScatterFn subject_reduce_scatter() const;
 

@@ -13,56 +13,47 @@ namespace hmca::osu {
 
 namespace {
 
+// One rank's call of each measured family. A rank coroutine builds its own
+// phantom buffers (a null pointer with a length) from the family's size
+// argument `n`, so the runner below is the same for every family.
+
+hw::BufView phantom(std::size_t bytes) { return hw::BufView{nullptr, bytes}; }
+
 sim::Task<void> ag_rank(mpi::Comm& comm, const coll::AllgatherFn& fn, int r,
-                        hw::BufView send, hw::BufView recv, std::size_t msg) {
-  co_await fn(comm, r, send, recv, msg, /*in_place=*/false);
+                        std::size_t msg) {
+  const auto p = static_cast<std::size_t>(comm.size());
+  co_await fn(comm, r, phantom(msg), phantom(msg * p), msg,
+              /*in_place=*/false);
 }
 
-sim::Task<void> ar_rank(mpi::Comm& comm, const coll::AllreduceFn& fn,
-                        int r, hw::BufView data, std::size_t count) {
-  co_await fn(comm, r, data, count, mpi::Dtype::kFloat, mpi::ReduceOp::kSum);
+// Allreduce and reduce-scatter share a signature (coll::AllreduceFn ==
+// coll::ReduceScatterFn): a float32 sum over one `bytes` buffer.
+sim::Task<void> reduce_rank(mpi::Comm& comm, const coll::AllreduceFn& fn,
+                            int r, std::size_t bytes) {
+  const std::size_t count = bytes / mpi::dtype_size(mpi::Dtype::kFloat);
+  co_await fn(comm, r, phantom(bytes), count, mpi::Dtype::kFloat,
+              mpi::ReduceOp::kSum);
 }
 
 sim::Task<void> a2a_rank(mpi::Comm& comm, const coll::AlltoallFn& fn, int r,
-                         hw::BufView send, hw::BufView recv, std::size_t msg) {
-  co_await fn(comm, r, send, recv, msg);
+                         std::size_t msg) {
+  const auto p = static_cast<std::size_t>(comm.size());
+  co_await fn(comm, r, phantom(msg * p), phantom(msg * p), msg);
 }
 
-sim::Task<void> rs_rank(mpi::Comm& comm, const coll::ReduceScatterFn& fn,
-                        int r, hw::BufView data, std::size_t count) {
-  co_await fn(comm, r, data, count, mpi::Dtype::kFloat, mpi::ReduceOp::kSum);
-}
+template <class Fn>
+using RankCall = sim::Task<void> (*)(mpi::Comm&, const Fn&, int, std::size_t);
 
-}  // namespace
-
-double measure_allgather(hw::ClusterSpec spec, const coll::AllgatherFn& fn,
-                         std::size_t msg, trace::Tracer* tracer) {
-  obs::CollectSink sink(tracer);
-  return measure_allgather(std::move(spec), fn, msg,
-                           tracer != nullptr ? static_cast<obs::Sink&>(sink)
-                                             : obs::null_sink());
-}
-
-namespace {
-
-CountedRun run_allgather(hw::ClusterSpec spec, const coll::AllgatherFn& fn,
-                         std::size_t msg, obs::Sink& sink) {
+/// The one measurement loop: a data-free world observed by `sink`, one
+/// `call` coroutine per rank spawned in rank order, run to completion.
+template <class Fn>
+CountedRun run(hw::ClusterSpec spec, const Fn& fn, RankCall<Fn> call,
+               std::size_t n, obs::Sink& sink) {
   spec.carry_data = false;
   sim::Engine eng;
   mpi::World world(eng, spec, sink);
   auto& comm = world.comm_world();
-  const int p = comm.size();
-  std::vector<hw::Buffer> sends, recvs;
-  sends.reserve(static_cast<std::size_t>(p));
-  recvs.reserve(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    sends.push_back(hw::Buffer::phantom(msg));
-    recvs.push_back(hw::Buffer::phantom(msg * static_cast<std::size_t>(p)));
-  }
-  for (int r = 0; r < p; ++r) {
-    eng.spawn(ag_rank(comm, fn, r, sends[static_cast<std::size_t>(r)].view(),
-                      recvs[static_cast<std::size_t>(r)].view(), msg));
-  }
+  for (int r = 0; r < comm.size(); ++r) eng.spawn(call(comm, fn, r, n));
   eng.run();
   return {eng.now(), eng.events_dispatched()};
 }
@@ -71,100 +62,29 @@ CountedRun run_allgather(hw::ClusterSpec spec, const coll::AllgatherFn& fn,
 
 double measure_allgather(hw::ClusterSpec spec, const coll::AllgatherFn& fn,
                          std::size_t msg, obs::Sink& sink) {
-  return run_allgather(std::move(spec), fn, msg, sink).sim_seconds;
+  return run(std::move(spec), fn, ag_rank, msg, sink).sim_seconds;
 }
 
 CountedRun measure_allgather_counted(hw::ClusterSpec spec,
                                      const coll::AllgatherFn& fn,
                                      std::size_t msg) {
-  return run_allgather(std::move(spec), fn, msg, obs::null_sink());
-}
-
-double measure_allreduce(hw::ClusterSpec spec, const coll::AllreduceFn& fn,
-                         std::size_t bytes, trace::Tracer* tracer) {
-  obs::CollectSink sink(tracer);
-  return measure_allreduce(std::move(spec), fn, bytes,
-                           tracer != nullptr ? static_cast<obs::Sink&>(sink)
-                                             : obs::null_sink());
+  return run(std::move(spec), fn, ag_rank, msg, obs::null_sink());
 }
 
 double measure_allreduce(hw::ClusterSpec spec, const coll::AllreduceFn& fn,
                          std::size_t bytes, obs::Sink& sink) {
-  spec.carry_data = false;
-  const std::size_t count = bytes / mpi::dtype_size(mpi::Dtype::kFloat);
-  sim::Engine eng;
-  mpi::World world(eng, spec, sink);
-  auto& comm = world.comm_world();
-  const int p = comm.size();
-  std::vector<hw::Buffer> bufs;
-  bufs.reserve(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) bufs.push_back(hw::Buffer::phantom(bytes));
-  for (int r = 0; r < p; ++r) {
-    eng.spawn(ar_rank(comm, fn, r, bufs[static_cast<std::size_t>(r)].view(),
-                      count));
-  }
-  eng.run();
-  return eng.now();
-}
-
-double measure_alltoall(hw::ClusterSpec spec, const coll::AlltoallFn& fn,
-                        std::size_t msg, trace::Tracer* tracer) {
-  obs::CollectSink sink(tracer);
-  return measure_alltoall(std::move(spec), fn, msg,
-                          tracer != nullptr ? static_cast<obs::Sink&>(sink)
-                                            : obs::null_sink());
+  return run(std::move(spec), fn, reduce_rank, bytes, sink).sim_seconds;
 }
 
 double measure_alltoall(hw::ClusterSpec spec, const coll::AlltoallFn& fn,
                         std::size_t msg, obs::Sink& sink) {
-  spec.carry_data = false;
-  sim::Engine eng;
-  mpi::World world(eng, spec, sink);
-  auto& comm = world.comm_world();
-  const int p = comm.size();
-  std::vector<hw::Buffer> sends, recvs;
-  sends.reserve(static_cast<std::size_t>(p));
-  recvs.reserve(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    sends.push_back(hw::Buffer::phantom(msg * static_cast<std::size_t>(p)));
-    recvs.push_back(hw::Buffer::phantom(msg * static_cast<std::size_t>(p)));
-  }
-  for (int r = 0; r < p; ++r) {
-    eng.spawn(a2a_rank(comm, fn, r, sends[static_cast<std::size_t>(r)].view(),
-                       recvs[static_cast<std::size_t>(r)].view(), msg));
-  }
-  eng.run();
-  return eng.now();
-}
-
-double measure_reduce_scatter(hw::ClusterSpec spec,
-                              const coll::ReduceScatterFn& fn,
-                              std::size_t bytes, trace::Tracer* tracer) {
-  obs::CollectSink sink(tracer);
-  return measure_reduce_scatter(std::move(spec), fn, bytes,
-                                tracer != nullptr
-                                    ? static_cast<obs::Sink&>(sink)
-                                    : obs::null_sink());
+  return run(std::move(spec), fn, a2a_rank, msg, sink).sim_seconds;
 }
 
 double measure_reduce_scatter(hw::ClusterSpec spec,
                               const coll::ReduceScatterFn& fn,
                               std::size_t bytes, obs::Sink& sink) {
-  spec.carry_data = false;
-  const std::size_t count = bytes / mpi::dtype_size(mpi::Dtype::kFloat);
-  sim::Engine eng;
-  mpi::World world(eng, spec, sink);
-  auto& comm = world.comm_world();
-  const int p = comm.size();
-  std::vector<hw::Buffer> bufs;
-  bufs.reserve(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) bufs.push_back(hw::Buffer::phantom(bytes));
-  for (int r = 0; r < p; ++r) {
-    eng.spawn(rs_rank(comm, fn, r, bufs[static_cast<std::size_t>(r)].view(),
-                      count));
-  }
-  eng.run();
-  return eng.now();
+  return run(std::move(spec), fn, reduce_rank, bytes, sink).sim_seconds;
 }
 
 namespace {

@@ -3,7 +3,11 @@
 // Every measurement builds a fresh deterministic world, runs the operation
 // once (virtual time is exact, so warmup/averaging loops are unnecessary)
 // and reports the completion time of the slowest rank — the quantity the
-// OSU collective tests report as max latency.
+// OSU collective tests report as max latency. All four collective families
+// run through one runner (a data-free world, one rank coroutine per rank in
+// rank order); they differ only in their per-rank call. Instrumentation
+// goes to the `obs::Sink` argument; tracer-based tools pass an
+// obs::CollectSink.
 #pragma once
 
 #include <cstddef>
@@ -19,43 +23,28 @@
 #include "hw/spec.hpp"
 #include "mpi/datatype.hpp"
 #include "obs/sink.hpp"
-#include "trace/trace.hpp"
 
 namespace hmca::osu {
 
 /// Latency (seconds) of one Allgather of `msg` bytes per process, with the
 /// run's spans and metrics delivered to `sink`.
 double measure_allgather(hw::ClusterSpec spec, const coll::AllgatherFn& fn,
-                         std::size_t msg, obs::Sink& sink);
-
-/// Tracer-pointer convenience (spans only; nullptr = no capture).
-double measure_allgather(hw::ClusterSpec spec, const coll::AllgatherFn& fn,
-                         std::size_t msg, trace::Tracer* tracer = nullptr);
+                         std::size_t msg, obs::Sink& sink = obs::null_sink());
 
 /// Latency (seconds) of one Allreduce of `bytes` (float32 sum).
 double measure_allreduce(hw::ClusterSpec spec, const coll::AllreduceFn& fn,
-                         std::size_t bytes, obs::Sink& sink);
-
-double measure_allreduce(hw::ClusterSpec spec, const coll::AllreduceFn& fn,
-                         std::size_t bytes, trace::Tracer* tracer = nullptr);
+                         std::size_t bytes, obs::Sink& sink = obs::null_sink());
 
 /// Latency (seconds) of one Alltoall of `msg` bytes per (src, dst) pair.
 double measure_alltoall(hw::ClusterSpec spec, const coll::AlltoallFn& fn,
-                        std::size_t msg, obs::Sink& sink);
-
-double measure_alltoall(hw::ClusterSpec spec, const coll::AlltoallFn& fn,
-                        std::size_t msg, trace::Tracer* tracer = nullptr);
+                        std::size_t msg, obs::Sink& sink = obs::null_sink());
 
 /// Latency (seconds) of one Reduce-scatter over `bytes` (float32 sum);
 /// rank r keeps its coll::chunk_range(count, N, r) share.
 double measure_reduce_scatter(hw::ClusterSpec spec,
                               const coll::ReduceScatterFn& fn,
-                              std::size_t bytes, obs::Sink& sink);
-
-double measure_reduce_scatter(hw::ClusterSpec spec,
-                              const coll::ReduceScatterFn& fn,
                               std::size_t bytes,
-                              trace::Tracer* tracer = nullptr);
+                              obs::Sink& sink = obs::null_sink());
 
 /// One uninstrumented Allgather run with the engine's dispatched-event
 /// count alongside the simulated latency — the perf subsystem's wall-clock

@@ -66,69 +66,45 @@ double StatsSession::measure_allgather(const hw::ClusterSpec& spec,
                                        const std::string& subject,
                                        const coll::AllgatherFn& fn,
                                        std::size_t msg) {
-  if (!enabled()) return osu::measure_allgather(spec, fn, msg);
-  trace::Tracer tracer;
-  obs::Metrics metrics;
-  std::vector<obs::ResourceSample> samples;
-  obs::CollectSink sink(&tracer, &metrics, &samples);
-  const double t = osu::measure_allgather(spec, fn, msg, sink);
-  capture(subject, "allgather", spec, msg, t, std::move(tracer),
-          std::move(metrics), std::move(samples));
-  return t;
+  return capture("allgather", osu::measure_allgather, spec, subject, fn, msg);
 }
 
 double StatsSession::measure_allreduce(const hw::ClusterSpec& spec,
                                        const std::string& subject,
                                        const coll::AllreduceFn& fn,
                                        std::size_t bytes) {
-  if (!enabled()) return osu::measure_allreduce(spec, fn, bytes);
-  trace::Tracer tracer;
-  obs::Metrics metrics;
-  std::vector<obs::ResourceSample> samples;
-  obs::CollectSink sink(&tracer, &metrics, &samples);
-  const double t = osu::measure_allreduce(spec, fn, bytes, sink);
-  capture(subject, "allreduce", spec, bytes, t, std::move(tracer),
-          std::move(metrics), std::move(samples));
-  return t;
+  return capture("allreduce", osu::measure_allreduce, spec, subject, fn,
+                 bytes);
 }
 
 double StatsSession::measure_alltoall(const hw::ClusterSpec& spec,
                                       const std::string& subject,
                                       const coll::AlltoallFn& fn,
                                       std::size_t msg) {
-  if (!enabled()) return osu::measure_alltoall(spec, fn, msg);
-  trace::Tracer tracer;
-  obs::Metrics metrics;
-  std::vector<obs::ResourceSample> samples;
-  obs::CollectSink sink(&tracer, &metrics, &samples);
-  const double t = osu::measure_alltoall(spec, fn, msg, sink);
-  capture(subject, "alltoall", spec, msg, t, std::move(tracer),
-          std::move(metrics), std::move(samples));
-  return t;
+  return capture("alltoall", osu::measure_alltoall, spec, subject, fn, msg);
 }
 
 double StatsSession::measure_reduce_scatter(const hw::ClusterSpec& spec,
                                             const std::string& subject,
                                             const coll::ReduceScatterFn& fn,
                                             std::size_t bytes) {
-  if (!enabled()) return osu::measure_reduce_scatter(spec, fn, bytes);
+  return capture("reduce_scatter", osu::measure_reduce_scatter, spec, subject,
+                 fn, bytes);
+}
+
+template <class Fn>
+double StatsSession::capture(const char* op, Harness<Fn> measure,
+                             const hw::ClusterSpec& spec,
+                             const std::string& subject, const Fn& fn,
+                             std::size_t msg_bytes) {
+  if (!enabled()) return measure(spec, fn, msg_bytes, obs::null_sink());
   trace::Tracer tracer;
   obs::Metrics metrics;
   std::vector<obs::ResourceSample> samples;
   obs::CollectSink sink(&tracer, &metrics, &samples);
-  const double t = osu::measure_reduce_scatter(spec, fn, bytes, sink);
-  capture(subject, "reduce_scatter", spec, bytes, t, std::move(tracer),
-          std::move(metrics), std::move(samples));
-  return t;
-}
-
-void StatsSession::capture(std::string subject, const char* op,
-                           const hw::ClusterSpec& spec, std::size_t msg_bytes,
-                           double seconds, trace::Tracer tracer,
-                           obs::Metrics metrics,
-                           std::vector<obs::ResourceSample> samples) {
+  const double seconds = measure(spec, fn, msg_bytes, sink);
   InvocationStats rec;
-  rec.subject = std::move(subject);
+  rec.subject = subject;
   rec.op = op;
   rec.world = world_fingerprint(spec);
   rec.msg_bytes = msg_bytes;
@@ -141,6 +117,7 @@ void StatsSession::capture(std::string subject, const char* op,
   rec.metrics = std::move(metrics);
   recs_.push_back(std::move(rec));
   last_spans_ = tracer.take_spans();
+  return seconds;
 }
 
 void StatsSession::write(std::ostream& os) const {

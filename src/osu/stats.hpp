@@ -25,6 +25,7 @@
 #include "hw/spec.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "obs/timeline.hpp"
 #include "obs/utilization.hpp"
 #include "osu/env.hpp"
@@ -112,9 +113,18 @@ class StatsSession {
   void finish(std::ostream& os) const;
 
  private:
-  void capture(std::string subject, const char* op, const hw::ClusterSpec& spec,
-               std::size_t msg_bytes, double seconds, trace::Tracer tracer,
-               obs::Metrics metrics, std::vector<obs::ResourceSample> samples);
+  /// A harness measurement of one family (osu::measure_*).
+  template <class Fn>
+  using Harness = double (*)(hw::ClusterSpec, const Fn&, std::size_t,
+                             obs::Sink&);
+
+  /// The measure_* methods' one path: run `measure` under the null sink
+  /// when disabled, else under a collecting sink, and record the capture
+  /// as an `op` invocation.
+  template <class Fn>
+  double capture(const char* op, Harness<Fn> measure,
+                 const hw::ClusterSpec& spec, const std::string& subject,
+                 const Fn& fn, std::size_t msg_bytes);
 
   StatsOptions opts_;
   std::string bench_;

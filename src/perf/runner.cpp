@@ -12,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/mha.hpp"
 #include "core/mha_intra.hpp"
 #include "core/selector.hpp"
 #include "core/tuner.hpp"
@@ -34,48 +33,6 @@
 namespace hmca::perf {
 
 namespace {
-
-coll::AllgatherFn subject_allgather(const std::string& subject) {
-  if (subject.rfind("algo:", 0) == 0) {
-    return osu::pinned_allgather(subject.substr(5));
-  }
-  return profiles::by_name(subject).allgather;
-}
-
-coll::AllreduceFn subject_allreduce(const std::string& subject) {
-  if (subject.rfind("algo:", 0) == 0) {
-    return osu::pinned_allreduce(subject.substr(5));
-  }
-  return profiles::by_name(subject).allreduce;
-}
-
-// No comparator profiles exist for the planner-lowered collectives: any
-// non-"algo:" subject routes through the selection engine.
-coll::AlltoallFn subject_alltoall(const std::string& subject) {
-  if (subject.rfind("algo:", 0) == 0) {
-    return osu::pinned_alltoall(subject.substr(5));
-  }
-  if (subject != "mha") {
-    throw std::invalid_argument("alltoall scenario subject '" + subject +
-                                "' (expected \"mha\" or \"algo:<name>\")");
-  }
-  return [](mpi::Comm& c, int my, hw::BufView s, hw::BufView rv,
-            std::size_t m) { return core::mha_alltoall(c, my, s, rv, m); };
-}
-
-coll::ReduceScatterFn subject_reduce_scatter(const std::string& subject) {
-  if (subject.rfind("algo:", 0) == 0) {
-    return osu::pinned_reduce_scatter(subject.substr(5));
-  }
-  if (subject != "mha") {
-    throw std::invalid_argument("reduce_scatter scenario subject '" + subject +
-                                "' (expected \"mha\" or \"algo:<name>\")");
-  }
-  return [](mpi::Comm& c, int my, hw::BufView d, std::size_t n, mpi::Dtype t,
-            mpi::ReduceOp op) {
-    return core::mha_reduce_scatter(c, my, d, n, t, op);
-  };
-}
 
 /// Simulated metrics of one collective invocation, from its capture.
 std::map<std::string, double> collective_metrics(
@@ -146,22 +103,20 @@ PointResult measure_collective(const Scenario& sc, std::size_t bytes) {
   double seconds = 0;
   switch (sc.kind) {
     case Kind::kAllgather:
-      seconds = osu::measure_allgather(sc.spec(),
-                                       subject_allgather(sc.subject), bytes,
-                                       sink);
+      seconds = osu::measure_allgather(
+          sc.spec(), osu::subject_allgather(sc.subject), bytes, sink);
       break;
     case Kind::kAllreduce:
-      seconds = osu::measure_allreduce(sc.spec(),
-                                       subject_allreduce(sc.subject), bytes,
-                                       sink);
+      seconds = osu::measure_allreduce(
+          sc.spec(), osu::subject_allreduce(sc.subject), bytes, sink);
       break;
     case Kind::kAlltoall:
-      seconds = osu::measure_alltoall(sc.spec(), subject_alltoall(sc.subject),
-                                      bytes, sink);
+      seconds = osu::measure_alltoall(
+          sc.spec(), osu::subject_alltoall(sc.subject), bytes, sink);
       break;
     case Kind::kReduceScatter:
       seconds = osu::measure_reduce_scatter(
-          sc.spec(), subject_reduce_scatter(sc.subject), bytes, sink);
+          sc.spec(), osu::subject_reduce_scatter(sc.subject), bytes, sink);
       break;
     default:
       throw std::logic_error("measure_collective: non-collective kind");

@@ -47,7 +47,7 @@ const AllgatherRule* match(const std::vector<AllgatherRule>& rules,
   auto& reg = coll::Registry::instance();
   for (const auto& r : rules) {
     if (r.when && !r.when(shape, msg)) continue;
-    const auto& a = reg.get_allgather(r.algo);
+    const auto& a = reg.allgather.get(r.algo);
     if (a.applies && !a.applies(shape, msg)) continue;
     return &r;
   }
@@ -60,7 +60,7 @@ const AllreduceRule* match(const std::vector<AllreduceRule>& rules,
   auto& reg = coll::Registry::instance();
   for (const auto& r : rules) {
     if (r.when && !r.when(shape, count, elem)) continue;
-    const auto& a = reg.get_allreduce(r.algo);
+    const auto& a = reg.allreduce.get(r.algo);
     if (a.applies && !a.applies(shape, count, elem)) continue;
     return &r;
   }
@@ -91,7 +91,7 @@ Profile bind(const Policy& p) {
       throw std::runtime_error("profile '" + p.name +
                                "': no applicable allgather rule");
     }
-    return coll::Registry::instance().get_allgather(r->algo).fn(c, my, s, rv,
+    return coll::Registry::instance().allgather.get(r->algo).fn(c, my, s, rv,
                                                                 m, ip);
   };
   prof.allreduce = [&p](mpi::Comm& c, int my, hw::BufView d, std::size_t n,
@@ -102,7 +102,7 @@ Profile bind(const Policy& p) {
       throw std::runtime_error("profile '" + p.name +
                                "': no applicable allreduce rule");
     }
-    return coll::Registry::instance().get_allreduce(r->algo).fn(c, my, d, n,
+    return coll::Registry::instance().allreduce.get(r->algo).fn(c, my, d, n,
                                                                 t, op);
   };
   return prof;

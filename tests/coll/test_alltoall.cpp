@@ -71,7 +71,7 @@ TEST(Alltoall, PairwiseMatchesExpected) {
 
 TEST(Alltoall, HierLeaderMatchesExpectedOnMultiNodeWorlds) {
   core::register_core_algorithms();
-  const auto& algo = Registry::instance().get_alltoall("hier_leader");
+  const auto& algo = Registry::instance().alltoall.get("hier_leader");
   for (const Trial& t : {healthy(2, 4), healthy(4, 2, 2), healthy(3, 3),
                          healthy(2, 1)}) {
     ASSERT_TRUE(!algo.applies ||
@@ -85,7 +85,7 @@ TEST(Alltoall, HierLeaderMatchesExpectedOnMultiNodeWorlds) {
 
 TEST(Alltoall, HierLeaderDoesNotApplyToSingleNode) {
   core::register_core_algorithms();
-  const auto& algo = Registry::instance().get_alltoall("hier_leader");
+  const auto& algo = Registry::instance().alltoall.get("hier_leader");
   ASSERT_TRUE(static_cast<bool>(algo.applies));
   EXPECT_FALSE(
       algo.applies(hmca::testing::conf::shape_of(healthy(1, 8)), 4096));
@@ -286,7 +286,7 @@ TEST(PlannerPin, AlltoallvDirectSkewed) {
 
 TEST(PlannerPin, HierLeader) {
   core::register_core_algorithms();
-  const AlltoallFn fn = Registry::instance().get_alltoall("hier_leader").fn;
+  const AlltoallFn fn = Registry::instance().alltoall.get("hier_leader").fn;
   expect_pin(run_pinned_a2a(fn, healthy(3, 3), 512),
              0x1.1eaf6aceac63p-16, 2015);
   expect_pin(run_pinned_a2a(fn, healthy(2, 4, 2), 16384),

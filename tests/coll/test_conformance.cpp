@@ -78,7 +78,7 @@ Trial sample_trial(sim::Rng& rng, std::uint64_t seed, int index, Category cat) {
 void check_allgather_trial(const Trial& t) {
   SCOPED_TRACE(t.context());
   const RankBytes want = testing::conf::reference_allgather(t);
-  for (const auto& algo : coll::Registry::instance().allgathers()) {
+  for (const auto& algo : coll::Registry::instance().allgather.entries()) {
     if (algo.applies && !algo.applies(testing::conf::shape_of(t), t.msg)) {
       continue;
     }
@@ -131,7 +131,7 @@ TEST_F(Conformance, AllreduceAllDtypes) {
     SCOPED_TRACE("dtype=" + std::to_string(static_cast<int>(dtype)) +
                  " op=" + std::to_string(static_cast<int>(op)) +
                  " count=" + std::to_string(count));
-    for (const auto& algo : coll::Registry::instance().allreduces()) {
+    for (const auto& algo : coll::Registry::instance().allreduce.entries()) {
       if (algo.applies && !algo.applies(testing::conf::shape_of(t), count,
                                         mpi::dtype_size(dtype))) {
         continue;
@@ -183,7 +183,7 @@ TEST_F(Conformance, BcastAllCategories) {
   for (const Category cat : cats) {
     Trial t = sample_trial(rng, seed, index++, cat);
     SCOPED_TRACE(t.context());
-    for (const auto& algo : coll::Registry::instance().bcasts()) {
+    for (const auto& algo : coll::Registry::instance().bcast.entries()) {
       if (algo.applies && !algo.applies(testing::conf::shape_of(t), t.msg)) {
         continue;
       }
@@ -222,7 +222,7 @@ TEST_F(Conformance, AllgathervAllCategories) {
     }
     const auto layout = coll::VarLayout::from_counts(counts);
     const auto want = testing::conf::allgatherv_expected(layout);
-    for (const auto& algo : coll::Registry::instance().allgathervs()) {
+    for (const auto& algo : coll::Registry::instance().allgatherv.entries()) {
       if (algo.applies &&
           !algo.applies(testing::conf::shape_of(t), layout.total)) {
         continue;
@@ -304,7 +304,7 @@ void check_uniform_identity(const Trial& t) {
       {"ring", fixed(ring), vvar(ring_v)},
       {"direct", fixed(direct), vvar(direct_v)},
       {"mha_inter_ring",
-       fixed(coll::Registry::instance().get_allgather("mha_inter_ring").fn),
+       fixed(coll::Registry::instance().allgather.get("mha_inter_ring").fn),
        vvar(mha_v)},
   };
   for (const auto& pair : pairs) {
@@ -371,7 +371,7 @@ TEST_F(Conformance, AlltoallAllCategories) {
     SCOPED_TRACE(t.context());
     SCOPED_TRACE("msg=" + std::to_string(msg));
     const RankBytes want = testing::conf::alltoall_expected(t.procs(), msg);
-    for (const auto& algo : coll::Registry::instance().alltoalls()) {
+    for (const auto& algo : coll::Registry::instance().alltoall.entries()) {
       if (algo.applies && !algo.applies(testing::conf::shape_of(t), msg)) {
         continue;
       }
@@ -402,7 +402,7 @@ TEST_F(Conformance, AlltoallvAllCategoriesUnevenCounts) {
     }
     const RankBytes want = testing::conf::alltoallv_expected(p, counts);
     const auto layout = coll::AlltoallvLayout::from_counts(p, counts);
-    for (const auto& algo : coll::Registry::instance().alltoallvs()) {
+    for (const auto& algo : coll::Registry::instance().alltoallv.entries()) {
       if (algo.applies &&
           !algo.applies(testing::conf::shape_of(t), layout.total())) {
         continue;
@@ -438,7 +438,8 @@ TEST_F(Conformance, ReduceScatterAllCategories) {
                  " op=" + std::to_string(static_cast<int>(op)) +
                  " count=" + std::to_string(count));
     const int p = t.procs();
-    for (const auto& algo : coll::Registry::instance().reduce_scatters()) {
+    const auto& table = coll::Registry::instance().reduce_scatter;
+    for (const auto& algo : table.entries()) {
       if (algo.applies && !algo.applies(testing::conf::shape_of(t), count,
                                         mpi::dtype_size(dtype))) {
         continue;
@@ -467,7 +468,7 @@ TEST_F(Conformance, ReduceScatterAllCategories) {
 TEST_F(Conformance, ComposedAllreduceAllCategories) {
   const std::uint64_t seed = testing::conf::suite_seed();
   sim::Rng rng(rng_seed_for("rs_ag", seed));
-  const auto& algo = coll::Registry::instance().get_allreduce("rs_ag");
+  const auto& algo = coll::Registry::instance().allreduce.get("rs_ag");
   const Category cats[] = {Category::kNone, Category::kKill,
                            Category::kDegrade, Category::kTransient,
                            Category::kMixed};

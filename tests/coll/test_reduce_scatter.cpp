@@ -217,7 +217,7 @@ TEST(PlannerPin, ReduceScatterHalving) {
 TEST(PlannerPin, RsAgAllreduce) {
   core::register_core_algorithms();
   const ReduceScatterFn fn =
-      coll::Registry::instance().get_allreduce("rs_ag").fn;
+      coll::Registry::instance().allreduce.get("rs_ag").fn;
   expect_pin(run_pinned(fn, healthy(3, 3, 2), 1000),
              0x1.cf31c4c1be164p-17, 448);
   expect_pin(run_pinned(fn, healthy(2, 4, 2), 1u << 16),

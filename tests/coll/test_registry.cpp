@@ -29,34 +29,34 @@ TEST(Registry, FlatAlgorithmsAreBootstrapped) {
   for (const char* name : {"ring", "rd", "bruck", "direct", "rd_or_bruck",
                            "multi_leader2", "multi_leader1",
                            "node_aware_bruck"}) {
-    EXPECT_NE(reg.find_allgather(name), nullptr) << name;
+    EXPECT_NE(reg.allgather.find(name), nullptr) << name;
   }
-  EXPECT_NE(reg.find_allreduce("rd"), nullptr);
-  EXPECT_NE(reg.find_allreduce("ring"), nullptr);
-  EXPECT_NE(reg.find_bcast("binomial"), nullptr);
-  EXPECT_NE(reg.find_allgatherv("ring"), nullptr);
+  EXPECT_NE(reg.allreduce.find("rd"), nullptr);
+  EXPECT_NE(reg.allreduce.find("ring"), nullptr);
+  EXPECT_NE(reg.bcast.find("binomial"), nullptr);
+  EXPECT_NE(reg.allgatherv.find("ring"), nullptr);
 }
 
 TEST(Registry, CoreAlgorithmsRegisterIdempotently) {
   core::register_core_algorithms();
   core::register_core_algorithms();  // second call must not throw (duplicates)
   auto& reg = Registry::instance();
-  const auto names = reg.allgather_names();
+  const auto names = reg.allgather.names();
   for (const char* name : {"mha_intra", "mha_inter_rd", "mha_inter_ring",
                            "mha_inter", "mha_inter_barrier", "single_leader",
                            "hier2", "hier3"}) {
     EXPECT_TRUE(contains(names, name)) << name;
   }
-  EXPECT_NE(reg.find_allreduce("ring_mha"), nullptr);
-  EXPECT_NE(reg.find_bcast("mha"), nullptr);
-  EXPECT_NE(reg.find_allgatherv("mha"), nullptr);
+  EXPECT_NE(reg.allreduce.find("ring_mha"), nullptr);
+  EXPECT_NE(reg.bcast.find("mha"), nullptr);
+  EXPECT_NE(reg.allgatherv.find("mha"), nullptr);
 }
 
 TEST(Registry, UnknownNameThrowsListingCandidates) {
   auto& reg = Registry::instance();
-  EXPECT_EQ(reg.find_allgather("no_such_algo"), nullptr);
+  EXPECT_EQ(reg.allgather.find("no_such_algo"), nullptr);
   try {
-    reg.get_allgather("no_such_algo");
+    reg.allgather.get("no_such_algo");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -70,9 +70,9 @@ TEST(Registry, DuplicateRegistrationThrows) {
   AllgatherAlgo dup;
   dup.name = "ring";
   dup.summary = "dup";
-  dup.fn = reg.get_allgather("bruck").fn;
+  dup.fn = reg.allgather.get("bruck").fn;
   try {
-    reg.add_allgather(std::move(dup));
+    reg.allgather.add(std::move(dup));
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos)
@@ -83,11 +83,11 @@ TEST(Registry, DuplicateRegistrationThrows) {
 TEST(Registry, RejectsUnnamedOrEmptyEntries) {
   auto& reg = Registry::instance();
   AllgatherAlgo unnamed;
-  unnamed.fn = reg.get_allgather("ring").fn;
-  EXPECT_THROW(reg.add_allgather(std::move(unnamed)), std::invalid_argument);
+  unnamed.fn = reg.allgather.get("ring").fn;
+  EXPECT_THROW(reg.allgather.add(std::move(unnamed)), std::invalid_argument);
   AllgatherAlgo no_fn;
   no_fn.name = "ghost";
-  EXPECT_THROW(reg.add_allgather(std::move(no_fn)), std::invalid_argument);
+  EXPECT_THROW(reg.allgather.add(std::move(no_fn)), std::invalid_argument);
 }
 
 TEST(Registry, CommShapeOfWorldAndSubComms) {
@@ -129,24 +129,24 @@ TEST(Registry, ApplicabilityPredicatesEncodeLayoutRequirements) {
   odd_nodes.comm_size = 12;
   odd_nodes.nodes = 3;
 
-  const auto& rd = reg.get_allgather("rd");
+  const auto& rd = reg.allgather.get("rd");
   EXPECT_TRUE(rd.applies(world_2x4, 64));  // 8 ranks: power of two
   CommShape nine = subset;
   nine.comm_size = 9;
   EXPECT_FALSE(rd.applies(nine, 64));
 
-  const auto& ml2 = reg.get_allgather("multi_leader2");
+  const auto& ml2 = reg.allgather.get("multi_leader2");
   EXPECT_TRUE(ml2.applies(world_2x4, 64));
   EXPECT_FALSE(ml2.applies(subset, 64));  // needs node-major world
 
-  const auto& inter_rd = reg.get_allgather("mha_inter_rd");
+  const auto& inter_rd = reg.allgather.get("mha_inter_rd");
   EXPECT_TRUE(inter_rd.applies(world_2x4, 64));
   EXPECT_FALSE(inter_rd.applies(odd_nodes, 64));  // non-p2 node count
 
-  const auto& intra = reg.get_allgather("mha_intra");
+  const auto& intra = reg.allgather.get("mha_intra");
   EXPECT_FALSE(intra.applies(world_2x4, 64));  // multi-node
 
-  const auto& ar_ring = reg.get_allreduce("ring");
+  const auto& ar_ring = reg.allreduce.get("ring");
   EXPECT_TRUE(ar_ring.applies(world_2x4, 16, 8));   // 16 % 8 == 0
   EXPECT_FALSE(ar_ring.applies(world_2x4, 15, 8));  // indivisible count
 }
@@ -161,8 +161,8 @@ TEST(Registry, CostHooksRankRdUnderRingForSmallMessages) {
   s.nodes = 8;
   s.ppn = 1;
   s.world = true;
-  const auto& rd = reg.get_allgather("rd");
-  const auto& ring = reg.get_allgather("ring");
+  const auto& rd = reg.allgather.get("rd");
+  const auto& ring = reg.allgather.get("ring");
   ASSERT_TRUE(static_cast<bool>(rd.cost));
   ASSERT_TRUE(static_cast<bool>(ring.cost));
   // alpha-dominated: log2(8)=3 steps beat 7 ring steps.
@@ -174,10 +174,10 @@ TEST(Registry, CostHooksRankRdUnderRingForSmallMessages) {
 TEST(Registry, RegisteredEntriesRunEndToEnd) {
   core::register_core_algorithms();
   auto& reg = Registry::instance();
-  check_allgather(reg.get_allgather("node_aware_bruck").fn, 2, 4, 1024);
-  check_allgather(reg.get_allgather("multi_leader2").fn, 2, 4, 512);
-  check_allgather(reg.get_allgather("mha_inter").fn, 2, 4, 4096);
-  check_allreduce(reg.get_allreduce("ring_mha").fn, 2, 4, 64,
+  check_allgather(reg.allgather.get("node_aware_bruck").fn, 2, 4, 1024);
+  check_allgather(reg.allgather.get("multi_leader2").fn, 2, 4, 512);
+  check_allgather(reg.allgather.get("mha_inter").fn, 2, 4, 4096);
+  check_allreduce(reg.allreduce.get("ring_mha").fn, 2, 4, 64,
                   mpi::ReduceOp::kSum);
 }
 

@@ -1,4 +1,4 @@
-// Rooted collectives: broadcast, gather, scatter, alltoall.
+// Rooted collectives (broadcast) and alltoall.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -121,57 +121,6 @@ TEST(BcastShape, ScatterAllgatherBeatsBinomialForLargeMessages) {
   EXPECT_LT(measure(fn_scatter_ag(), big), measure(fn_binomial(), big));
   // And binomial wins for tiny payloads (fewer rounds than 2(N-1) steps).
   EXPECT_LT(measure(fn_binomial(), 64), measure(fn_scatter_ag(), 64));
-}
-
-// ---- Gather / Scatter ----
-
-TEST(GatherScatter, RoundTripRestoresBlocks) {
-  auto spec = hw::ClusterSpec::thor(2, 3);
-  spec.carry_data = true;
-  sim::Engine eng;
-  mpi::World world(eng, spec);
-  auto& comm = world.comm_world();
-  const int p = comm.size();
-  const std::size_t msg = 256;
-  const int root = 2;
-
-  std::vector<hw::Buffer> sends, outs;
-  auto gathered = hw::Buffer::data(msg * static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    auto b = hw::Buffer::data(msg);
-    for (std::size_t i = 0; i < msg; ++i) b.bytes()[i] = block_byte(r, i);
-    sends.push_back(std::move(b));
-    outs.push_back(hw::Buffer::data(msg));
-  }
-  auto rank = [&](int r) -> sim::Task<void> {
-    co_await gather_linear(comm, r, root, sends[static_cast<std::size_t>(r)].view(),
-                           r == root ? gathered.view() : hw::BufView{}, msg);
-    co_await scatter_linear(comm, r, root,
-                            r == root ? gathered.view() : hw::BufView{},
-                            outs[static_cast<std::size_t>(r)].view(), msg);
-  };
-  for (int r = 0; r < p; ++r) eng.spawn(rank(r));
-  eng.run();
-
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t i = 0; i < msg; ++i) {
-      ASSERT_EQ(outs[static_cast<std::size_t>(r)].bytes()[i], block_byte(r, i))
-          << "rank " << r << " byte " << i;
-    }
-  }
-}
-
-TEST(GatherScatter, SizeValidation) {
-  auto spec = hw::ClusterSpec::thor(1, 2);
-  sim::Engine eng;
-  mpi::World world(eng, spec);
-  auto& comm = world.comm_world();
-  auto small = hw::Buffer::data(8);
-  auto t = [&]() -> sim::Task<void> {
-    co_await gather_linear(comm, 0, 0, small.view(), small.view(), 8);
-  };
-  eng.spawn(t());
-  EXPECT_THROW(eng.run(), std::invalid_argument);  // recv != msg * n at root
 }
 
 // ---- Alltoall ----

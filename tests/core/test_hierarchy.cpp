@@ -163,7 +163,7 @@ Pinned check_bcast(hw::ClusterSpec spec, const HierarchySpec& hs,
 
 coll::AllgatherFn registry_allgather(const std::string& name) {
   register_core_algorithms();
-  return coll::Registry::instance().get_allgather(name).fn;
+  return coll::Registry::instance().allgather.get(name).fn;
 }
 
 void expect_pin(const Pinned& got, double latency, std::uint64_t events) {
@@ -575,8 +575,9 @@ TEST(HierarchyBcast, Depth3CascadeAttributesPhasesOnEveryRank) {
   // only on the leaders that drive the inter-node stage.
   const auto spec = hw::ClusterSpec::thor_numa(2, 4);
   trace::Tracer tracer;
+  obs::CollectSink sink(&tracer);
   sim::Engine eng;
-  mpi::World world(eng, spec, &tracer);
+  mpi::World world(eng, spec, sink);
   auto& comm = world.comm_world();
   auto buf = hw::Buffer::phantom(64 * 1024);
   for (int r = 0; r < comm.size(); ++r) {
@@ -617,7 +618,7 @@ Pinned run_pinned(const coll::AllgatherFn& fn, int nodes, int ppn,
 
 TEST(HierarchyPin, MhaBcast) {
   register_core_algorithms();
-  const auto mha = coll::Registry::instance().get_bcast("mha").fn;
+  const auto mha = coll::Registry::instance().bcast.get("mha").fn;
   expect_pin(run_bcast(hw::ClusterSpec::thor(2, 4), mha, 65536, 0),
              0x1.6970f6b6fdd0fp-16, 81);
   // Multi-chunk pipeline, non-leader root.
@@ -793,10 +794,11 @@ TEST(HierarchyPerf, Depth3BeatsDepth2OnConstrainedUpi) {
   const std::size_t msg = 1u << 20;
 
   trace::Tracer tr2, tr3;
+  obs::CollectSink sink2(&tr2), sink3(&tr3);
   const double t2 = osu::measure_allgather(
-      spec, fn_spec(HierarchySpec::derive(spec, 2)), msg, &tr2);
+      spec, fn_spec(HierarchySpec::derive(spec, 2)), msg, sink2);
   const double t3 = osu::measure_allgather(
-      spec, fn_spec(HierarchySpec::derive(spec, 3)), msg, &tr3);
+      spec, fn_spec(HierarchySpec::derive(spec, 3)), msg, sink3);
   EXPECT_LT(t3, 0.95 * t2);
 
   // Telemetry cross-check: the critical-path analysis over the captured

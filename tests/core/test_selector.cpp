@@ -13,6 +13,7 @@
 #include "core/selector.hpp"
 #include "hw/spec.hpp"
 #include "mpi/comm.hpp"
+#include "obs/sink.hpp"
 #include "sim/engine.hpp"
 #include "testing/coll_testing.hpp"
 #include "trace/trace.hpp"
@@ -43,7 +44,8 @@ AllgatherSelection select_ag(int nodes, int ppn, std::size_t msg,
                              const Selector* sel = nullptr) {
   const auto spec = hw::ClusterSpec::thor(nodes, ppn);
   sim::Engine eng;
-  mpi::World world(eng, spec, tracer);
+  obs::CollectSink sink(tracer);
+  mpi::World world(eng, spec, sink);
   if (sel == nullptr) sel = &default_selector();
   return sel->select_allgather(world.comm_world(), 0, msg);
 }

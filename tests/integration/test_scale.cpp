@@ -19,6 +19,7 @@
 #include "hw/spec.hpp"
 #include "mpi/comm.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/sink.hpp"
 #include "osu/harness.hpp"
 #include "profiles/profiles.hpp"
 #include "sim/engine.hpp"
@@ -94,7 +95,8 @@ TEST(Scale, Fig12WorldTracesAreByteIdentical) {
   const auto& fn = profiles::mha().allgather;
   auto traced_run = [&] {
     trace::Tracer tracer;
-    const double s = osu::measure_allgather(spec, fn, 65536, &tracer);
+    obs::CollectSink sink(&tracer);
+    const double s = osu::measure_allgather(spec, fn, 65536, sink);
     EXPECT_GT(s, 0.0);
     std::ostringstream os;
     obs::write_chrome_trace(os, tracer.spans());

@@ -9,6 +9,7 @@
 #include "hw/buffer.hpp"
 #include "mpi/comm.hpp"
 #include "net/net.hpp"
+#include "obs/sink.hpp"
 #include "osu/harness.hpp"
 #include "sim/engine.hpp"
 #include "trace/trace.hpp"
@@ -133,6 +134,7 @@ TEST(Protocols, Fig6OverlapIsObservableInTheTrace) {
   // The heart of Sec. 3.2: during MHA-inter, a leader's inter-node
   // transfers overlap its members' shm copy-outs.
   trace::Tracer tracer;
+  obs::CollectSink sink(&tracer);
   const auto spec = hw::ClusterSpec::thor(4, 4);
   osu::measure_allgather(
       spec,
@@ -141,7 +143,7 @@ TEST(Protocols, Fig6OverlapIsObservableInTheTrace) {
         return core::allgather_hierarchy(c, r, s, rv, m, ip,
                                          core::HierarchySpec::mha());
       },
-      262144, &tracer);
+      262144, sink);
   // Leader of node 0 is rank 0; its members are ranks 1..3.
   double overlap = 0.0;
   for (int member = 1; member < 4; ++member) {
@@ -151,6 +153,7 @@ TEST(Protocols, Fig6OverlapIsObservableInTheTrace) {
   EXPECT_GT(overlap, 0.0);
   // And with the overlap disabled, there is none.
   trace::Tracer flat;
+  obs::CollectSink flat_sink(&flat);
   osu::measure_allgather(
       spec,
       [](mpi::Comm& c, int r, hw::BufView s, hw::BufView rv, std::size_t m,
@@ -159,7 +162,7 @@ TEST(Protocols, Fig6OverlapIsObservableInTheTrace) {
                                          core::HierarchySpec::mha(),
                                          /*overlap=*/false);
       },
-      262144, &flat);
+      262144, flat_sink);
   double none = 0.0;
   for (int member = 1; member < 4; ++member) {
     none += flat.overlap_time(0, trace::Kind::kNicXfer, member,

@@ -58,7 +58,7 @@ inline std::vector<Capture> allgathers() {
   const conf::Trial t = coverage_trial();
   const auto shape = conf::shape_of(t);
   return capture_each(
-      coll::Registry::instance().allgathers(),
+      coll::Registry::instance().allgather.entries(),
       [&](const auto& a) { return a.applies(shape, t.msg); },
       [&](const auto& fn, obs::Sink& sink) {
         conf::run_allgather(fn, t, sink);
@@ -76,7 +76,7 @@ inline std::vector<Capture> allgathervs() {
   for (const std::size_t c : counts) total += c;
   const auto shape = conf::shape_of(t);
   return capture_each(
-      coll::Registry::instance().allgathervs(),
+      coll::Registry::instance().allgatherv.entries(),
       [&](const auto& a) { return a.applies(shape, total); },
       [&](const auto& fn, obs::Sink& sink) {
         conf::run_allgatherv(fn, t, counts, &sink);
@@ -88,7 +88,7 @@ inline std::vector<Capture> alltoalls() {
   const std::size_t msg = 2048;
   const auto shape = conf::shape_of(t);
   return capture_each(
-      coll::Registry::instance().alltoalls(),
+      coll::Registry::instance().alltoall.entries(),
       [&](const auto& a) { return a.applies(shape, msg); },
       [&](const auto& fn, obs::Sink& sink) {
         conf::run_alltoall(fn, t, msg, &sink);
@@ -109,7 +109,7 @@ inline std::vector<Capture> alltoallvs() {
   }
   const auto shape = conf::shape_of(t);
   return capture_each(
-      coll::Registry::instance().alltoallvs(),
+      coll::Registry::instance().alltoallv.entries(),
       [&](const auto& a) { return a.applies(shape, total); },
       [&](const auto& fn, obs::Sink& sink) {
         conf::run_alltoallv(fn, t, counts, &sink);
@@ -121,7 +121,7 @@ inline std::vector<Capture> reduce_scatters() {
   const std::size_t count = 96;  // divisible by p = 4
   const auto shape = conf::shape_of(t);
   return capture_each(
-      coll::Registry::instance().reduce_scatters(),
+      coll::Registry::instance().reduce_scatter.entries(),
       [&](const auto& a) {
         return a.applies(shape, count, mpi::dtype_size(mpi::Dtype::kInt32));
       },
@@ -136,7 +136,7 @@ inline std::vector<Capture> allreduces() {
   const std::size_t count = 96;
   const auto shape = conf::shape_of(t);
   return capture_each(
-      coll::Registry::instance().allreduces(),
+      coll::Registry::instance().allreduce.entries(),
       [&](const auto& a) {
         return a.applies(shape, count, mpi::dtype_size(mpi::Dtype::kInt32));
       },
@@ -150,7 +150,7 @@ inline std::vector<Capture> bcasts() {
   const conf::Trial t = coverage_trial();
   const auto shape = conf::shape_of(t);
   return capture_each(
-      coll::Registry::instance().bcasts(),
+      coll::Registry::instance().bcast.entries(),
       [&](const auto& a) { return a.applies(shape, t.msg); },
       [&](const auto& fn, obs::Sink& sink) { conf::run_bcast(fn, t, &sink); });
 }

@@ -83,8 +83,8 @@ TEST(ObsReconcile, EveryRailSeriesCarriesNodeAndRailLabels) {
 TEST(ObsReconcile, NullSinkRunMatchesUninstrumentedRun) {
   core::register_core_algorithms();
   const auto spec = hw::ClusterSpec::thor(1, 8);
-  const double plain = osu::measure_allgather(
-      spec, profiles::mha().allgather, 1u << 20, static_cast<trace::Tracer*>(nullptr));
+  const double plain =
+      osu::measure_allgather(spec, profiles::mha().allgather, 1u << 20);
   const double nulled = osu::measure_allgather(
       spec, profiles::mha().allgather, 1u << 20, null_sink());
   const double observed = run_fig11_point().seconds;

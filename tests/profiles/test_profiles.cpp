@@ -40,10 +40,10 @@ TEST(Policy, DeclarativeRulesNameRegistryEntries) {
   auto& reg = coll::Registry::instance();
   for (const auto* p : {&hp, &mv}) {
     for (const auto& r : p->allgather) {
-      EXPECT_NE(reg.find_allgather(r.algo), nullptr) << r.algo;
+      EXPECT_NE(reg.allgather.find(r.algo), nullptr) << r.algo;
     }
     for (const auto& r : p->allreduce) {
-      EXPECT_NE(reg.find_allreduce(r.algo), nullptr) << r.algo;
+      EXPECT_NE(reg.allreduce.find(r.algo), nullptr) << r.algo;
     }
   }
 
