@@ -108,7 +108,7 @@ void add_publish(TaskGraph& g, const ExchangeOpts& opts, int rank,
       [region = opts.region, rank, recv, off, len] {
         return publish_chunk(region, rank, recv.sub(off, len), off);
       },
-      TaskOpts{"p3 pub" + step, opts.phase, c, len, -1, -1});
+      TaskOpts{"p3 pub" + step, opts.phase, c, len, -1});
   g.depend(t, t_recv);
 }
 
@@ -128,7 +128,7 @@ int add_seed_task(TaskGraph& g, mpi::Comm& comm, int my, hw::BufView send,
   return g.add(
       TaskKind::kCopy, Lane::kCpu,
       [&comm, my, send, own] { return copy_own_block(comm, my, send, own); },
-      TaskOpts{"seed", phase, -1, own.len, -1, -1});
+      TaskOpts{"seed", phase, -1, own.len, -1});
 }
 
 int add_recv_stub(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm, int my,
@@ -169,11 +169,11 @@ void build_ring_exchange(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm,
             chunk_range(blocks.count(out_b), out_chunks, c);
         const std::size_t off = blocks.offset(out_b) + coff;
         const int t_send = g.add(
-            TaskKind::kSend, Lane::kNic,
+            TaskKind::kSend, Lane::kNone,
             [&comm, my, right, tag, recv, off, clen] {
               return comm.send(my, right, tag, recv.sub(off, clen));
             },
-            TaskOpts{opts.prefix + "send" + step, opts.phase, c, clen, -1,
+            TaskOpts{opts.prefix + "send" + step, opts.phase, c, clen,
                      right_g});
         if (s > 0) {
           g.depend(t_send, landed[static_cast<std::size_t>(c)]);
@@ -190,7 +190,7 @@ void build_ring_exchange(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm,
         const std::size_t off = blocks.offset(in_b) + coff;
         landing.push_back(add_recv_stub(
             g, exec, comm, my, left, tag, recv.sub(off, clen),
-            TaskOpts{opts.prefix + "recv" + step, opts.phase, c, clen, -1,
+            TaskOpts{opts.prefix + "recv" + step, opts.phase, c, clen,
                      left_g}));
         add_publish(g, opts, comm.to_global(my), recv, off, clen, step, c,
                     landing.back());
@@ -223,17 +223,17 @@ void build_rd_exchange(TaskGraph& g, GraphExecutor& exec, mpi::Comm& comm,
       const std::size_t in_off = partner_base + coff;
 
       const int t_send = g.add(
-          TaskKind::kSend, Lane::kNic,
+          TaskKind::kSend, Lane::kNone,
           [&comm, my, partner, tag, recv, out_off, clen] {
             return comm.send(my, partner, tag, recv.sub(out_off, clen));
           },
-          TaskOpts{opts.prefix + "send" + step, opts.phase, c, clen, -1,
+          TaskOpts{opts.prefix + "send" + step, opts.phase, c, clen,
                    partner_g});
       for (const int p : prod.covering(out_off, clen)) g.depend(t_send, p);
 
       const int t_recv = add_recv_stub(
           g, exec, comm, my, partner, tag, recv.sub(in_off, clen),
-          TaskOpts{opts.prefix + "recv" + step, opts.phase, c, clen, -1,
+          TaskOpts{opts.prefix + "recv" + step, opts.phase, c, clen,
                    partner_g});
       prod.add(in_off, clen, t_recv);
       add_publish(g, opts, comm.to_global(my), recv, in_off, clen, step, c,
@@ -268,7 +268,7 @@ void build_publish_drain(TaskGraph& g, GraphExecutor& exec,
           return copy_out_published(region, rank,
                                     static_cast<std::size_t>(i), recv);
         },
-        TaskOpts{label, obs::names::kPhase3, i, 0, -1, -1});
+        TaskOpts{label, obs::names::kPhase3, i, 0, -1});
     g.depend_external(t);
     outs.push_back(t);
   }
@@ -494,7 +494,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
         }
         return seed_own_block(comm, my, send, recv, msg, in_place);
       },
-      TaskOpts{"intra", "phase1", -1, chunk, -1, -1});
+      TaskOpts{"intra", "phase1", -1, chunk, -1});
 
   if (nodes == 1) {
     co_await exec.run(g);
@@ -522,7 +522,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
                                  /*in_place=*/true);
         },
         TaskOpts{"bruck-inter", "phase2", -1,
-                 static_cast<std::size_t>(nodes - 1) * chunk, -1, -1});
+                 static_cast<std::size_t>(nodes - 1) * chunk, -1});
     g.depend(t_p2, t_p1);
 
     // ---- Phase 3, leader side: publish each remote node block ----
@@ -536,8 +536,7 @@ sim::Task<void> allgather_node_aware_bruck(mpi::Comm& comm, int my,
               return region->copy_in_publish(grank, recv.sub(off, chunk),
                                              off);
             },
-            TaskOpts{"pub b" + std::to_string(other), "phase2", -1, chunk,
-                     -1, -1});
+            TaskOpts{"pub b" + std::to_string(other), "phase2", -1, chunk, -1});
         g.depend(t_pub, t_p2);
       }
     }

@@ -93,14 +93,14 @@ sim::Task<void> allgatherv_direct(mpi::Comm& comm, int my, hw::BufView send,
     add_recv_stub(g, exec, comm, my, src, i,
                   recv.sub(layout.offset(src), layout.count(src)),
                   TaskOpts{"recv", obs::names::kPhaseExchange, -1,
-                           layout.count(src), -1, comm.to_global(src)});
+                           layout.count(src), comm.to_global(src)});
   }
   for (int i = 1; i < n; ++i) {
     const int dst = (my + i) % n;
     const int t_send = g.add(
-        TaskKind::kSend, Lane::kNic,
+        TaskKind::kSend, Lane::kNone,
         [&comm, my, dst, i, own] { return comm.send(my, dst, i, own); },
-        TaskOpts{"send", obs::names::kPhaseExchange, -1, own.len, -1,
+        TaskOpts{"send", obs::names::kPhaseExchange, -1, own.len,
                  comm.to_global(dst)});
     if (seed >= 0) g.depend(t_send, seed);
   }

@@ -1,11 +1,8 @@
 #include "coll/graph.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
-
-#include "osu/env.hpp"
 
 namespace hmca::coll {
 
@@ -60,35 +57,13 @@ std::vector<int> RangeProducers::covering(std::size_t offset,
 GraphExecutor::GraphExecutor(sim::Engine& eng, obs::Sink& sink, int grank,
                              ExecOptions opts)
     : eng_(&eng), sink_(&sink), grank_(grank), opts_(std::move(opts)),
-      cv_(eng) {}
+      cv_(eng), cpu_sem_(eng, 1), shm_sem_(eng, 1) {}
 
-sim::Semaphore* GraphExecutor::lane_sem(const TaskGraph::Node& n) {
-  switch (n.lane) {
-    case Lane::kNone:
-      return nullptr;
-    case Lane::kCpu:
-      if (opts_.cpu_slots <= 0) return nullptr;
-      if (!cpu_sem_) {
-        cpu_sem_ = std::make_unique<sim::Semaphore>(*eng_, opts_.cpu_slots);
-      }
-      return cpu_sem_.get();
-    case Lane::kShm:
-      if (opts_.shm_slots <= 0) return nullptr;
-      if (!shm_sem_) {
-        shm_sem_ = std::make_unique<sim::Semaphore>(*eng_, opts_.shm_slots);
-      }
-      return shm_sem_.get();
-    case Lane::kNic: {
-      if (opts_.nic_slots <= 0) return nullptr;
-      const auto idx =
-          static_cast<std::size_t>(n.opts.rail + 1);  // -1 shares slot 0
-      if (idx >= nic_sems_.size()) nic_sems_.resize(idx + 1);
-      if (!nic_sems_[idx]) {
-        nic_sems_[idx] =
-            std::make_unique<sim::Semaphore>(*eng_, opts_.nic_slots);
-      }
-      return nic_sems_[idx].get();
-    }
+sim::Semaphore* GraphExecutor::lane_sem(Lane lane) {
+  switch (lane) {
+    case Lane::kNone: return nullptr;
+    case Lane::kCpu: return &cpu_sem_;
+    case Lane::kShm: return &shm_sem_;
   }
   return nullptr;
 }
@@ -128,7 +103,7 @@ void GraphExecutor::on_complete(int id) {
 
 sim::Task<void> GraphExecutor::run_one(int id) {
   auto& n = g_->nodes_[static_cast<std::size_t>(id)];
-  sim::Semaphore* lane = lane_sem(n);
+  sim::Semaphore* lane = lane_sem(n.lane);
   if (lane != nullptr) co_await lane->acquire();
 
   ++in_flight_;
@@ -160,7 +135,7 @@ sim::Task<void> GraphExecutor::run_one(int id) {
   auto span = sink_->open(grank_, trace::Kind::kTask, eng_->now(), n.opts.peer,
                           n.opts.bytes, std::move(label));
 
-  sim::Duration backoff = opts_.retry_backoff;
+  sim::Duration backoff = kTaskRetryBackoff;
   for (int attempt = 0;; ++attempt) {
     try {
       if (opts_.fail_injector && opts_.fail_injector(id, attempt)) {
@@ -173,7 +148,7 @@ sim::Task<void> GraphExecutor::run_one(int id) {
       // rank would desync the other ranks (op sequence numbers,
       // shared-object keys), so it never retries. Chunk tasks are
       // idempotent and retry.
-      if (attempt >= opts_.max_retries || n.kind == TaskKind::kWrapped) {
+      if (attempt >= kMaxTaskRetries || n.kind == TaskKind::kWrapped) {
         if (!error_) error_ = std::current_exception();
         break;
       }
@@ -295,16 +270,8 @@ long long g_chunk_override = -1;
 void set_chunk_bytes_override(long long bytes) { g_chunk_override = bytes; }
 
 std::size_t configured_chunk_bytes() {
-  if (g_chunk_override >= 0) return static_cast<std::size_t>(g_chunk_override);
-  const auto v = osu::Env::raw(osu::Env::kChunkBytes);
-  if (!v) return 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v->c_str(), &end, 10);
-  if (end == v->c_str() || (end != nullptr && *end != '\0')) {
-    throw std::invalid_argument(
-        "HMCA_CHUNK_BYTES: expected a byte count, got '" + *v + "'");
-  }
-  return static_cast<std::size_t>(parsed);
+  return g_chunk_override >= 0 ? static_cast<std::size_t>(g_chunk_override)
+                               : 0;
 }
 
 int chunks_for(std::size_t bytes) {

@@ -6,23 +6,28 @@
 // counters: a task becomes runnable when every predecessor has completed
 // (and every registered *external* dependency — a net recv completion or an
 // shm publication — has been satisfied through a callback). The
-// `GraphExecutor` drains ready tasks onto lane resources (CPU copy engine,
-// shm port, per-rail NIC admission) inside the discrete-event simulator,
-// which is what turns the paper's hand-built phase-2/3 overlap into a
-// general property: phase boundaries dissolve into data dependencies, so
-// phase-1 tails, inter-node steps and shm distribution stream against each
-// other chunk by chunk.
+// `GraphExecutor` drains ready tasks inside the discrete-event simulator;
+// CPU copies and shm-port operations each pass a single-slot lane, every
+// other task runs unconstrained. This is what turns the paper's hand-built
+// phase-2/3 overlap into a general property: phase boundaries dissolve into
+// data dependencies, so phase-1 tails, inter-node steps and shm
+// distribution stream against each other chunk by chunk.
 //
 // Execution is deterministic: the ready queue is FIFO over task creation
 // order, lanes are engine-owned semaphores with FIFO wakeups, and all
 // scheduling flows through the (time, sequence)-ordered event queue.
 //
 // Failed tasks (a `sim::SimError` from the body, e.g. zero healthy rails
-// during a transient window) are re-enqueued with a bounded backoff so the
+// during a transient window) are re-enqueued up to `kMaxTaskRetries` times,
+// after a backoff that starts at `kTaskRetryBackoff` and doubles, so the
 // transfer retries after `net` has restriped — the dataflow analogue of
 // rail-level retry. Exhausted retries surface the error from `run()`. A
 // macro task (`TaskKind::kWrapped`) holds an SPMD rendezvous and fails
 // without retry.
+//
+// Chunking is fixed policy (`chunks_for`); only tests change the
+// granularity, through `set_chunk_bytes_override`. Nothing here reads the
+// environment.
 //
 // Store-and-forward baselines (Bruck, the multi-leader and strict-barrier
 // allgathers, pairwise alltoall(v)) are not task graphs: they run as plain
@@ -35,7 +40,6 @@
 #include <exception>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,13 +69,12 @@ enum class TaskKind {
 const char* task_kind_name(TaskKind k);
 
 /// Scheduling lane a task occupies while running. Lanes are admission
-/// control (how many tasks of a class may be in flight); the hardware
-/// model still arbitrates actual bandwidth via fluid resources.
+/// control (one task of a class in flight at a time); the hardware model
+/// still arbitrates actual bandwidth via fluid resources.
 enum class Lane {
-  kNone,  ///< unconstrained (address exchange, macro tasks)
+  kNone,  ///< unconstrained (NIC transfers, address exchange, macro tasks)
   kCpu,   ///< the rank's copy engine: tasks serialize like a CPU would
   kShm,   ///< shared-memory port
-  kNic,   ///< NIC doorbell; per-rail when `rail` >= 0
 };
 
 struct TaskOpts {
@@ -79,7 +82,6 @@ struct TaskOpts {
   std::string phase;  ///< phase attribution ("phase1".."phase3", "" = none)
   int chunk = -1;     ///< chunk index within the transfer, -1 = whole
   std::size_t bytes = 0;
-  int rail = -1;  ///< NIC lane selector; -1 = striped/shared lane
   int peer = -1;  ///< peer global rank for the span, -1 = n/a
 };
 
@@ -136,12 +138,12 @@ class RangeProducers {
   std::vector<Entry> spans_;
 };
 
+/// Re-enqueues per task after a `sim::SimError`.
+inline constexpr int kMaxTaskRetries = 3;
+/// Backoff before the first re-enqueue; doubles on each further retry.
+inline constexpr sim::Duration kTaskRetryBackoff = 2e-6;
+
 struct ExecOptions {
-  int cpu_slots = 1;   ///< copies a rank runs concurrently (0 = unbounded)
-  int shm_slots = 1;   ///< concurrent shm-port operations (0 = unbounded)
-  int nic_slots = 0;   ///< per-rail NIC admission depth (0 = unbounded)
-  int max_retries = 3;            ///< re-enqueues per task after SimError
-  sim::Duration retry_backoff = 2e-6;  ///< base backoff (doubles per retry)
   /// Test hook: return true to fail the task's next attempt before the
   /// body runs (the executor treats it as a transient fault and retries).
   std::function<bool(int task, int attempt)> fail_injector;
@@ -173,7 +175,7 @@ class GraphExecutor {
 
  private:
   sim::Task<void> run_one(int id);
-  sim::Semaphore* lane_sem(const TaskGraph::Node& n);
+  sim::Semaphore* lane_sem(Lane lane);
   void on_complete(int id);
 
   sim::Engine* eng_;
@@ -193,11 +195,9 @@ class GraphExecutor {
   int ext_pending_ = 0;
   std::vector<int> early_satisfies_;
 
-  // Lane guards, created on demand: kCpu/kShm each have one; kNic has one
-  // per rail id (+1 so the striped lane -1 maps to slot 0).
-  std::unique_ptr<sim::Semaphore> cpu_sem_;
-  std::unique_ptr<sim::Semaphore> shm_sem_;
-  std::vector<std::unique_ptr<sim::Semaphore>> nic_sems_;
+  // The two single-slot lane guards (kCpu, kShm).
+  sim::Semaphore cpu_sem_;
+  sim::Semaphore shm_sem_;
 
   // Per-phase span bookkeeping: opened at the first task start of the
   // phase, closed when its last task completes. Phase names are interned
@@ -229,9 +229,8 @@ static_assert(kChunkTagStride >= kMaxChunks,
 /// whose only job is to anchor external dependencies in the graph.
 sim::Task<void> noop_task();
 
-/// Chunk granularity configured via HMCA_CHUNK_BYTES (0 = auto). Read per
-/// collective; `set_chunk_bytes_override` lets tests bypass the
-/// environment (pass a negative value to restore env lookup).
+/// Chunk granularity in bytes: the `set_chunk_bytes_override` value, or 0
+/// (auto). Tests set the override; pass a negative value to clear it.
 std::size_t configured_chunk_bytes();
 void set_chunk_bytes_override(long long bytes);
 

@@ -30,7 +30,7 @@ void ring_rs_prims(Program& prog, const std::vector<int>& members,
       const Range r = elem_range(count, m, chunk, elem);
       if (r.len == 0) continue;
       Prim& p = prog.reduce(members[(i + 1) % m], {members[i]}, Space::kRecv,
-                            r, dtype, rop, /*ordered=*/true);
+                            r, dtype, rop);
       p.label = "rs-ring:s" + std::to_string(s);
       p.phase = phase;
     }
@@ -207,7 +207,7 @@ Program reduce_scatter_rh(int nranks, std::size_t count, mpi::Dtype dtype,
       Prim& p = prog.reduce(i, {i ^ half}, Space::kRecv,
                             {first * blen, static_cast<std::size_t>(half) *
                                                blen},
-                            dtype, rop, /*ordered=*/true);
+                            dtype, rop);
       p.label = "rs-rh:s" + std::to_string(stage);
       p.phase = "reduce-scatter";
     }
@@ -246,7 +246,7 @@ Program allreduce_rs_ag(const PlanLevels& levels, std::size_t count,
       }
       if (contributors.empty()) continue;
       Prim& p = prog.reduce(g.leader, contributors, Space::kRecv, {0, bytes},
-                            dtype, rop, /*ordered=*/true);
+                            dtype, rop);
       p.label = "rs_ag:up";
       p.phase = "reduce-up:l" + std::to_string(l);
     }

@@ -283,7 +283,7 @@ class Lowering {
               [&comm = comm_, grank = grank_, d, s] {
                 return copy_chunk(comm, grank, d, s);
               },
-              TaskOpts{label_, "", chunks > 1 ? c : -1, clen, -1, -1});
+              TaskOpts{label_, "", chunks > 1 ? c : -1, clen, -1});
           read_deps(src_space, src.off + coff, clen, t);
           write_deps(dst_space, dst_off + coff, clen, t);
           note_produced(dst_space, dst_off + coff, clen, t);
@@ -298,11 +298,11 @@ class Lowering {
           const hw::BufView s = view(src_space).sub(src.off + coff, clen);
           const int tag = base + c;
           const int t = add(
-              TaskKind::kSend, Lane::kNic,
+              TaskKind::kSend, Lane::kNone,
               [&comm = comm_, my = my_, peer, tag, s] {
                 return comm.send(my, peer, tag, s);
               },
-              TaskOpts{label_, "", chunks > 1 ? c : -1, clen, -1, peer_g});
+              TaskOpts{label_, "", chunks > 1 ? c : -1, clen, peer_g});
           read_deps(src_space, src.off + coff, clen, t);
         }
       } else if (my_ == peer) {
@@ -333,7 +333,7 @@ class Lowering {
       const std::size_t clen = ecnt * elem;
       const int t =
           add(TaskKind::kRecv, Lane::kNone, [] { return noop_task(); },
-              TaskOpts{label_, "", chunks > 1 ? c : -1, clen, -1, src_g});
+              TaskOpts{label_, "", chunks > 1 ? c : -1, clen, src_g});
       if (clen > 0) g_.depend_external(t);
       stubs[static_cast<std::size_t>(c)] = t;
     }
@@ -342,7 +342,7 @@ class Lowering {
         [&comm = comm_, &exec = exec_, my = my_, src, base, chunks, dst, elem,
          stubs] { return post_recvs(comm, my, src, base, chunks, dst, elem,
                                     exec, stubs); },
-        TaskOpts{label_ + ":post", "", -1, 0, -1, src_g});
+        TaskOpts{label_ + ":post", "", -1, 0, src_g});
     if (user) {
       write_deps(dst_space, dst_off, len, post);
       for (int c = 0; c < chunks; ++c) {
@@ -379,11 +379,11 @@ class Lowering {
           const int root = p.root;
           const int tag = base + c;
           const int t = add(
-              TaskKind::kSend, Lane::kNic,
+              TaskKind::kSend, Lane::kNone,
               [&comm = comm_, my = my_, root, tag, s] {
                 return comm.send(my, root, tag, s);
               },
-              TaskOpts{label_, "", chunks > 1 ? c : -1, clen, -1, root_g});
+              TaskOpts{label_, "", chunks > 1 ? c : -1, clen, root_g});
           read_deps(space, p.src.off + coff, clen, t);
         }
       }
@@ -412,7 +412,7 @@ class Lowering {
               return reduce_chunk(comm, grank, accum, operand, ecnt, dtype,
                                   rop);
             },
-            TaskOpts{label_, "", chunks > 1 ? c : -1, clen, -1,
+            TaskOpts{label_, "", chunks > 1 ? c : -1, clen,
                      comm_.to_global(peer)});
         g_.depend(t, stubs[static_cast<std::size_t>(c)]);
         auto it = chain.find(c);
@@ -436,7 +436,7 @@ class Lowering {
     if (since_fence_.empty()) return;
     const int m =
         g_.add(TaskKind::kCopy, Lane::kNone, [] { return noop_task(); },
-               TaskOpts{"fence", phase_, -1, 0, -1, -1});
+               TaskOpts{"fence", phase_, -1, 0, -1});
     for (const int t : since_fence_) g_.depend(m, t);
     since_fence_.clear();
     since_fence_.push_back(m);

@@ -25,8 +25,8 @@
 //     everything before it into one milestone task.
 //   * Reduce contributions land in private per-peer staging buffers and
 //     are combined into the root's range by a per-chunk CPU reduce chain
-//     in declared peer order (deterministic for `ordered` programs by
-//     construction).
+//     in declared peer order, so every reduce is deterministic by
+//     construction.
 //
 // The program's `send`/`recv` spaces map onto the caller's buffers; the
 // `scratch` space is allocated lazily, only on ranks whose share of the

@@ -49,8 +49,7 @@ Prim& Program::multicast(int root, std::vector<int> peers, Space src_space,
 }
 
 Prim& Program::reduce(int root, std::vector<int> peers, Space space,
-                      Range range, mpi::Dtype dtype, mpi::ReduceOp rop,
-                      bool ordered) {
+                      Range range, mpi::Dtype dtype, mpi::ReduceOp rop) {
   Prim p;
   p.op = Op::kReduce;
   p.root = root;
@@ -61,7 +60,6 @@ Prim& Program::reduce(int root, std::vector<int> peers, Space space,
   p.dst_off = range.off;
   p.dtype = dtype;
   p.rop = rop;
-  p.ordered = ordered;
   prims.push_back(std::move(p));
   return prims.back();
 }
@@ -187,15 +185,6 @@ void Program::validate() const {
           fail(i, p,
                "reduce range " + range_str(p.src) + " is not a multiple of "
                    "the " + std::to_string(elem) + "-byte element size");
-        }
-        if ((p.dtype == mpi::Dtype::kFloat ||
-             p.dtype == mpi::Dtype::kDouble) &&
-            !p.ordered && p.src.len > 0) {
-          fail(i, p,
-               std::string("reduce on non-commutative dtype ") +
-                   (p.dtype == mpi::Dtype::kFloat ? "float" : "double") +
-                   " without ordered mode (floating-point combines must "
-                   "declare a deterministic peer order)");
         }
         break;
       }

@@ -8,8 +8,8 @@
 //               every peer (a peer equal to the root is a local copy)
 //   reduce      every peer's byte range is combined element-wise into the
 //               root's identical range (the root's own data is the initial
-//               accumulator); `ordered` declares a deterministic peer-order
-//               combine, required for non-commutative-in-practice dtypes
+//               accumulator), always in declared peer order, so float and
+//               double reduces are deterministic
 //   shard       declarative partition of a region into per-owner ranges
 //               (no data movement; names who owns which bytes)
 //   unshard     every shard owner multicasts its range to the peer set —
@@ -72,7 +72,6 @@ struct Prim {
   std::size_t dst_off = 0;   ///< multicast destination offset
   mpi::Dtype dtype = mpi::Dtype::kByte;
   mpi::ReduceOp rop = mpi::ReduceOp::kSum;
-  bool ordered = false;      ///< reduce: combine peers in declared order
   std::vector<Shard> shards; ///< kShard only
   std::string label;         ///< telemetry span label ("" = op name)
   std::string phase;         ///< phase attribution for the executor spans
@@ -92,8 +91,9 @@ struct Program {
 
   Prim& multicast(int root, std::vector<int> peers, Space src_space,
                   Range src, Space dst_space, std::size_t dst_off);
+  /// Peers combine into the root in the order listed in `peers`.
   Prim& reduce(int root, std::vector<int> peers, Space space, Range range,
-               mpi::Dtype dtype, mpi::ReduceOp rop, bool ordered);
+               mpi::Dtype dtype, mpi::ReduceOp rop);
   Prim& shard(Space space, std::vector<Shard> shards);
   Prim& unshard(Space space, std::vector<int> peers);
   Prim& fence();

@@ -339,7 +339,7 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
           return plan_phase1(comm, my, send, node_slice, msg, in_place, node,
                              local, l, *plan, off);
         },
-        coll::TaskOpts{"nlevel", "phase1", -1, node_slice.len, -1, -1});
+        coll::TaskOpts{"nlevel", "phase1", -1, node_slice.len, -1});
     prod.add(nbase, node_slice.len, t);
   } else if (l > 1 && inner == LevelTransport::kShm) {
     // Publication order of the gather is data-driven, so it stays one
@@ -351,7 +351,7 @@ sim::Task<void> hier_graph(mpi::Comm& comm, int my, hw::BufView send,
           return shm_gather_phase1(comm, my, send, node_slice, msg, in_place,
                                    node, local, l, seq);
         },
-        coll::TaskOpts{"shm-gather", "phase1", -1, node_slice.len, -1, -1});
+        coll::TaskOpts{"shm-gather", "phase1", -1, node_slice.len, -1});
     prod.add(nbase, node_slice.len, t);
   } else if (l > 1) {
     build_mha_intra_tasks(g, prod, nbase, comm.world().node_comm(node), local,

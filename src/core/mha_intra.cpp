@@ -92,7 +92,7 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
   const int t_board = g.add(
       coll::TaskKind::kWrapped, coll::Lane::kNone,
       [board, my, contribution] { return board->put_and_wait(my, contribution); },
-      coll::TaskOpts{"board", phase, -1, 0, -1, -1});
+      coll::TaskOpts{"board", phase, -1, 0, -1});
 
   // Workload split (Fig. 4b / Fig. 5): the d *farthest* distances go to the
   // adapters, byte-granular — `full` whole blocks plus a `frac_bytes` slice
@@ -115,20 +115,20 @@ void build_mha_intra_tasks(coll::TaskGraph& g, coll::RangeProducers& producers,
     const int src_g = node_comm.to_global(src);
     const int t =
         hca ? g.add(
-                  coll::TaskKind::kRdma, coll::Lane::kNic,
+                  coll::TaskKind::kRdma, coll::Lane::kNone,
                   [&net, grank, board, src, dst, src_g, off, len] {
                     return net.rdma_get(grank, src_g,
                                         board->view(src).sub(off, len),
                                         dst.sub(off, len), net::Net::kStripe);
                   },
-                  coll::TaskOpts{label, phase, -1, len, -1, src_g})
+                  coll::TaskOpts{label, phase, -1, len, src_g})
             : g.add(
                   coll::TaskKind::kCma, coll::Lane::kCpu,
                   [&net, grank, board, src, dst, src_g, off, len] {
                     return net.cma_get(grank, board->view(src).sub(off, len),
                                        dst.sub(off, len), src_g);
                   },
-                  coll::TaskOpts{label, phase, -1, len, -1, src_g});
+                  coll::TaskOpts{label, phase, -1, len, src_g});
     g.depend(t, t_board);
     producers.add(producer_base + layout.offset(src) + off, len, t);
   };

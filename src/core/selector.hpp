@@ -75,7 +75,6 @@ class Selector {
   /// Rank applicable registry entries by their cost hooks instead of the
   /// static thresholds (the env and hierarchy overrides still win).
   void set_use_cost_model(bool on) noexcept { use_cost_model_ = on; }
-  bool use_cost_model() const noexcept { return use_cost_model_; }
 
   AllgatherSelection select_allgather(mpi::Comm& comm, int my,
                                       std::size_t msg) const;

@@ -94,41 +94,6 @@ sim::Task<void> Comm::wait_all(std::vector<Request> rs) {
   for (auto& r : rs) co_await wait(r);
 }
 
-sim::Task<void> Comm::notify_when_done(std::shared_ptr<Request::State> st,
-                                       std::shared_ptr<AnyState> any) {
-  while (!st->done) co_await st->cv.wait();
-  any->cv.notify_all();
-}
-
-sim::Task<std::size_t> Comm::wait_any(std::vector<Request>& rs) {
-  bool have_valid = false;
-  for (const auto& r : rs) have_valid = have_valid || r.valid();
-  if (!have_valid) {
-    throw std::invalid_argument("Comm::wait_any: no valid request");
-  }
-  // One watcher coroutine per pending request funnels completions into a
-  // shared condition (named coroutines with shared_ptr parameters — see
-  // the GCC 12 note in wait()). Watchers outliving this call is harmless:
-  // they hold their state alive and notify an AnyState nobody waits on.
-  const auto any = std::make_shared<AnyState>(engine());
-  bool spawned = false;
-  for (;;) {
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      if (rs[i].valid() && rs[i].st_->done) {
-        rs[i] = Request{};
-        co_return i;
-      }
-    }
-    if (!spawned) {
-      for (const auto& r : rs) {
-        if (r.valid()) engine().spawn(notify_when_done(r.st_, any));
-      }
-      spawned = true;
-    }
-    co_await any->cv.wait();
-  }
-}
-
 sim::Task<void> Comm::sendrecv(int my, int dst, int stag, hw::BufView sdata,
                                int src, int rtag, hw::BufView rout) {
   Request rr = irecv(my, src, rtag, rout);

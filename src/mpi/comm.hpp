@@ -100,10 +100,6 @@ class Comm {
 
   sim::Task<void> wait(Request r);
   sim::Task<void> wait_all(std::vector<Request> rs);
-  /// Wait for any valid request in `rs` to complete; returns its index and
-  /// invalidates that slot (MPI_Waitany). Throws std::invalid_argument when
-  /// `rs` holds no valid request.
-  sim::Task<std::size_t> wait_any(std::vector<Request>& rs);
 
   /// Synchronization barrier for harness/phase alignment. Costless in
   /// virtual time (rank coroutines align at max arrival time); the
@@ -130,15 +126,8 @@ class Comm {
   friend class World;
   Comm(World& world, int ctx, std::vector<int> granks);
 
-  struct AnyState {
-    explicit AnyState(sim::Engine& eng) : cv(eng) {}
-    sim::Condition cv;
-  };
-
   static sim::Task<void> run_and_signal(sim::Task<void> op,
                                         std::shared_ptr<Request::State> st);
-  static sim::Task<void> notify_when_done(std::shared_ptr<Request::State> st,
-                                          std::shared_ptr<AnyState> any);
 
   int wire_tag(int tag) const;
 

@@ -14,7 +14,7 @@ namespace {
 constexpr const char* kKnown[] = {
     Env::kAllgatherAlgo, Env::kAllreduceAlgo, Env::kAlltoallAlgo,
     Env::kReduceScatterAlgo, Env::kFaults, Env::kConformanceSeed,
-    Env::kStats, Env::kChunkBytes, Env::kHierarchy, Env::kGitSha,
+    Env::kStats, Env::kHierarchy, Env::kGitSha,
 };
 
 bool known_name(std::string_view name) {
@@ -102,10 +102,13 @@ int Env::warn_unknown(std::ostream& os) {
     const std::string_view name = entry.substr(0, entry.find('='));
     if (known_name(name)) continue;
     os << "hmca: warning: unknown environment variable " << name
-       << " (known: HMCA_ALLGATHER_ALGO, HMCA_ALLREDUCE_ALGO, "
-          "HMCA_ALLTOALL_ALGO, HMCA_REDUCE_SCATTER_ALGO, HMCA_FAULTS, "
-          "HMCA_CONFORMANCE_SEED, HMCA_STATS, HMCA_CHUNK_BYTES, "
-          "HMCA_HIERARCHY, HMCA_GIT_SHA)\n";
+       << " (known: ";
+    const char* sep = "";
+    for (const char* k : kKnown) {
+      os << sep << k;
+      sep = ", ";
+    }
+    os << ")\n";
     ++found;
   }
   return found;

@@ -9,7 +9,6 @@
 //   HMCA_FAULTS            rail fault plan (sim/fault.hpp spec string)
 //   HMCA_CONFORMANCE_SEED  conformance-suite sampling seed (strtoull base 0)
 //   HMCA_STATS             stats report format: text|json|csv (off|0 = none)
-//   HMCA_CHUNK_BYTES       dataflow chunk granularity in bytes (0 = auto)
 //   HMCA_HIERARCHY         leader-hierarchy depth override: auto|2|3|@file
 //                          (selector step 2; core::hierarchy_from_env)
 //   HMCA_GIT_SHA           source revision for provenance stamps (CI sets
@@ -17,7 +16,7 @@
 //
 // Unknown HMCA_*-prefixed variables are reported once per process (typo
 // guard: a misspelled override silently reverting to defaults is the worst
-// failure mode an env knob can have).
+// failure mode an env knob can have). The report lists the names above.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +58,6 @@ class Env {
   static constexpr const char* kFaults = "HMCA_FAULTS";
   static constexpr const char* kConformanceSeed = "HMCA_CONFORMANCE_SEED";
   static constexpr const char* kStats = "HMCA_STATS";
-  static constexpr const char* kChunkBytes = "HMCA_CHUNK_BYTES";
   static constexpr const char* kHierarchy = "HMCA_HIERARCHY";
   static constexpr const char* kGitSha = "HMCA_GIT_SHA";
 

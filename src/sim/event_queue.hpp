@@ -106,9 +106,6 @@ class CalendarQueue {
   bool empty() const noexcept { return count_ + lane_live_ == 0; }
   std::size_t size() const noexcept { return count_ + lane_live_; }
 
-  // Introspection for tests/diagnostics.
-  std::size_t bucket_count() const noexcept { return heads_.size(); }
-  double bucket_width() const noexcept { return width_; }
   /// Queued events held by the same-timestamp lane (included in size()).
   std::size_t lane_size() const noexcept { return lane_live_; }
 

@@ -99,9 +99,6 @@ class FluidNetwork {
   ResourceId add_resource(std::string name, double capacity_bytes_per_s);
 
   double capacity(ResourceId r) const { return res_cap_.at(r); }
-  const std::string& resource_name(ResourceId r) const {
-    return resources_.at(r).name;
-  }
   /// Total traffic (payload * weight) served by a resource so far.
   double bytes_served(ResourceId r) const { return res_served_.at(r); }
   std::size_t resource_count() const { return resources_.size(); }

@@ -7,7 +7,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -62,7 +61,6 @@ class Condition {
     eng_->schedule_now(h);
   }
 
-  std::size_t waiter_count() const noexcept { return waiters_.size(); }
   Engine& engine() const noexcept { return *eng_; }
 
  private:
@@ -95,8 +93,6 @@ class Semaphore {
     scratch_.swap(waiters_);
     for (auto h : scratch_) eng_->schedule_now(h);
   }
-
-  std::int64_t available() const noexcept { return count_; }
 
  private:
   struct WaitAwaiter {
@@ -137,33 +133,6 @@ class Barrier {
   std::uint64_t generation_ = 0;
 };
 
-/// Single-producer/single-consumer-friendly mailbox of values (also safe
-/// for multiple producers/consumers; consumers receive in FIFO order).
-template <class T>
-class Mailbox {
- public:
-  explicit Mailbox(Engine& eng) : cv_(eng) {}
-
-  void put(T v) {
-    items_.push_back(std::move(v));
-    cv_.notify_all();
-  }
-
-  Task<T> get() {
-    co_await cv_.wait_until([&] { return !items_.empty(); });
-    T v = std::move(items_.front());
-    items_.pop_front();
-    co_return v;
-  }
-
-  bool empty() const noexcept { return items_.empty(); }
-  std::size_t size() const noexcept { return items_.size(); }
-
- private:
-  Condition cv_;
-  std::deque<T> items_;
-};
-
 /// Tracks a set of forked child tasks; `wait()` resumes when all complete.
 /// Children run as engine root tasks, so their exceptions surface in run().
 class WaitGroup {
@@ -190,11 +159,5 @@ class WaitGroup {
   Condition cv_;
   int pending_ = 0;
 };
-
-/// Await all tasks in a vector, in order (they execute concurrently only if
-/// already running; for concurrent execution use WaitGroup).
-inline Task<void> await_all(std::vector<Task<void>> tasks) {
-  for (auto& t : tasks) co_await std::move(t);
-}
 
 }  // namespace hmca::sim

@@ -23,7 +23,4 @@ constexpr double to_us(Duration d) { return d * 1e6; }
 /// Convert microseconds to seconds.
 constexpr Duration from_us(double us) { return us * 1e-6; }
 
-/// Convert nanoseconds to seconds.
-constexpr Duration from_ns(double ns) { return ns * 1e-9; }
-
 }  // namespace hmca::sim

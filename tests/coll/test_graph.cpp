@@ -3,7 +3,6 @@
 // the chunk policy. `ctest -L dataflow` runs this suite.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -146,7 +145,7 @@ TEST(GraphExecutor, TransientFaultRetriesWithBackoff) {
   obs::CollectSink sink(&tracer, &metrics);
   std::vector<int> order;
   TaskGraph g;
-  g.add(TaskKind::kSend, Lane::kNic, body(eng, order, 0));
+  g.add(TaskKind::kSend, Lane::kNone, body(eng, order, 0));
   ExecOptions opts;
   opts.fail_injector = [](int, int attempt) { return attempt < 2; };
   GraphExecutor exec(eng, sink, 0, opts);
@@ -156,14 +155,14 @@ TEST(GraphExecutor, TransientFaultRetriesWithBackoff) {
   EXPECT_EQ(exec.retries(), 2u);
   EXPECT_EQ(metrics.counter_value("coll.task_retries"), 2.0);
   // Backoff doubles: the success attempt starts no earlier than base + 2x.
-  EXPECT_GE(eng.now(), 3 * ExecOptions{}.retry_backoff);
+  EXPECT_GE(eng.now(), 3 * kTaskRetryBackoff);
 }
 
 TEST(GraphExecutor, ExhaustedRetriesSurfaceTheError) {
   sim::Engine eng;
   std::vector<int> order;
   TaskGraph g;
-  g.add(TaskKind::kSend, Lane::kNic, body(eng, order, 0));
+  g.add(TaskKind::kSend, Lane::kNone, body(eng, order, 0));
   ExecOptions opts;
   opts.fail_injector = [](int, int) { return true; };
   GraphExecutor exec(eng, obs::null_sink(), 0, opts);
@@ -171,8 +170,7 @@ TEST(GraphExecutor, ExhaustedRetriesSurfaceTheError) {
   eng.spawn(drive_expecting_error(exec, g, threw));
   eng.run();
   EXPECT_TRUE(threw);
-  EXPECT_EQ(exec.retries(),
-            static_cast<std::uint64_t>(ExecOptions{}.max_retries));
+  EXPECT_EQ(exec.retries(), static_cast<std::uint64_t>(kMaxTaskRetries));
   EXPECT_TRUE(order.empty());
 }
 
@@ -215,28 +213,6 @@ TEST(GraphExecutor, PipelineDepthReflectsConcurrency) {
   EXPECT_LT(eng.now(), 2 * kTick);
 }
 
-TEST(GraphExecutor, NicLanesAdmitPerRail) {
-  // nic_slots=1 with two rails: tasks on the same rail serialize, tasks on
-  // different rails run concurrently.
-  sim::Engine eng;
-  std::vector<int> order;
-  TaskGraph g;
-  g.add(TaskKind::kSend, Lane::kNic, body(eng, order, 0),
-        TaskOpts{"", "", -1, 0, 0, -1});
-  g.add(TaskKind::kSend, Lane::kNic, body(eng, order, 1),
-        TaskOpts{"", "", -1, 0, 0, -1});
-  g.add(TaskKind::kSend, Lane::kNic, body(eng, order, 2),
-        TaskOpts{"", "", -1, 0, 1, -1});
-  ExecOptions opts;
-  opts.nic_slots = 1;
-  GraphExecutor exec(eng, obs::null_sink(), 0, opts);
-  eng.spawn(drive(exec, g));
-  eng.run();
-  EXPECT_EQ(order.size(), 3u);
-  EXPECT_EQ(exec.pipeline_depth(), 2);
-  EXPECT_DOUBLE_EQ(eng.now(), 2 * kTick);  // rail 0 serializes its two tasks
-}
-
 TEST(GraphExecutor, TaskSpansCarryKindAndChunkTags) {
   sim::Engine eng;
   trace::Tracer tracer;
@@ -244,7 +220,7 @@ TEST(GraphExecutor, TaskSpansCarryKindAndChunkTags) {
   std::vector<int> order;
   TaskGraph g;
   g.add(TaskKind::kSend, Lane::kNone, body(eng, order, 0),
-        TaskOpts{"s2", "phase2", 5, 4096, -1, 3});
+        TaskOpts{"s2", "phase2", 5, 4096, 3});
   GraphExecutor exec(eng, sink, 0);
   eng.spawn(drive(exec, g));
   eng.run();
@@ -272,7 +248,7 @@ TEST(GraphExecutor, IdenticalGraphsRunDeterministically) {
     std::vector<int> ids;
     for (int i = 0; i < 6; ++i) {
       ids.push_back(g.add(i % 2 == 0 ? TaskKind::kCopy : TaskKind::kSend,
-                          i % 2 == 0 ? Lane::kCpu : Lane::kNic,
+                          i % 2 == 0 ? Lane::kCpu : Lane::kNone,
                           body(eng, order, i, (i + 1) * kTick)));
     }
     g.depend(ids[4], ids[1]);
@@ -309,7 +285,7 @@ class ChunkPolicy : public ::testing::Test {
 };
 
 TEST_F(ChunkPolicy, AutoKeepsSmallTransfersWhole) {
-  set_chunk_bytes_override(0);  // force auto regardless of environment
+  set_chunk_bytes_override(0);  // 0 = auto
   EXPECT_EQ(chunks_for(0), 1);
   EXPECT_EQ(chunks_for(1), 1);
   EXPECT_EQ(chunks_for(64 * 1024), 1);
@@ -322,7 +298,7 @@ TEST_F(ChunkPolicy, OverrideSetsGranularityAndCaps) {
   EXPECT_EQ(chunks_for(4096), 4);
   EXPECT_EQ(chunks_for(4097), 5);
   EXPECT_EQ(chunks_for(1u << 20), kMaxChunks);  // capped, never unbounded
-  set_chunk_bytes_override(-1);                 // back to env / auto
+  set_chunk_bytes_override(-1);                 // back to auto
 }
 
 TEST_F(ChunkPolicy, ChunkRangesTileTheTransfer) {
@@ -337,17 +313,6 @@ TEST_F(ChunkPolicy, ChunkRangesTileTheTransfer) {
     }
     EXPECT_EQ(expect_off, bytes) << "bytes=" << bytes;
   }
-}
-
-TEST_F(ChunkPolicy, EnvValueParsesAndRejectsGarbage) {
-  set_chunk_bytes_override(-1);
-  ASSERT_EQ(setenv("HMCA_CHUNK_BYTES", "2048", 1), 0);
-  EXPECT_EQ(configured_chunk_bytes(), 2048u);
-  EXPECT_EQ(chunks_for(8192), 4);
-  ASSERT_EQ(setenv("HMCA_CHUNK_BYTES", "lots", 1), 0);
-  EXPECT_THROW(configured_chunk_bytes(), std::invalid_argument);
-  ASSERT_EQ(unsetenv("HMCA_CHUNK_BYTES"), 0);
-  EXPECT_EQ(configured_chunk_bytes(), 0u);
 }
 
 }  // namespace

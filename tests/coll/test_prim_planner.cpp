@@ -110,7 +110,7 @@ TEST(PrimPlanner, ReduceCombinesContributorsIntoRootOnly) {
   prog.nranks = 4;
   prog.recv_bytes = 8 * 8;
   prog.reduce(1, {0, 2, 3}, Space::kRecv, {0, 8 * 8}, mpi::Dtype::kInt64,
-              mpi::ReduceOp::kSum, false);
+              mpi::ReduceOp::kSum);
 
   auto bufs = run_program(2, 2, prog, [](int r, RankBufs& b) {
     for (std::size_t e = 0; e < 8; ++e) {
@@ -132,7 +132,7 @@ TEST(PrimPlanner, OrderedFloatReduceIsExactForIntValuedData) {
   prog.nranks = 4;
   prog.recv_bytes = 16 * 4;
   prog.reduce(0, {1, 2, 3}, Space::kRecv, {0, 16 * 4}, mpi::Dtype::kFloat,
-              mpi::ReduceOp::kSum, /*ordered=*/true);
+              mpi::ReduceOp::kSum);
 
   auto bufs = run_program(2, 2, prog, [](int r, RankBufs& b) {
     for (std::size_t e = 0; e < 16; ++e) {
@@ -154,7 +154,7 @@ TEST(PrimPlanner, FenceOrdersReduceBeforeMulticastBack) {
   prog.nranks = 4;
   prog.recv_bytes = kCount * 8;
   prog.reduce(0, {1, 2, 3}, Space::kRecv, {0, kCount * 8},
-              mpi::Dtype::kInt64, mpi::ReduceOp::kSum, false);
+              mpi::Dtype::kInt64, mpi::ReduceOp::kSum);
   prog.fence();
   prog.multicast(0, {0, 1, 2, 3}, Space::kRecv, {0, kCount * 8}, Space::kRecv,
                  0);
@@ -302,7 +302,7 @@ TEST(PrimPlanner, MultiChunkReduceSplitsByElements) {
   prog.nranks = 4;
   prog.recv_bytes = kCount * 8;
   prog.reduce(0, {1, 2, 3}, Space::kRecv, {0, kCount * 8}, mpi::Dtype::kInt64,
-              mpi::ReduceOp::kSum, false);
+              mpi::ReduceOp::kSum);
 
   auto bufs = run_program(2, 2, prog, [](int r, RankBufs& b) {
     for (std::size_t e = 0; e < kCount; ++e) {
@@ -330,7 +330,7 @@ TEST(PrimPlanner, ZeroLengthTransfersAreNoops) {
   prog.multicast(0, {0, 1}, Space::kRecv, {0, 0}, Space::kRecv, 8);
   prog.fence();
   prog.reduce(0, {1}, Space::kRecv, {0, 0}, mpi::Dtype::kInt64,
-              mpi::ReduceOp::kSum, false);
+              mpi::ReduceOp::kSum);
 
   auto bufs = run_program(1, 2, prog, [](int r, RankBufs& b) {
     for (std::size_t i = 0; i < 16; ++i) {

@@ -39,37 +39,20 @@ Program base(int nranks = 4) {
   return p;
 }
 
-// ---- satellite requirement: reduce on a non-commutative dtype without
-// ordered mode is a composition error ----
-
-TEST(PrimProgram, ReduceFloatWithoutOrderedRejected) {
-  Program p = base();
-  p.reduce(0, {1, 2, 3}, Space::kRecv, {0, 64}, mpi::Dtype::kFloat,
-           mpi::ReduceOp::kSum, /*ordered=*/false);
-  const std::string msg = rejection(p);
-  EXPECT_NE(msg.find("non-commutative dtype float"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("ordered"), std::string::npos) << msg;
-}
-
-TEST(PrimProgram, ReduceDoubleWithoutOrderedRejected) {
-  Program p = base();
-  p.reduce(0, {1}, Space::kScratch, {8, 16}, mpi::Dtype::kDouble,
-           mpi::ReduceOp::kMax, /*ordered=*/false);
-  EXPECT_NE(rejection(p).find("non-commutative dtype double"),
-            std::string::npos);
-}
+// ---- every reduce combines in declared peer order, so floating-point
+// reduces need no extra declaration ----
 
 TEST(PrimProgram, OrderedFloatReduceAccepted) {
   Program p = base();
   p.reduce(0, {1, 2, 3}, Space::kRecv, {0, 64}, mpi::Dtype::kFloat,
-           mpi::ReduceOp::kSum, /*ordered=*/true);
+           mpi::ReduceOp::kSum);
   EXPECT_NO_THROW(p.validate());
 }
 
 TEST(PrimProgram, IntReduceNeedsNoOrdering) {
   Program p = base();
   p.reduce(0, {1, 2}, Space::kRecv, {0, 32}, mpi::Dtype::kInt64,
-           mpi::ReduceOp::kProd, /*ordered=*/false);
+           mpi::ReduceOp::kProd);
   EXPECT_NO_THROW(p.validate());
 }
 
@@ -134,7 +117,7 @@ TEST(PrimProgram, DuplicatePeerRejected) {
 TEST(PrimProgram, RootListedAsContributorRejected) {
   Program p = base();
   p.reduce(2, {1, 2}, Space::kRecv, {0, 8}, mpi::Dtype::kInt32,
-           mpi::ReduceOp::kSum, false);
+           mpi::ReduceOp::kSum);
   EXPECT_NE(rejection(p).find("root 2 listed as its own contributor"),
             std::string::npos);
 }
@@ -146,7 +129,7 @@ TEST(PrimProgram, WritingSendSpaceRejected) {
 
   Program rd = base();
   rd.reduce(0, {1}, Space::kSend, {0, 8}, mpi::Dtype::kInt32,
-            mpi::ReduceOp::kSum, false);
+            mpi::ReduceOp::kSum);
   EXPECT_NE(rejection(rd).find("read-only send space"), std::string::npos);
 }
 
@@ -161,7 +144,7 @@ TEST(PrimProgram, UnshardWithoutShardRejected) {
 TEST(PrimProgram, ReduceRangeMustBeElementAligned) {
   Program p = base();
   p.reduce(0, {1}, Space::kRecv, {0, 10}, mpi::Dtype::kInt32,
-           mpi::ReduceOp::kSum, false);
+           mpi::ReduceOp::kSum);
   EXPECT_NE(rejection(p).find("not a multiple of the 4-byte element size"),
             std::string::npos);
 }

@@ -113,8 +113,8 @@ TEST(ReduceScatterHalving, ExactOnPowerOfTwoWorlds) {
 }
 
 TEST(ReduceScatterHalving, FloatUsesOrderedCombines) {
-  // The rh builder declares ordered reduces, so float is accepted and
-  // exact for int-valued inputs.
+  // Reduces combine in declared peer order, so float is exact for
+  // int-valued inputs.
   expect_owned_chunks_ok(fn_rh(), "rh", healthy(2, 4), 64,
                          mpi::Dtype::kFloat, mpi::ReduceOp::kSum);
 }

@@ -226,55 +226,5 @@ TEST(Comm, RequestTestProbesCompletion) {
   EXPECT_EQ(dst.as<char>()[0], 'T');
 }
 
-TEST(Comm, WaitAnyCompletesInArrivalOrder) {
-  sim::Engine eng;
-  World w(eng, hw::ClusterSpec::thor(2, 1));
-  auto& comm = w.comm_world();
-  // Tag 0 is an eager-sized message; tag 1 a rendezvous-sized one, so the
-  // small transfer must complete (and wait_any return) first.
-  auto s0 = filled(32, 'A');
-  auto s1 = filled(1 << 20, 'B');
-  auto d0 = hw::Buffer::data(32);
-  auto d1 = hw::Buffer::data(1 << 20);
-  std::vector<Request> reqs;
-  std::vector<std::size_t> order;
-  auto sender = [&]() -> sim::Task<void> {
-    std::vector<Request> out;
-    out.push_back(comm.isend(0, 1, 0, s0.view()));
-    out.push_back(comm.isend(0, 1, 1, s1.view()));
-    co_await comm.wait_all(std::move(out));
-  };
-  auto receiver = [&]() -> sim::Task<void> {
-    reqs.push_back(comm.irecv(1, 0, 0, d0.view()));
-    reqs.push_back(comm.irecv(1, 0, 1, d1.view()));
-    for (std::size_t left = reqs.size(); left > 0; --left) {
-      order.push_back(co_await comm.wait_any(reqs));
-    }
-  };
-  eng.spawn(sender());
-  eng.spawn(receiver());
-  eng.run();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 0u);
-  EXPECT_EQ(order[1], 1u);
-  // Completed slots were reset so repeated wait_any never re-returns them.
-  EXPECT_FALSE(reqs[0].valid());
-  EXPECT_FALSE(reqs[1].valid());
-  EXPECT_EQ(d0.as<char>()[0], 'A');
-  EXPECT_EQ(d1.as<char>()[0], 'B');
-}
-
-TEST(Comm, WaitAnyWithNoValidRequestThrows) {
-  sim::Engine eng;
-  World w(eng, hw::ClusterSpec::thor(2, 1));
-  auto& comm = w.comm_world();
-  auto t = [&]() -> sim::Task<void> {
-    std::vector<Request> rs(2);  // all invalid
-    co_await comm.wait_any(rs);
-  };
-  eng.spawn(t());
-  EXPECT_THROW(eng.run(), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace hmca::mpi

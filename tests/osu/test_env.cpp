@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "osu/env.hpp"
 
@@ -109,6 +110,31 @@ TEST(Env, WarnUnknownFlagsTypoedVariables) {
   // "(known: ...)" suffix, so match the full "variable <name>" form).
   EXPECT_EQ(os.str().find("variable HMCA_STATS"), std::string::npos)
       << os.str();
+}
+
+TEST(Env, WarnUnknownFlagsRetiredChunkBytes) {
+  // The chunk size is fixed policy now; a leftover setting must not pass
+  // silently as if it still applied.
+  ScopedEnv retired("HMCA_CHUNK_BYTES", "4096");
+  std::ostringstream os;
+  EXPECT_GE(Env::warn_unknown(os), 1);
+  EXPECT_NE(os.str().find("variable HMCA_CHUNK_BYTES"), std::string::npos)
+      << os.str();
+}
+
+TEST(Env, WarnUnknownListsEveryKnownVariable) {
+  ScopedEnv typo("HMCA_STATZ", "json");
+  std::ostringstream os;
+  ASSERT_GE(Env::warn_unknown(os), 1);
+  const std::string known =
+      std::string("(known: ") + Env::kAllgatherAlgo + ", " +
+      Env::kAllreduceAlgo + ", " + Env::kAlltoallAlgo + ", " +
+      Env::kReduceScatterAlgo + ", " + Env::kFaults + ", " +
+      Env::kConformanceSeed + ", " + Env::kStats + ", " + Env::kHierarchy +
+      ", " + Env::kGitSha + ")\n";
+  const std::string line =
+      "hmca: warning: unknown environment variable HMCA_STATZ " + known;
+  EXPECT_NE(os.str().find(line), std::string::npos) << os.str();
 }
 
 TEST(Env, WarnUnknownSilentWhenEnvironmentIsClean) {

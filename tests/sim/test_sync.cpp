@@ -188,25 +188,6 @@ TEST(Barrier, IsCyclic) {
   EXPECT_DOUBLE_EQ(eng.now(), 6.0);  // slowest party dominates each round
 }
 
-TEST(Mailbox, DeliversInFifoOrder) {
-  Engine eng;
-  Mailbox<int> box(eng);
-  std::vector<int> got;
-  auto consumer = [&](Engine&) -> Task<void> {
-    for (int i = 0; i < 3; ++i) got.push_back(co_await box.get());
-  };
-  auto producer = [&](Engine& e) -> Task<void> {
-    for (int i = 0; i < 3; ++i) {
-      co_await e.sleep(1.0);
-      box.put(i);
-    }
-  };
-  eng.spawn(consumer(eng));
-  eng.spawn(producer(eng));
-  eng.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2}));
-}
-
 TEST(WaitGroup, WaitsForAllChildren) {
   Engine eng;
   WaitGroup wg(eng);
