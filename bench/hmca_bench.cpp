@@ -14,9 +14,11 @@
 //       or unblessed drift, 2 = usage / IO errors. Latency drift is
 //       auto-attributed (phase/resource/rail/decision margins) in the
 //       findings; --attribution writes the full hmca-diff-1 JSON.
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -71,6 +73,16 @@ double parse_double(const std::string& flag, const std::string& value) {
   }
 }
 
+/// A finite value >= 0: NaN or infinity would pass every drift gate.
+double parse_tolerance(const std::string& flag, const std::string& value) {
+  const double v = parse_double(flag, value);
+  if (!std::isfinite(v) || v < 0) {
+    throw std::invalid_argument(flag + ": expected a finite value >= 0, got '" +
+                                value + "'");
+  }
+  return v;
+}
+
 int cmd_run(const std::vector<std::string>& args) {
   std::string campaign = "default";
   perf::RunOptions opts;
@@ -85,11 +97,15 @@ int cmd_run(const std::vector<std::string>& args) {
     } else if (take_value(args, i, "--out", value)) {
       out_path = value;
     } else if (take_value(args, i, "--repeats", value)) {
-      opts.wallclock_repeats = static_cast<int>(
-          parse_double("--repeats", value));
-      if (opts.wallclock_repeats < 1) {
-        throw std::invalid_argument("--repeats must be >= 1");
+      // Checked before the cast: a fraction would truncate and a huge
+      // value is an out-of-range conversion.
+      const double n = parse_double("--repeats", value);
+      if (!(n >= 1 && n <= std::numeric_limits<int>::max()) ||
+          n != std::floor(n)) {
+        throw std::invalid_argument(
+            "--repeats: expected an integer >= 1, got '" + value + "'");
       }
+      opts.wallclock_repeats = static_cast<int>(n);
     } else if (take_value(args, i, "--topo", value)) {
       opts.topo = value;
     } else if (args[i] == "--no-wallclock") {
@@ -166,9 +182,10 @@ int cmd_compare(const std::vector<std::string>& args) {
     if (args[i] == "--bless") {
       opts.bless = true;
     } else if (take_value(args, i, "--epsilon", value)) {
-      opts.epsilon_rel = parse_double("--epsilon", value);
+      opts.epsilon_rel = parse_tolerance("--epsilon", value);
     } else if (take_value(args, i, "--wallclock-threshold", value)) {
-      opts.wallclock_threshold = parse_double("--wallclock-threshold", value);
+      opts.wallclock_threshold =
+          parse_tolerance("--wallclock-threshold", value);
     } else if (take_value(args, i, "--report", value)) {
       report_path = value;
     } else if (take_value(args, i, "--attribution", value)) {

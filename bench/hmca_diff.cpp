@@ -12,6 +12,7 @@
 // Exit status: 0 on a clean diff, 2 on usage/load errors *and* on a world
 // mismatch — comparing different topologies is a shape change, not a
 // regression, and the caller must say --force to mean it.
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -50,6 +51,7 @@ bool take_value(int argc, char** argv, int& i, const char* flag,
   }
   if (arg.rfind(f + "=", 0) == 0) {
     *out = arg.substr(f.size() + 1);
+    if (out->empty()) throw std::invalid_argument(f + " needs a value");
     return true;
   }
   return false;
@@ -86,7 +88,15 @@ int main(int argc, char** argv) {
     if (base.empty() || next.empty()) return usage(std::cerr, 2);
 
     hmca::obs::DiffOptions opts;
-    if (!top.empty()) opts.top_k = std::stoi(top);
+    if (!top.empty()) {
+      const char* end = top.data() + top.size();
+      const auto [ptr, ec] = std::from_chars(top.data(), end, opts.top_k);
+      if (ec != std::errc{} || ptr != end || opts.top_k < 0) {
+        std::cerr << "hmca-diff: --top: expected an integer >= 0, got '"
+                  << top << "'\n";
+        return 2;
+      }
+    }
 
     const hmca::obs::DiffReport rep =
         hmca::perf::diff_artifacts(base, next, opts);
