@@ -66,26 +66,6 @@ bool take_value(const std::vector<std::string>& args, std::size_t& i,
   return false;
 }
 
-/// Benches print their latency tables and the stats block to the same
-/// stdout, so `--stats` also accepts a full transcript: when the file is
-/// not pure JSON, parse the trailing object starting at the last line that
-/// is exactly "{" (same recovery as tools/validate_json.py).
-perf::Json parse_json_or_transcript(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw perf::JsonError("cannot read '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  try {
-    return perf::Json::parse(text);
-  } catch (const perf::JsonError&) {
-    const std::string::size_type brace = text.rfind("\n{\n");
-    if (brace == std::string::npos) throw;
-    return perf::Json::parse(
-        std::string_view(text).substr(brace + 1));
-  }
-}
-
 obs::Labels parse_labels(const perf::Json& j) {
   obs::Labels out;
   if (j.is_object()) {
@@ -144,7 +124,7 @@ obs::Utilization parse_utilization(const perf::Json& j) {
 }
 
 void load_stats(obs::ReportData& data, const std::string& path) {
-  const perf::Json doc = parse_json_or_transcript(path);
+  const perf::Json doc = perf::parse_json_or_transcript(path);
   if (data.title.empty()) data.title = doc.string_at("bench");
   data.sources.push_back("stats: " + path);
   for (const auto& inv : doc.at("invocations").array()) {

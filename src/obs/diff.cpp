@@ -286,16 +286,8 @@ RunSummary summarize_invocation(std::string id, std::string op,
       rs.task_us[std::string(names::strip_chunk(s.label))] +=
           (s.t1 - s.t0) * 1e6;
     }
-    if (s.kind == trace::Kind::kPhase &&
-        s.label.rfind(names::kSelectPrefix, 0) == 0) {
-      const std::string dec =
-          s.label.substr(std::string(names::kSelectPrefix).size());
-      if (std::find(rs.decisions.begin(), rs.decisions.end(), dec) ==
-          rs.decisions.end()) {
-        rs.decisions.push_back(dec);
-      }
-    }
   }
+  rs.decisions = names::decision_labels(spans);
   std::sort(rs.decisions.begin(), rs.decisions.end());
 
   if (metrics != nullptr) {

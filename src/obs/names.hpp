@@ -13,9 +13,12 @@
 // string fields and string concatenation.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "trace/trace.hpp"
 
@@ -88,6 +91,24 @@ inline std::string_view strip_chunk(std::string_view label) {
     if (label[i] < '0' || label[i] > '9') return label;
   }
   return pos + 2 < label.size() ? label.substr(0, pos) : label;
+}
+
+/// The selector decisions recorded in `spans`: the text after "select:" of
+/// each decision span, unique, in first-seen order.
+inline std::vector<std::string> decision_labels(
+    const std::vector<trace::Span>& spans) {
+  std::vector<std::string> out;
+  for (const auto& s : spans) {
+    if (s.kind != trace::Kind::kPhase ||
+        s.label.rfind(kSelectPrefix, 0) != 0) {
+      continue;
+    }
+    std::string d = s.label.substr(std::string_view(kSelectPrefix).size());
+    if (std::find(out.begin(), out.end(), d) == out.end()) {
+      out.push_back(std::move(d));
+    }
+  }
+  return out;
 }
 
 // ---- Resource classes ----

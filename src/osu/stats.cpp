@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/chrome_trace.hpp"
+#include "obs/names.hpp"
 #include "obs/report.hpp"
 #include "obs/sink.hpp"
 #include "osu/harness.hpp"
@@ -25,23 +26,6 @@ std::string fraction(double f) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.4f", f);
   return buf;
-}
-
-std::vector<std::string> decision_labels(const std::vector<trace::Span>& spans) {
-  std::vector<std::string> out;
-  for (const auto& s : spans) {
-    if (s.label.rfind("select:", 0) != 0) continue;
-    const std::string d = s.label.substr(7);
-    bool seen = false;
-    for (const auto& have : out) {
-      if (have == d) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) out.push_back(d);
-  }
-  return out;
 }
 
 }  // namespace
@@ -109,7 +93,7 @@ double StatsSession::capture(const char* op, Harness<Fn> measure,
   rec.world = world_fingerprint(spec);
   rec.msg_bytes = msg_bytes;
   rec.seconds = seconds;
-  rec.decisions = decision_labels(tracer.spans());
+  rec.decisions = obs::names::decision_labels(tracer.spans());
   rec.overlap_fraction = obs::phase_overlap_fraction(tracer.spans());
   rec.critical_path = obs::analyze_critical_path(tracer.spans());
   rec.timeline = obs::build_timeline(tracer.spans(), samples, seconds);

@@ -51,9 +51,8 @@ std::string string_or(const Json& obj, const char* key) {
   return v != nullptr && v->is_string() ? v->string() : std::string{};
 }
 
-/// Same trailing-object recovery as tools/validate_json.py and
-/// hmca-report: a stats transcript is human output followed by one JSON
-/// object whose opening brace sits alone on its line.
+}  // namespace
+
 Json parse_json_or_transcript(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw JsonError("cannot read '" + path + "'");
@@ -68,8 +67,6 @@ Json parse_json_or_transcript(const std::string& path) {
     return Json::parse(std::string_view(text).substr(brace + 1));
   }
 }
-
-}  // namespace
 
 std::string sniff_artifact(const Json& doc) {
   if (!doc.is_object()) {

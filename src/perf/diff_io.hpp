@@ -45,6 +45,13 @@ struct LoadedRun {
   std::vector<obs::RunSummary> runs;
 };
 
+/// Read and parse a JSON file, or the JSON object that ends a stats
+/// transcript (bench tables, then the stats block on stdout): when the file
+/// is not pure JSON, parse from the last line that is exactly "{" (same
+/// recovery as tools/validate_json.py). Throws JsonError when the file
+/// cannot be read or parsed.
+Json parse_json_or_transcript(const std::string& path);
+
 /// Artifact family of a parsed document: "bench" (format=="hmca-bench-1"),
 /// "trace" (has traceEvents), "stats" (has bench + invocations). Throws
 /// std::invalid_argument naming the top-level keys when none match.

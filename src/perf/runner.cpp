@@ -123,14 +123,8 @@ PointResult measure_collective(const Scenario& sc, std::size_t bytes) {
   }
   PointResult pt{bytes, collective_metrics(seconds, tracer, metrics, samples),
                  {}};
-  std::vector<std::string> decisions;
-  for (const auto& s : tracer.spans()) {
-    if (s.label.rfind("select:", 0) != 0) continue;
-    const std::string d = s.label.substr(7);
-    if (std::find(decisions.begin(), decisions.end(), d) == decisions.end()) {
-      decisions.push_back(d);
-    }
-  }
+  std::vector<std::string> decisions =
+      obs::names::decision_labels(tracer.spans());
   std::sort(decisions.begin(), decisions.end());
   for (const auto& d : decisions) {
     if (!pt.decision.empty()) pt.decision += "; ";
