@@ -39,37 +39,21 @@ void ring_rs_prims(Program& prog, const std::vector<int>& members,
 
 }  // namespace
 
-Program alltoallv_direct(int nranks, const std::vector<std::size_t>& counts) {
-  const std::size_t n = static_cast<std::size_t>(nranks);
+Program alltoallv_direct(const AlltoallvLayout& layout) {
+  const int n = layout.nranks;
   Program prog;
-  prog.nranks = nranks;
-  // Prefix-sum offsets; space extents are the per-rank maxima.
-  std::vector<std::size_t> send_off(n * n, 0), recv_off(n * n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t acc = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      send_off[i * n + j] = acc;
-      acc += counts[i * n + j];
-    }
-    prog.send_bytes = std::max(prog.send_bytes, acc);
+  prog.nranks = n;
+  for (int r = 0; r < n; ++r) {
+    prog.send_bytes = std::max(prog.send_bytes, layout.send_total(r));
+    prog.recv_bytes = std::max(prog.recv_bytes, layout.recv_total(r));
   }
-  for (std::size_t j = 0; j < n; ++j) {
-    std::size_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      recv_off[i * n + j] = acc;
-      acc += counts[i * n + j];
-    }
-    prog.recv_bytes = std::max(prog.recv_bytes, acc);
-  }
-  for (int i = 0; i < nranks; ++i) {
-    for (int j = 0; j < nranks; ++j) {
-      const std::size_t c = counts[static_cast<std::size_t>(i) * n +
-                                   static_cast<std::size_t>(j)];
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      const std::size_t c = layout.count(i, j);
       if (c == 0) continue;
-      Prim& p = prog.multicast(
-          i, {j}, Space::kSend,
-          {send_off[static_cast<std::size_t>(i) * n + j], c}, Space::kRecv,
-          recv_off[static_cast<std::size_t>(i) * n + j]);
+      Prim& p = prog.multicast(i, {j}, Space::kSend,
+                               {layout.send_offset(i, j), c}, Space::kRecv,
+                               layout.recv_offset(i, j));
       p.label = "a2av-direct";
       p.phase = "exchange";
     }

@@ -6,8 +6,9 @@
 // Buffer contracts (matching the collective function signatures that call
 // them):
 //
-//   alltoallv_direct   send space holds this rank's outgoing blocks,
-//       recv space receives one block per source rank.
+//   alltoallv_direct   send space holds this rank's outgoing blocks in
+//       destination order, recv space receives one block per source rank
+//       in source order, at the offsets the AlltoallvLayout gives.
 //   reduce_scatter_ring / reduce_scatter_rh   in-place over the recv
 //       space; on return rank r owns the fully-reduced element range
 //       `chunk_range(count, nranks, r)` (ring) or block r (rh).
@@ -23,17 +24,19 @@
 #include <cstddef>
 #include <vector>
 
+#include "coll/alltoall.hpp"
 #include "coll/prim/program.hpp"
 #include "mpi/datatype.hpp"
 
 namespace hmca::coll::prim {
 
 /// Full-mesh alltoallv: one transfer per nonempty (src, dst) block, local
-/// copies included. `counts[i * nranks + j]` is the byte count rank i
-/// sends to rank j; send/recv offsets are the standard prefix sums. The
-/// program's space extents are the maxima over ranks — every rank's own
-/// transfers stay inside its actual buffer extents.
-Program alltoallv_direct(int nranks, const std::vector<std::size_t>& counts);
+/// copies included. Block sizes and send/recv offsets are the layout's
+/// (coll/alltoall.hpp), so a uniform layout plans a fixed-size alltoall.
+/// The program's space extents are the maxima of the layout's per-rank
+/// totals — every rank's own transfers stay inside its actual buffer
+/// extents.
+Program alltoallv_direct(const AlltoallvLayout& layout);
 
 /// Hierarchical leader-exchange alltoall over one partition of the world
 /// into `groups` (e.g. nodes). Four phases: gather (members -> leader

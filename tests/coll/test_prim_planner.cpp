@@ -372,9 +372,7 @@ TEST(PrimPlanner, BuilderRunsOncePerCall) {
                            [&builds, p] {
                              ++builds;
                              return alltoallv_direct(
-                                 p, std::vector<std::size_t>(
-                                        static_cast<std::size_t>(p * p),
-                                        std::size_t{kMsg}));
+                                 coll::AlltoallvLayout::uniform(p, kMsg));
                            }));
   }
   eng.run();

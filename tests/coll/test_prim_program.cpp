@@ -197,7 +197,7 @@ TEST(PrimProgram, PlannerValidatesBeforeLowering) {
 
 TEST(PrimProgram, BuilderProgramsValidate) {
   EXPECT_NO_THROW(
-      alltoallv_direct(8, std::vector<std::size_t>(64, 4096)).validate());
+      alltoallv_direct(coll::AlltoallvLayout::uniform(8, 4096)).validate());
   EXPECT_NO_THROW(reduce_scatter_ring(6, 1000, mpi::Dtype::kDouble,
                                       mpi::ReduceOp::kSum)
                       .validate());
