@@ -7,7 +7,8 @@
 //   HMCA_ALLTOALL_ALGO     pin a registry alltoall (selector step 1)
 //   HMCA_REDUCE_SCATTER_ALGO  pin a registry reduce_scatter (selector step 1)
 //   HMCA_FAULTS            rail fault plan (sim/fault.hpp spec string)
-//   HMCA_CONFORMANCE_SEED  conformance-suite sampling seed (strtoull base 0)
+//   HMCA_CONFORMANCE_SEED  conformance-suite sampling seed (base-0 integer)
+//   HMCA_SIMCORE_SEED      simulator-core suite seed (base-0 integer)
 //   HMCA_STATS             stats report format: text|json|csv (off|0 = none)
 //   HMCA_HIERARCHY         leader-hierarchy depth override: auto|2|3|@file
 //                          (selector step 2; core::hierarchy_from_env)
@@ -57,6 +58,7 @@ class Env {
       "HMCA_REDUCE_SCATTER_ALGO";
   static constexpr const char* kFaults = "HMCA_FAULTS";
   static constexpr const char* kConformanceSeed = "HMCA_CONFORMANCE_SEED";
+  static constexpr const char* kSimcoreSeed = "HMCA_SIMCORE_SEED";
   static constexpr const char* kStats = "HMCA_STATS";
   static constexpr const char* kHierarchy = "HMCA_HIERARCHY";
   static constexpr const char* kGitSha = "HMCA_GIT_SHA";
@@ -70,9 +72,12 @@ class Env {
   /// core::hierarchy_from_env does the parse so osu stays hierarchy-free.
   static std::optional<std::string> hierarchy();
 
-  /// strtoull base-0 (so 0x... hex seeds work); digit-free garbage throws
-  /// std::invalid_argument rather than silently seeding with 0.
+  /// Seeds parse as unsigned base-0 integers (so 0x... hex seeds from
+  /// failure logs replay directly). A sign, trailing characters or a value
+  /// past 2^64-1 throws std::invalid_argument rather than silently seeding
+  /// with something else.
   static std::optional<std::uint64_t> conformance_seed();
+  static std::optional<std::uint64_t> simcore_seed();
 
   /// Parsed HMCA_STATS; "0"/"off"/"no"/"false" read as unset (disabled).
   /// Malformed values throw std::invalid_argument.

@@ -3,6 +3,7 @@
 // so each one restores what it touches.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -65,8 +66,30 @@ TEST(Env, ConformanceSeedParsesBase0) {
     EXPECT_EQ(Env::conformance_seed().value(), 42u);
   }
   {
-    ScopedEnv seed(Env::kConformanceSeed, "banana");
-    EXPECT_THROW(Env::conformance_seed(), std::invalid_argument);
+    ScopedEnv seed(Env::kConformanceSeed, "18446744073709551615");
+    EXPECT_EQ(Env::conformance_seed().value(), UINT64_MAX);
+  }
+  // Digit-free garbage, trailing characters, a sign, leading blanks and
+  // values past 2^64-1 are refused, not read as some other seed.
+  for (const char* bad : {"banana", "12abc", "1e9", "0x", "-1", "+5", " 7",
+                          "18446744073709551616", "0x1ffffffffffffffff"}) {
+    ScopedEnv seed(Env::kConformanceSeed, bad);
+    EXPECT_THROW(Env::conformance_seed(), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Env, SimcoreSeedSharesTheSeedParser) {
+  {
+    ScopedEnv seed(Env::kSimcoreSeed, nullptr);
+    EXPECT_FALSE(Env::simcore_seed().has_value());
+  }
+  {
+    ScopedEnv seed(Env::kSimcoreSeed, "0x51EDC04E");
+    EXPECT_EQ(Env::simcore_seed().value(), 0x51EDC04Eu);
+  }
+  {
+    ScopedEnv seed(Env::kSimcoreSeed, "12abc");
+    EXPECT_THROW(Env::simcore_seed(), std::invalid_argument);
   }
 }
 
@@ -130,8 +153,8 @@ TEST(Env, WarnUnknownListsEveryKnownVariable) {
       std::string("(known: ") + Env::kAllgatherAlgo + ", " +
       Env::kAllreduceAlgo + ", " + Env::kAlltoallAlgo + ", " +
       Env::kReduceScatterAlgo + ", " + Env::kFaults + ", " +
-      Env::kConformanceSeed + ", " + Env::kStats + ", " + Env::kHierarchy +
-      ", " + Env::kGitSha + ")\n";
+      Env::kConformanceSeed + ", " + Env::kSimcoreSeed + ", " +
+      Env::kStats + ", " + Env::kHierarchy + ", " + Env::kGitSha + ")\n";
   const std::string line =
       "hmca: warning: unknown environment variable HMCA_STATZ " + known;
   EXPECT_NE(os.str().find(line), std::string::npos) << os.str();

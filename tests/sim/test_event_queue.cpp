@@ -14,28 +14,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "osu/env.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 
 namespace hmca::sim {
 namespace {
 
-constexpr const char* kSeedEnv = "HMCA_SIMCORE_SEED";
+constexpr const char* kSeedEnv = osu::Env::kSimcoreSeed;
 
-/// Suite seed: HMCA_SIMCORE_SEED when set (any strtoull base-0 form, so hex
-/// seeds from failure logs replay directly), a fixed default otherwise.
+/// Suite seed: HMCA_SIMCORE_SEED when set (hex seeds from failure logs
+/// replay directly), a fixed default otherwise.
 std::uint64_t suite_seed() {
-  const char* v = std::getenv(kSeedEnv);
-  if (v == nullptr || *v == '\0') return 0x51EDC04Eull;
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(v, &end, 0);
-  if (end == v) return 0x51EDC04Eull;
-  return parsed;
+  return osu::Env::simcore_seed().value_or(0x51EDC04Eull);
 }
 
 std::string replay_note(std::uint64_t seed) {

@@ -13,11 +13,11 @@
 // Seed-replayable: HMCA_SIMCORE_SEED=<seed> ctest -L simcore
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "osu/env.hpp"
 #include "sim/engine.hpp"
 #include "sim/fluid.hpp"
 #include "sim/rng.hpp"
@@ -25,15 +25,10 @@
 namespace hmca::sim {
 namespace {
 
-constexpr const char* kSeedEnv = "HMCA_SIMCORE_SEED";
+constexpr const char* kSeedEnv = osu::Env::kSimcoreSeed;
 
 std::uint64_t suite_seed() {
-  const char* v = std::getenv(kSeedEnv);
-  if (v == nullptr || *v == '\0') return 0xF1D01ull;
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(v, &end, 0);
-  if (end == v) return 0xF1D01ull;
-  return parsed;
+  return osu::Env::simcore_seed().value_or(0xF1D01ull);
 }
 
 struct Topology {
