@@ -125,12 +125,12 @@ std::vector<double> waterfill_reference(
   return rate;
 }
 
-ResourceId FluidNetwork::add_resource(std::string name,
+ResourceId FluidNetwork::add_resource(const std::string& name,
                                       double capacity_bytes_per_s) {
   if (!(capacity_bytes_per_s > 0.0)) {
     throw SimError("FluidNetwork: resource capacity must be positive: " + name);
   }
-  resources_.push_back(Resource{std::move(name), 0, {}});
+  resources_.emplace_back();
   res_cap_.push_back(capacity_bytes_per_s);
   res_served_.push_back(0.0);
   return static_cast<ResourceId>(resources_.size() - 1);

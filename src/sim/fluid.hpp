@@ -96,7 +96,9 @@ class FluidNetwork {
   FluidNetwork& operator=(const FluidNetwork&) = delete;
 
   /// Register a capacity resource (bytes of traffic per second).
-  ResourceId add_resource(std::string name, double capacity_bytes_per_s);
+  /// `name` only labels the error thrown on a non-positive capacity.
+  ResourceId add_resource(const std::string& name,
+                          double capacity_bytes_per_s);
 
   double capacity(ResourceId r) const { return res_cap_.at(r); }
   /// Total traffic (payload * weight) served by a resource so far.
@@ -145,7 +147,6 @@ class FluidNetwork {
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
   struct Resource {
-    std::string name;
     // Affected-component BFS mark (epoch-stamped, no per-update clears).
     std::uint64_t mark = 0;
     // Live flow classes crossing this resource: one entry per class use,
@@ -210,7 +211,7 @@ class FluidNetwork {
   std::vector<Resource> resources_;
   // Hot per-resource scalars, dense by ResourceId: the advance sweep and
   // the water-filling reset loop stay within a couple of cache lines
-  // instead of striding over the name/entries-carrying structs.
+  // instead of striding over the entries-carrying structs.
   std::vector<double> res_cap_;
   std::vector<double> res_served_;
 

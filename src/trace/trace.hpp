@@ -43,35 +43,11 @@ struct Span {
 /// push_back per span; the tracer can be absent (callers hold a pointer).
 class Tracer {
  public:
-  /// Open a span now; call `close()` when the activity completes.
-  class Handle {
-   public:
-    Handle() = default;
-    void close(sim::Time t1) {
-      if (tracer_) tracer_->spans_[idx_].t1 = t1;
-      tracer_ = nullptr;
-    }
-
-   private:
-    friend class Tracer;
-    Tracer* tracer_ = nullptr;
-    std::size_t idx_ = 0;
-  };
-
-  Handle open(int rank, Kind kind, sim::Time t0, int peer = -1,
-              std::size_t bytes = 0, std::string label = {}) {
-    Handle h;
-    h.tracer_ = this;
-    h.idx_ = spans_.size();
-    spans_.push_back(Span{rank, kind, t0, t0, peer, bytes, std::move(label)});
-    return h;
-  }
-
   void record(Span s) { spans_.push_back(std::move(s)); }
 
-  /// Index-based open/close for adapters (obs::CollectSink) that manage
-  /// their own handle lifetime. `open_span` returns the span's index;
-  /// `close_span` stamps its end time.
+  /// Open/close of a span whose end is not known yet (obs::CollectSink
+  /// holds the index across the activity). `open_span` returns the span's
+  /// index; `close_span` stamps its end time.
   std::size_t open_span(Span s) {
     spans_.push_back(std::move(s));
     return spans_.size() - 1;

@@ -10,8 +10,9 @@ namespace {
 
 TEST(Tracer, OpenCloseRecordsSpan) {
   Tracer t;
-  auto h = t.open(3, Kind::kNicXfer, 1.0, 7, 4096, "x");
-  h.close(2.5);
+  const std::size_t idx =
+      t.open_span({3, Kind::kNicXfer, 1.0, 1.0, 7, 4096, "x"});
+  t.close_span(idx, 2.5);
   ASSERT_EQ(t.spans().size(), 1u);
   const auto& s = t.spans()[0];
   EXPECT_EQ(s.rank, 3);
