@@ -2,7 +2,6 @@
 //
 //   hmca-report [--stats FILE] [--trace FILE] [--bench FILE]
 //               [--metric NAME] [--title TITLE] [--out FILE] [--text]
-//   hmca-report --diff BASE NEXT [--out FILE] [--text]
 //
 // Inputs are the files the rest of the toolchain already writes: a bench
 // `--stats=json` report (timelines + utilization ride inside it), a bench
@@ -12,6 +11,9 @@
 // --out (default report.html). `--text` renders the same data as plain
 // text instead (stdout unless --out is given).
 //
+// Comparing two artifacts is hmca-diff's job (`hmca-diff BASE NEXT
+// --html FILE`).
+//
 // Exit codes: 0 = report written, 2 = usage / IO / parse errors.
 #include <fstream>
 #include <iostream>
@@ -19,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/diff.hpp"
 #include "obs/report.hpp"
 #include "perf/diff_io.hpp"
 #include "perf/json.hpp"
@@ -33,10 +34,7 @@ int usage(std::ostream& os, int code) {
         "  hmca-report [--stats FILE] [--trace FILE] [--bench FILE]\n"
         "              [--metric NAME] [--title TITLE] [--out FILE] "
         "[--text]\n"
-        "  hmca-report --diff BASE NEXT [--out FILE] [--text]\n"
         "\n"
-        "  --diff    attribute the latency delta between two artifacts\n"
-        "            (any mix of stats/trace/bench files; see hmca-diff)\n"
         "  --stats   bench --stats=json output (timeline + utilization;\n"
         "            a full bench transcript with a leading table is fine)\n"
         "  --trace   bench --trace Chrome-trace JSON (span strip)\n"
@@ -186,17 +184,9 @@ int run(const std::vector<std::string>& args) {
   std::string stats_path, trace_path, bench_path, out_path, title;
   std::string metric = "latency_us";
   bool text = false;
-  std::vector<std::string> diff_paths;
   std::string value;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--diff") {
-      // `--diff BASE NEXT`: two positional artifact paths follow.
-      if (i + 2 >= args.size()) {
-        throw std::invalid_argument("--diff needs two artifact paths");
-      }
-      diff_paths = {args[i + 1], args[i + 2]};
-      i += 2;
-    } else if (take_value(args, i, "--stats", value)) {
+    if (take_value(args, i, "--stats", value)) {
       stats_path = value;
     } else if (take_value(args, i, "--trace", value)) {
       trace_path = value;
@@ -216,35 +206,9 @@ int run(const std::vector<std::string>& args) {
       throw std::invalid_argument("unknown argument '" + args[i] + "'");
     }
   }
-  if (!diff_paths.empty()) {
-    // Diff mode: structural comparison of two artifacts, rendered with
-    // the same text/HTML switches as the dashboard.
-    const obs::DiffReport rep =
-        perf::diff_artifacts(diff_paths[0], diff_paths[1]);
-    std::ostringstream body;
-    if (text) {
-      rep.write_text(body);
-    } else {
-      rep.write_html(body);
-      if (out_path.empty()) out_path = "diff.html";
-    }
-    if (out_path.empty()) {
-      std::cout << body.str();
-      return 0;
-    }
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "hmca-report: cannot write '" << out_path << "'\n";
-      return 2;
-    }
-    out << body.str();
-    std::cerr << "wrote " << out_path << " (" << rep.invocations.size()
-              << " aligned invocations)\n";
-    return 0;
-  }
   if (stats_path.empty() && trace_path.empty() && bench_path.empty()) {
     std::cerr << "hmca-report: need at least one of --stats / --trace / "
-                 "--bench or --diff\n";
+                 "--bench\n";
     return usage(std::cerr, 2);
   }
 
